@@ -214,14 +214,30 @@ def _perfect_power(n: int) -> tuple[int, int] | None:
     return None
 
 
-@lru_cache(maxsize=4)
-def _small_primes(bound: int) -> tuple[int, ...]:
+def _sieve(bound: int) -> tuple[int, ...]:
     sieve = bytearray([1]) * (bound + 1)
     sieve[0] = sieve[1] = 0
     for i in range(2, math.isqrt(bound) + 1):
         if sieve[i]:
             sieve[i * i :: i] = bytearray((bound - i * i) // i + 1)
     return tuple(i for i in range(2, bound + 1) if sieve[i])
+
+
+# The trial_bound sieve, and the power-of-two sieves below it for numbers
+# whose square root is smaller; separate caches, so that small factorizations
+# never evict the large sieve.
+_small_primes = lru_cache(maxsize=4)(_sieve)
+_short_primes = lru_cache(maxsize=32)(_sieve)
+
+
+def _trial_primes(n: int, trial_bound: int) -> tuple[int, ...]:
+    """Primes for trial division of n: up to trial_bound, or up to the next
+    power of two above isqrt(n) when that is smaller (no prime beyond
+    isqrt(n) can be the smallest factor of a composite n)."""
+    bound = 1 << math.isqrt(n).bit_length()
+    if bound >= trial_bound:
+        return _small_primes(trial_bound)
+    return _short_primes(bound)
 
 
 def _brent_rho(n: int, rng: Random, budget: int) -> tuple[int | None, int]:
@@ -324,7 +340,7 @@ def factorize(
         certainty[v] = cert
 
     m = n
-    for p in _small_primes(trial_bound):
+    for p in _trial_primes(n, trial_bound):
         if p * p > m:
             break
         while m % p == 0:

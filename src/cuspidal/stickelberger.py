@@ -15,7 +15,6 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping, Sequence
 
-from .arith import bernoulli2
 from .cartan import CartanContext, norm_class_partition, norm_fiber
 from .errors import InvariantViolation
 
@@ -124,16 +123,18 @@ def e_value(p: int, k: int) -> int:
 @lru_cache(maxsize=None)
 def compute_a(ctx: CartanContext) -> tuple[Fraction, ...]:
     """Bucket sums a[j] = (p^k / 2) * sum over the w^j norm bucket of
-    B2(<a1 / p^k>); exact rationals, and their total is 0."""
+    B2(<a1 / p^k>); exact rationals, and their total is 0.
+
+    With m = p^k, 12 m * (m / 2) B2(a1 / m) = 6 a1^2 - 6 a1 m + m^2, so each
+    sum runs in integers and only the bucket total becomes a Fraction."""
     part = norm_class_partition(ctx)
     m = ctx.modulus
-    scale = Fraction(m, 2)
     out = []
     for j in range(ctx.n):
         bucket = part[j if j else ctx.n]
         # canonical a1 already lies in [0, m), so <a1/m> is just a1/m
-        total = sum(bernoulli2(Fraction(c.a1, m)) for c in bucket)
-        out.append(scale * total)
+        total = sum(6 * c.a1 * (c.a1 - m) for c in bucket) + len(bucket) * m * m
+        out.append(Fraction(total, 12 * m))
     if sum(out) != 0:
         raise InvariantViolation("bucket sums do not cancel: sum a_i != 0")
     return tuple(out)

@@ -123,7 +123,7 @@ def test_criterion_5_float_crosscheck():
     t0 = time.perf_counter()
     for p in SMALL_PRIMES:
         assert float_crosscheck(CartanContext.create(p), tol=1e-9), p
-    report(5, "eigenvalue log-sum vs det at 1e-9", time.perf_counter() - t0)
+    report(5, "eigenvalue log-sums vs orbit norms at 1e-9", time.perf_counter() - t0)
 
 
 def test_criterion_6_analytic_suite():

@@ -174,6 +174,31 @@ def test_factorize_budget_exhaustion_is_flagged():
     assert str(f) == f"[{a * b}]"
 
 
+def test_factorize_short_sieve_boundaries():
+    # squares and products of primes just below and above powers of two, so
+    # that trial division with the short sieve ends exactly at its bound
+    near = [2, 3, 5, 7, 13, 17, 31, 37, 61, 67, 127, 131, 251, 257, 509, 521]
+    near += [65521, 65537, 524287, 524309]
+    for a in near:
+        for b in near:
+            n = a * b
+            f = factorize(n)
+            assert [(e.prime, e.exponent) for e in f.entries] == trial_division(n)
+            assert all(e.certainty is Primality.PROVEN for e in f.entries)
+
+
+def test_factorize_small_inputs_keep_the_trial_bound_sieve():
+    from cuspidal.arith import DEFAULT_TRIAL_BOUND, _small_primes
+
+    _small_primes(DEFAULT_TRIAL_BOUND)
+    misses = _small_primes.cache_info().misses
+    for n in range(2, 3000):
+        factorize(n)
+    factorize(2**61 - 1)
+    _small_primes(DEFAULT_TRIAL_BOUND)
+    assert _small_primes.cache_info().misses == misses
+
+
 def test_factorize_formatting():
     assert str(factorize(2**6 * 5 * 7**2)) == "2^6 * 5 * 7^2"
     assert str(factorize(1)) == "1"

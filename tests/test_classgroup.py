@@ -16,10 +16,13 @@ from cuspidal.classgroup import (
     det_exact,
     float_crosscheck,
     generator_matrix,
+    orbit_norms,
     order,
     snf,
     structure,
 )
+from cuspidal.stickelberger import stickelberger_data
+
 TABLE_SMALL = {5: 1, 7: 1, 11: 11, 13: 7 * 13**2, 17: 2**4 * 3 * 17**3}
 
 
@@ -36,6 +39,12 @@ def naive_det(rows):
             term *= rows[i][perm[i]]
         total += term
     return total
+
+
+def circulant_rows(first_row):
+    """Dense circulant: entry (i, j) = first_row[(j - i) mod n]."""
+    n = len(first_row)
+    return [[first_row[(j - i) % n] for j in range(n)] for i in range(n)]
 
 
 def adjugate3(rows):
@@ -100,7 +109,44 @@ def test_det_exact_on_random_circulants():
         for _ in range(20):
             first = tuple(Fraction(rng.randrange(-9, 10)) for _ in range(n))
             m = CirculantMatrix(first)
-            assert det_exact(m, 1) == naive_det(m.rows())
+            assert det_exact(m, 1) == naive_det(circulant_rows(first))
+
+
+@pytest.mark.parametrize("n", [6, 8, 12, 30])
+def test_orbit_det_vs_dense_on_random_circulants(n):
+    rng = random.Random(n)
+    rows = [[rng.randrange(-9, 10) for _ in range(n)] for _ in range(10)]
+    rows.append([1] * (n - 1) + [1 - n])  # row sum 0: F(1) = 0, singular
+    rows.append([Fraction(rng.randrange(-30, 31), 6) for _ in range(n)])
+    for first in rows:
+        m = CirculantMatrix(tuple(Fraction(x) for x in first))
+        dense = bareiss_det([[6 * x for x in r] for r in circulant_rows(first)])
+        assert det_exact(m, 6) == Fraction(dense, 6**n)
+        if n == 6 and all(Fraction(x).denominator == 1 for x in first):
+            assert det_exact(m, 1) == naive_det(circulant_rows(first))
+    assert det_exact(CirculantMatrix((Fraction(1),) * n), 1) == 0
+
+
+@pytest.mark.parametrize("p,k", [(83, 1), (101, 1), (11, 2), (13, 2)])
+def test_orbit_norms_vs_dense_bareiss(p, k):
+    ctx = CartanContext.create(p, k)
+    m = circulant_theta_prime(ctx)
+    scale = 12 * ctx.modulus
+    norms = orbit_norms(m, scale)
+    assert sorted(norms) == [d for d in range(1, ctx.n + 1) if ctx.n % d == 0]
+    first = [int(x * scale) for x in m.first_row]
+    assert math.prod(norms.values()) == bareiss_det(circulant_rows(first))
+    # the trivial orbit is F(1) = scale * deg(theta')
+    assert norms[1] == scale * stickelberger_data(ctx).theta_prime.degree()
+
+
+def test_orbit_norms_pair_d_and_2d_at_13_squared():
+    # n = 78: the orbits d and 2d carry the same norm for d = 3, 13, 39,
+    # while the two rational orbits F(1) and F(-1) differ
+    ctx = CartanContext.create(13, 2)
+    norms = orbit_norms(circulant_theta_prime(ctx), 12 * ctx.modulus)
+    assert all(norms[d] == norms[2 * d] for d in (3, 13, 39))
+    assert norms[1] != norms[2]
 
 
 def test_det_exact_examples():
@@ -197,6 +243,24 @@ def test_order_and_structure_invariant_under_choices():
 @pytest.mark.parametrize("p", [5, 7, 11, 13, 17, 19, 23, 29, 31])
 def test_float_crosscheck(p):
     assert float_crosscheck(CartanContext.create(p), tol=1e-9)
+
+
+def test_float_crosscheck_is_per_orbit(monkeypatch):
+    # exchanging two orbit norms keeps their product, which a check of the
+    # whole determinant would accept; the per-orbit comparison does not
+    import cuspidal.classgroup as cg
+
+    exact = cg.orbit_norms
+
+    def swapped(m, scale):
+        norms = exact(m, scale)
+        norms[1], norms[2] = norms[2], norms[1]
+        return norms
+
+    ctx = CartanContext.create(13, 2)
+    assert float_crosscheck(ctx)
+    monkeypatch.setattr(cg, "orbit_norms", swapped)
+    assert not float_crosscheck(ctx)
 
 
 def test_eigenvalues_p5():

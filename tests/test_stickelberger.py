@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from cuspidal.arith import bernoulli2
 from cuspidal.cartan import CartanContext, norm_class_partition
 from cuspidal.stickelberger import (
     GroupRingElement,
@@ -49,6 +50,19 @@ def test_compute_a_p5_worked_example():
     a = compute_a(ctx)
     # index 0 is the identity bucket (norm +-1), index 1 the bucket of +-2
     assert a == (Fraction(-1, 2), Fraction(1, 2))
+
+
+@pytest.mark.parametrize("p,k", [(5, 1), (13, 1), (5, 2), (7, 2)])
+def test_compute_a_matches_per_class_bernoulli(p, k):
+    # the defining per-class Fraction sum is the oracle for the integer sums
+    ctx = CartanContext.create(p, k)
+    m = ctx.modulus
+    part = norm_class_partition(ctx)
+    want = tuple(
+        Fraction(m, 2) * sum(bernoulli2(Fraction(c.a1, m)) for c in part[j or ctx.n])
+        for j in range(ctx.n)
+    )
+    assert compute_a(ctx) == want
 
 
 def test_theta_prime_p5_worked_example():
