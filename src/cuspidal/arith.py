@@ -3,15 +3,23 @@
 Integers are plain Python ints, rationals are ``fractions.Fraction``; both
 are exact at any size.  On top of those this module provides fractional
 parts, the second Bernoulli polynomial, Legendre/Jacobi symbols, a primality
-test with an explicit certainty level, and an integer factorizer (trial
-division, perfect-power extraction, Brent's cycle variant of Pollard rho)
-that degrades gracefully to flagged unsplit composites when its iteration
-budget runs out.
+test with an explicit certainty level, and an integer factorizer.
+
+The factorizer runs trial division, then on each remaining composite a
+primality test, perfect-power extraction, a short Brent-rho stage (Pollard
+rho with Brent's cycle finding, for factors up to about ten digits) and
+Lenstra's elliptic-curve method (ECM): Montgomery curves in x/z coordinates
+with Suyama's parametrisation, a Montgomery-ladder stage 1 and a
+baby-step/giant-step stage 2 with one batched gcd.  One step budget per
+call is shared by rho and ECM; it is counted in Brent-rho iterations, never
+in wall-clock time.  Whatever it leaves unsplit is reported as a flagged
+composite, never silently.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -20,8 +28,19 @@ from random import Random
 
 ONE_SIXTH = Fraction(1, 6)
 
-DEFAULT_RHO_BUDGET = 10**8
+DEFAULT_RHO_BUDGET = 10**8  # steps per factorize call, rho and ECM together
 DEFAULT_TRIAL_BOUND = 10**6
+
+# Brent rho runs first on each composite for at most this many steps: enough
+# for factors up to about ten digits, beyond which ECM finds them faster.
+RHO_STAGE_STEPS = 1 << 16
+
+# ECM (B1, curves) levels, aimed at factors of about 15, 20 and 25 digits;
+# the last level runs until the budget is spent.  Stage 2 covers the primes
+# in (B1, min(100 B1, DEFAULT_TRIAL_BOUND)].
+ECM_SCHEDULE = ((2000, 25), (11000, 90), (50000, None))
+_ECM_D = 2310  # stage-2 giant step, 2*3*5*7*11; every B1 above exceeds D/2,
+# so stage 2 starts at a giant step g >= 1
 
 
 class Primality(Enum):
@@ -240,23 +259,24 @@ def _trial_primes(n: int, trial_bound: int) -> tuple[int, ...]:
     return _short_primes(bound)
 
 
-def _brent_rho(n: int, rng: Random, budget: int) -> tuple[int | None, int]:
-    """One Brent-rho attempt on odd composite n; (factor | None, iterations)."""
+def _brent_rho(n: int, rng: Random, limit: int) -> tuple[int | None, int]:
+    """One Brent-rho attempt on odd composite n, stopping before it would
+    take more than ``limit`` iterations; (factor | None, iterations)."""
     y = rng.randrange(1, n)
     c = rng.randrange(1, n)
     m = 128
     g = q = r = 1
     used = 0
     x = ys = y
-    while g == 1 and used < budget:
+    while g == 1 and used + r <= limit:
         x = y
         for _ in range(r):
             y = (y * y + c) % n
         used += r
         k = 0
-        while k < r and g == 1:
+        while k < r and g == 1 and used < limit:
             ys = y
-            cnt = min(m, r - k)
+            cnt = min(m, r - k, limit - used)
             for _ in range(cnt):
                 y = (y * y + c) % n
                 q = q * (x - y) % n
@@ -267,13 +287,205 @@ def _brent_rho(n: int, rng: Random, budget: int) -> tuple[int | None, int]:
     if g == n:
         # batched gcd overshot the collision; replay the last batch singly
         g = 1
-        for _ in range(m + 1):
+        for _ in range(min(m + 1, limit - used)):
             ys = (ys * ys + c) % n
+            used += 1
             g = math.gcd(x - ys, n)
             if g > 1:
                 break
     if 1 < g < n:
         return g, used
+    return None, used
+
+
+# ---------------------------------------------------------------------------
+# elliptic-curve method
+
+def _xdbl(X: int, Z: int, a24: int, n: int) -> tuple[int, int]:
+    """[2](X:Z) on the Montgomery curve with a24 = (A+2)/4; 5 multiplications."""
+    s = X + Z
+    s = s * s % n
+    d = X - Z
+    d = d * d % n
+    t = s - d
+    return s * d % n, t * (d + a24 * t % n) % n
+
+
+def _xadd(X1: int, Z1: int, X2: int, Z2: int, Xd: int, Zd: int, n: int) -> tuple[int, int]:
+    """P1 + P2 from x/z coordinates and those of P1 - P2; 6 multiplications."""
+    u = (X1 - Z1) * (X2 + Z2) % n
+    v = (X1 + Z1) * (X2 - Z2) % n
+    s = u + v
+    t = u - v
+    return Zd * (s * s % n) % n, Xd * (t * t % n) % n
+
+
+def _ladder(k: int, X: int, Z: int, a24: int, n: int) -> tuple[int, int]:
+    """[k](X:Z) for k >= 1 by the Montgomery ladder; 11 multiplications a bit."""
+    X0, Z0 = X, Z
+    X1, Z1 = _xdbl(X, Z, a24, n)
+    # (X1:Z1) - (X0:Z0) = (X:Z) throughout; the add and the doubling are
+    # inlined because this loop is most of an ECM curve
+    for bit in bin(k)[3:]:
+        u = (X0 - Z0) * (X1 + Z1) % n
+        v = (X0 + Z0) * (X1 - Z1) % n
+        s = u + v
+        t = u - v
+        if bit == "1":
+            X0, Z0 = Z * (s * s % n) % n, X * (t * t % n) % n
+            s = X1 + Z1
+            d = X1 - Z1
+            s = s * s % n
+            d = d * d % n
+            t = s - d
+            X1, Z1 = s * d % n, t * (d + a24 * t % n) % n
+        else:
+            X1, Z1 = Z * (s * s % n) % n, X * (t * t % n) % n
+            s = X0 + Z0
+            d = X0 - Z0
+            s = s * s % n
+            d = d * d % n
+            t = s - d
+            X0, Z0 = s * d % n, t * (d + a24 * t % n) % n
+    return X0, Z0
+
+
+@dataclass(frozen=True)
+class _EcmPlan:
+    """Everything about one B1 level that does not depend on n."""
+
+    scalar: int  # product of the largest prime powers <= B1
+    first_giant: int  # stage 2 starts at the giant step first_giant * D
+    babies: tuple[int, ...]  # odd b < D/2 prime to D, whose [b]Q are kept
+    pairs: tuple[tuple[int, ...], ...]  # per giant step, baby indices to multiply in
+    cost: int  # steps charged per curve
+
+
+@lru_cache(maxsize=len(ECM_SCHEDULE))
+def _ecm_plan(b1: int) -> _EcmPlan:
+    primes = _small_primes(DEFAULT_TRIAL_BOUND)
+    b2 = min(100 * b1, DEFAULT_TRIAL_BOUND)
+    lo, hi = bisect_right(primes, b1), bisect_right(primes, b2)
+    scalar = 1
+    for p in primes[:lo]:
+        q = p
+        while q * p <= b1:
+            q *= p
+        scalar *= q
+
+    half = _ECM_D // 2
+    babies = [b for b in range(1, half, 2) if math.gcd(b, _ECM_D) == 1]
+    index = {b: i for i, b in enumerate(babies)}
+    # q = gD +- b: [gD]Q and [b]Q share their x-coordinate mod a prime factor
+    # exactly when [gD - b]Q or [gD + b]Q vanishes there, so one product
+    # covers both
+    by_giant: dict[int, set[int]] = {}
+    for q in primes[lo:hi]:
+        g, b = divmod(q, _ECM_D)
+        if b > half:
+            g, b = g + 1, _ECM_D - b
+        by_giant.setdefault(g, set()).add(index[b])
+    first, last = min(by_giant), max(by_giant)
+    pairs = tuple(tuple(sorted(by_giant.get(g, ()))) for g in range(first, last + 1))
+
+    giants = len(pairs)
+    ladders = (scalar, _ECM_D, first * _ECM_D, (first + 1) * _ECM_D)
+    mults = (
+        sum(11 * (k.bit_length() - 1) + 5 for k in ladders)
+        + 5 + 6 * (half // 2 - 1)  # [2]Q, then [b]Q for every odd b < D/2
+        + 6 * (giants - 2)  # the other giant steps
+        + 3 * (len(babies) + giants)  # batched inversion
+        + sum(map(len, pairs))
+    )
+    # one step is one rho iteration, two modular multiplications
+    return _EcmPlan(scalar, first, tuple(babies), pairs, (mults + 1) // 2)
+
+
+def _ecm_curve(n: int, plan: _EcmPlan, rng: Random) -> int | None:
+    """One ECM curve on odd composite n; a proper factor or None."""
+    sigma = rng.randrange(6, n - 1)
+    u = (sigma * sigma - 5) % n
+    v = 4 * sigma % n
+    x0 = u * u * u % n
+    z0 = v * v * v % n
+    w = v - u
+    num = w * w * w * (3 * u + v) % n  # a24 = (A+2)/4 = num / (16 u^3 v)
+    den = 16 * x0 * v * z0 % n
+    g = math.gcd(den, n)
+    if g != 1:
+        return g if g < n else None
+    inv = pow(den, -1, n)
+    a24 = num * z0 * inv % n
+    x = x0 * x0 * 16 * v * inv % n  # x0 / z0
+
+    X, Z = _ladder(plan.scalar, x, 1, a24, n)
+    g = math.gcd(Z, n)
+    if g != 1:
+        return g if g < n else None
+
+    # stage 2: baby steps [b]Q for odd b < D/2, giant steps [gD]Q
+    X2, Z2 = _xdbl(X, Z, a24, n)
+    prev, cur = (X, Z), _xadd(X2, Z2, X, Z, X, Z, n)
+    odd = [prev, cur]
+    for _ in range(_ECM_D // 4 - 2):
+        prev, cur = cur, _xadd(*cur, X2, Z2, *prev, n)
+        odd.append(cur)
+    points = [odd[b // 2] for b in plan.babies]
+    XD, ZD = _ladder(_ECM_D, X, Z, a24, n)
+    prev = _ladder(plan.first_giant * _ECM_D, X, Z, a24, n)
+    cur = _ladder((plan.first_giant + 1) * _ECM_D, X, Z, a24, n)
+    points += [prev, cur]
+    for _ in range(len(plan.pairs) - 2):
+        prev, cur = cur, _xadd(*cur, XD, ZD, *prev, n)
+        points.append(cur)
+
+    # x = X/Z for every point, with one inversion (Montgomery's trick)
+    prefix = []
+    acc = 1
+    for _, z in points:
+        acc = acc * z % n
+        prefix.append(acc)
+    g = math.gcd(acc, n)
+    if g != 1:
+        return g if g < n else None
+    inv = pow(acc, -1, n)
+    xs = [0] * len(points)
+    for i in range(len(points) - 1, 0, -1):
+        xi, zi = points[i]
+        xs[i] = xi * (inv * prefix[i - 1] % n) % n
+        inv = inv * zi % n
+    xs[0] = points[0][0] * inv % n
+
+    baby_x = xs[: len(plan.babies)]
+    acc = 1
+    for xg, idx in zip(xs[len(plan.babies) :], plan.pairs):
+        for i in idx:
+            acc = acc * (xg - baby_x[i]) % n
+    g = math.gcd(acc, n)
+    return g if 1 < g < n else None
+
+
+def _split(n: int, rng: Random, budget: int) -> tuple[int | None, int]:
+    """A proper factor of the odd composite n, or None once ``budget`` steps
+    would be exceeded; (factor | None, steps used)."""
+    used = 0
+    rho_limit = min(RHO_STAGE_STEPS, budget)
+    while used < rho_limit:
+        d, steps = _brent_rho(n, rng, rho_limit - used)
+        used += steps
+        if d is not None:
+            return d, used
+    for b1, curves in ECM_SCHEDULE:
+        plan = _ecm_plan(b1)
+        tried = 0
+        while curves is None or tried < curves:
+            if used + plan.cost > budget:
+                return None, used
+            used += plan.cost
+            tried += 1
+            d = _ecm_curve(n, plan, rng)
+            if d is not None:
+                return d, used
     return None, used
 
 
@@ -295,9 +507,16 @@ class FactorEntry:
 
 @dataclass(frozen=True)
 class Factorization:
-    """Factor list sorted ascending; unsplit composites stay flagged, never silent."""
+    """Factor list sorted ascending; unsplit composites stay flagged, never silent.
+
+    ``steps_used`` is what the call spent of its step budget (Brent-rho
+    iterations, ECM charged at two modular multiplications a step);
+    ``budget_exhausted`` is set when the budget ran out before every
+    composite was split."""
 
     entries: tuple[FactorEntry, ...]
+    steps_used: int = 0
+    budget_exhausted: bool = False
 
     def value(self) -> int:
         out = 1
@@ -326,9 +545,15 @@ def factorize(
 
     Pipeline: trial division up to trial_bound, then per remaining composite
     a primality test, perfect-power extraction (run before rho: an exact
-    k-th root splits large squares instantly where rho would stall), and
-    Brent-rho restarts sharing ``rho_budget`` iterations per composite.
-    Budget exhaustion yields an entry flagged COMPOSITE.
+    k-th root splits large squares instantly where rho would stall), at most
+    RHO_STAGE_STEPS Brent-rho iterations, and ECM curves by ECM_SCHEDULE.
+    ``rho_budget`` is one step budget for the whole call, shared by rho and
+    ECM over every composite: a step is one rho iteration, and an ECM curve
+    is charged half its modular multiplications.  No curve starts that the
+    remaining budget cannot pay for, so ``steps_used <= rho_budget``.  Once
+    the budget is spent, every unsplit composite is an entry flagged
+    COMPOSITE and ``budget_exhausted`` is set.  The result depends only on
+    the arguments: curves and rho constants come from ``Random(seed)``.
     """
     if n < 1:
         raise ValueError("factorize needs n >= 1")
@@ -348,6 +573,9 @@ def factorize(
             m //= p
 
     rng = Random(seed)
+    budget = max(rho_budget, 0)
+    remaining = budget
+    exhausted = False
     stack = [(m, 1)] if m > 1 else []
     while stack:
         v, mult = stack.pop()
@@ -359,12 +587,10 @@ def factorize(
         if power is not None:
             stack.append((power[0], mult * power[1]))
             continue
-        budget = rho_budget
-        d = None
-        while d is None and budget > 0:
-            d, used = _brent_rho(v, rng, budget)
-            budget -= used
+        d, used = _split(v, rng, remaining)
+        remaining -= used
         if d is None:
+            exhausted = True
             record(v, mult, Primality.COMPOSITE)
             continue
         stack.append((d, mult))
@@ -373,4 +599,4 @@ def factorize(
     entries = tuple(
         FactorEntry(p, counts[p], certainty[p]) for p in sorted(counts)
     )
-    return Factorization(entries)
+    return Factorization(entries, budget - remaining, exhausted)

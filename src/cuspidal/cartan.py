@@ -48,6 +48,12 @@ def genus_plus(p: int) -> int:
     return value // 24
 
 
+# Per-level caches (keyed by CartanContext) keep this many contexts: enough
+# for the two that ``verify --eps-independence`` compares, while a table run
+# over many levels holds no more than that.
+CONTEXT_CACHE_SIZE = 2
+
+
 def _validate_pk(p: int, k: int) -> None:
     if k < 1:
         raise ValueError("k must be a positive integer")
@@ -230,7 +236,7 @@ class CartanContext:
         return (self.p + 1) * self.p ** (self.k - 1)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CONTEXT_CACHE_SIZE)
 def h_index_table(ctx: CartanContext) -> dict[int, int]:
     """Residue r (unit mod p^k) -> index i in 1..n with +-w^i = r."""
     table: dict[int, int] = {}
@@ -245,7 +251,7 @@ def h_index_table(ctx: CartanContext) -> dict[int, int]:
     return table
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CONTEXT_CACHE_SIZE)
 def norm_class_partition(ctx: CartanContext) -> dict[int, tuple[CartanClass, ...]]:
     """Partition of all unit classes by the H-class of the norm.
 

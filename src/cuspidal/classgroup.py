@@ -32,11 +32,18 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from types import MappingProxyType
 from typing import Sequence
 
 from ._version import __version__
 from .arith import DEFAULT_RHO_BUDGET, Factorization, bernoulli2, factorize
-from .cartan import CartanContext, CartanElement, cusp_count_plus, genus_plus
+from .cartan import (
+    CONTEXT_CACHE_SIZE,
+    CartanContext,
+    CartanElement,
+    cusp_count_plus,
+    genus_plus,
+)
 from .errors import InvariantViolation
 from .stickelberger import d_value, stickelberger_data, theta
 
@@ -159,7 +166,7 @@ def det_exact(m: CirculantMatrix, scale: int) -> Fraction:
     return Fraction(math.prod(orbit_norms(m, scale).values()), scale**m.n)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CONTEXT_CACHE_SIZE)
 def circulant_theta_prime(ctx: CartanContext) -> CirculantMatrix:
     """A_theta' with first row a'_j indexed by the bucket exponent j
     (a'_j is the coefficient of w^(-j) in theta', identity at j = 0)."""
@@ -168,11 +175,20 @@ def circulant_theta_prime(ctx: CartanContext) -> CirculantMatrix:
     return CirculantMatrix(tuple(tp.coeffs[(-j) % n] for j in range(n)))
 
 
+@lru_cache(maxsize=CONTEXT_CACHE_SIZE)
+def theta_prime_norms(ctx: CartanContext) -> MappingProxyType:
+    """Read-only {d: N_d} of 12 p^k A_theta', computed once per context for
+    order() and float_crosscheck()."""
+    norms = orbit_norms(circulant_theta_prime(ctx), _SCALE_NUM * ctx.modulus)
+    return MappingProxyType(norms)
+
+
 def order(ctx: CartanContext) -> int:
     """|det A_theta'| / ((p^2-1)/24 * p^(k-1) * e), checked to divide exactly."""
     data = stickelberger_data(ctx)
     p, k = ctx.p, ctx.k
-    det = det_exact(circulant_theta_prime(ctx), _SCALE_NUM * ctx.modulus)
+    scale = _SCALE_NUM * ctx.modulus
+    det = Fraction(math.prod(theta_prime_norms(ctx).values()), scale**ctx.n)
     if det == 0:
         raise InvariantViolation("A_theta' is singular")
     if det.denominator != 1:
@@ -298,7 +314,7 @@ def float_crosscheck(ctx: CartanContext, tol: float = 1e-9) -> bool:
     Log magnitudes are compared instead of raw products because the
     determinants overflow doubles by many orders of magnitude."""
     scale = _SCALE_NUM * ctx.modulus
-    norms = orbit_norms(circulant_theta_prime(ctx), scale)
+    norms = theta_prime_norms(ctx)
     if not all(norms.values()):
         return False
     eigs = circulant_eigenvalues(ctx)
@@ -404,6 +420,7 @@ class ClassGroupResult:
 
     def to_json_dict(self) -> dict:
         """JSON-safe form; big integers go out as decimal strings."""
+        fz = self.factorization
         return {
             "p": self.p,
             "k": self.k,
@@ -413,11 +430,10 @@ class ClassGroupResult:
             "generator": self.generator,
             "genus": self.genus,
             "factorization": None
-            if self.factorization is None
-            else [
-                [str(e.prime), e.exponent, e.certainty.value]
-                for e in self.factorization.entries
-            ],
+            if fz is None
+            else [[str(e.prime), e.exponent, e.certainty.value] for e in fz.entries],
+            "factor_steps_used": None if fz is None else fz.steps_used,
+            "factor_budget_exhausted": None if fz is None else fz.budget_exhausted,
             "invariant_factors": None
             if self.invariant_factors is None
             else [str(d) for d in self.invariant_factors],
@@ -434,7 +450,9 @@ class ClassGroupResult:
             None
             if fz is None
             else Factorization(
-                tuple(FactorEntry(int(p), int(e), Primality(c)) for p, e, c in fz)
+                tuple(FactorEntry(int(p), int(e), Primality(c)) for p, e, c in fz),
+                steps_used=int(data.get("factor_steps_used") or 0),
+                budget_exhausted=bool(data.get("factor_budget_exhausted")),
             )
         )
         inv = data.get("invariant_factors")

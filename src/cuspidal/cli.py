@@ -14,11 +14,10 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from ._version import __version__
 from .arith import DEFAULT_RHO_BUDGET, Primality, is_prime
-from .cartan import cusp_count_plus, genus_plus
+from .cartan import _validate_pk, cusp_count_plus, genus_plus
 from .classgroup import compute_class_group
 from .crosscheck import (
     bundled_fixture_path,
@@ -43,14 +42,14 @@ class UsageError(Exception):
     pass
 
 
-def _require_prime_level(p: int) -> None:
-    if p < 5 or is_prime(p) is Primality.COMPOSITE:
-        raise UsageError(f"p must be a prime >= 5, got {p}")
+def _require_level(p: int, k: int = 1) -> None:
+    try:
+        _validate_pk(p, k)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 def _require_size(p: int, k: int, force: bool) -> None:
-    if k < 1:
-        raise UsageError("k must be a positive integer")
     if p**k > SIZE_GUARD and not force:
         raise UsageError(
             f"p^k = {p**k} exceeds the size guard {SIZE_GUARD}; pass --force to override"
@@ -74,7 +73,7 @@ def _primes_in(lo: int, hi: int) -> list[int]:
 
 
 def cmd_order(args) -> int:
-    _require_prime_level(args.p)
+    _require_level(args.p, args.k)
     _require_size(args.p, args.k, args.force)
     res = compute_class_group(
         args.p, args.k, factor=args.factor or args.json, rho_budget=_rho_budget(args)
@@ -98,25 +97,14 @@ def cmd_table(args) -> int:
             f"--pmax {args.pmax} exceeds the guard {TABLE_GUARD}; pass --force to override"
         )
     budget = _rho_budget(args)
-    primes = _primes_in(5, args.pmax)
-
-    def compute(p: int):
-        return compute_class_group(p, 1, factor=True, rho_budget=budget)
-
-    if args.parallel > 1:
-        with ThreadPoolExecutor(max_workers=args.parallel) as pool:
-            results = list(pool.map(compute, primes))
-    else:
-        results = [compute(p) for p in primes]
-    results.sort(key=lambda r: r.p)
-
-    for res in results:
+    for p in _primes_in(5, args.pmax):
+        res = compute_class_group(p, 1, factor=True, rho_budget=budget)
         print(json.dumps(res.to_json_dict()) if args.json else table_row(res))
     return 0
 
 
 def cmd_verify(args) -> int:
-    _require_prime_level(args.p)
+    _require_level(args.p, args.k)
     _require_size(args.p, args.k, args.force)
     if args.analytic and args.k != 1:
         raise UsageError("--analytic runs at k = 1 only")
@@ -158,7 +146,7 @@ def cmd_crosscheck(args) -> int:
 
     all_ok = True
     for p in levels:
-        _require_prime_level(p)
+        _require_level(p)
         order_p = compute_class_group(p, 1, factor=False).order
         harness = gcd_harness(p, report.for_p(p), order_p)
         print(f"p={p}: order {order_p}")
@@ -181,7 +169,7 @@ def cmd_crosscheck(args) -> int:
 
 
 def cmd_genus(args) -> int:
-    _require_prime_level(args.p)
+    _require_level(args.p)
     print(f"genus {genus_plus(args.p)}")
     print(f"cusps {cusp_count_plus(args.p)}")
     return 0
@@ -205,15 +193,15 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_order)
     p_order.add_argument("--factor", action="store_true", help="print the factored order")
     p_order.add_argument("--json", action="store_true", help="emit a JSON record")
-    p_order.add_argument("--rho-budget", type=int, help="Pollard-rho iteration budget")
+    p_order.add_argument("--rho-budget", type=int,
+                         help="factoring step budget for the call (rho and ECM)")
     p_order.set_defaults(func=cmd_order)
 
     p_table = sub.add_parser("table", help="factored orders for primes 5..pmax")
     p_table.add_argument("--pmax", type=int, default=TABLE_GUARD)
     p_table.add_argument("--json", action="store_true", help="one JSON record per line")
-    p_table.add_argument("--parallel", type=int, default=1, metavar="N",
-                         help="worker threads for independent levels")
-    p_table.add_argument("--rho-budget", type=int, help="Pollard-rho iteration budget")
+    p_table.add_argument("--rho-budget", type=int,
+                         help="factoring step budget per level (rho and ECM)")
     p_table.add_argument("--force", action="store_true", help="override the pmax guard")
     p_table.set_defaults(func=cmd_table)
 

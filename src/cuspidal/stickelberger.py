@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping, Sequence
 
-from .cartan import CartanContext, norm_class_partition, norm_fiber
+from .cartan import CONTEXT_CACHE_SIZE, CartanContext, norm_class_partition, norm_fiber
 from .errors import InvariantViolation
 
 
@@ -120,7 +120,7 @@ def e_value(p: int, k: int) -> int:
     return e
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CONTEXT_CACHE_SIZE)
 def compute_a(ctx: CartanContext) -> tuple[Fraction, ...]:
     """Bucket sums a[j] = (p^k / 2) * sum over the w^j norm bucket of
     B2(<a1 / p^k>); exact rationals, and their total is 0.
@@ -140,7 +140,7 @@ def compute_a(ctx: CartanContext) -> tuple[Fraction, ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CONTEXT_CACHE_SIZE)
 def theta(ctx: CartanContext) -> GroupRingElement:
     """theta = sum_j a_j w^(-j), the divisor of the identity-bucket unit."""
     a = compute_a(ctx)
@@ -148,7 +148,7 @@ def theta(ctx: CartanContext) -> GroupRingElement:
     return GroupRingElement(ctx, tuple(a[(-i) % n] for i in range(n)))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CONTEXT_CACHE_SIZE)
 def theta_prime(ctx: CartanContext) -> GroupRingElement:
     """theta shifted by the constant (p+1) p^(2k-1) / 12 on every coefficient;
     its degree must be -(p^2-1) p^(3k-2) / 24."""
@@ -172,7 +172,7 @@ class StickelbergerData:
     e: int
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CONTEXT_CACHE_SIZE)
 def stickelberger_data(ctx: CartanContext) -> StickelbergerData:
     return StickelbergerData(
         a=compute_a(ctx),

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cuspidal.arith import (
+    RHO_STAGE_STEPS,
     Factorization,
     Primality,
     bernoulli2,
@@ -172,6 +173,34 @@ def test_factorize_budget_exhaustion_is_flagged():
     assert comp and comp[0].prime == a * b
     # the unsplit cofactor is visibly bracketed, never shown as a prime
     assert str(f) == f"[{a * b}]"
+
+
+def test_factorize_ecm_splits_the_p83_cofactor():
+    # rho alone needed about 4 * 10^6 steps here; the rho stage gives up
+    # and ECM splits it
+    a, b = 18934761332741, 48833370476331324749419
+    f = factorize(a * b)
+    assert [(e.prime, e.exponent, e.certainty) for e in f.entries] == [
+        (a, 1, Primality.PROVEN),
+        (b, 1, Primality.PROVEN),
+    ]
+    assert f.steps_used > RHO_STAGE_STEPS and not f.budget_exhausted
+
+
+def test_factorize_budget_is_per_call():
+    # three 12-digit primes need two ECM splits; a budget one step short of
+    # what both cost leaves the second composite flagged, where a budget per
+    # composite would have split it too
+    a, b, c = 1000000000039, 1000000000061, 1000000000063
+    full = factorize(a * b * c)
+    assert full.is_complete and not full.budget_exhausted
+    partial = factorize(a * b * c, rho_budget=full.steps_used - 1)
+    assert partial.budget_exhausted and partial.steps_used < full.steps_used
+    assert partial.value() == a * b * c
+    flagged = [e.prime for e in partial.entries if e.certainty is Primality.COMPOSITE]
+    proven = [e.prime for e in partial.entries if e.certainty is Primality.PROVEN]
+    assert len(proven) == 1 and proven[0] in (a, b, c)
+    assert flagged == [a * b * c // proven[0]]
 
 
 def test_factorize_short_sieve_boundaries():

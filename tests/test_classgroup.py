@@ -250,16 +250,11 @@ def test_float_crosscheck_is_per_orbit(monkeypatch):
     # whole determinant would accept; the per-orbit comparison does not
     import cuspidal.classgroup as cg
 
-    exact = cg.orbit_norms
-
-    def swapped(m, scale):
-        norms = exact(m, scale)
-        norms[1], norms[2] = norms[2], norms[1]
-        return norms
-
     ctx = CartanContext.create(13, 2)
     assert float_crosscheck(ctx)
-    monkeypatch.setattr(cg, "orbit_norms", swapped)
+    swapped = dict(cg.theta_prime_norms(ctx))
+    swapped[1], swapped[2] = swapped[2], swapped[1]
+    monkeypatch.setattr(cg, "theta_prime_norms", lambda c: swapped)
     assert not float_crosscheck(ctx)
 
 
@@ -306,6 +301,17 @@ def test_json_round_trip():
     encoded = json.dumps(res.to_json_dict())
     back = ClassGroupResult.from_json_dict(json.loads(encoded))
     assert back == res
+
+
+def test_json_round_trip_keeps_factoring_budget_fields():
+    import json
+
+    # 47's order leaves an 8- and an 11-digit prime that 100 steps cannot split
+    res = compute_class_group(47, rho_budget=100)
+    data = json.loads(json.dumps(res.to_json_dict()))
+    assert data["factor_budget_exhausted"] is True
+    assert 0 < data["factor_steps_used"] <= 100
+    assert ClassGroupResult.from_json_dict(data) == res
 
 
 def test_result_without_factorization_round_trips():

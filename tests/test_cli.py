@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 from cuspidal.classgroup import ClassGroupResult
 from cuspidal.cli import main, table_row
@@ -29,6 +30,16 @@ def test_order_rejects_composite(capsys):
 def test_order_rejects_small_k(capsys):
     code, _, err = run(capsys, "order", "-p", "5", "-k", "0")
     assert code == 2
+
+
+def test_order_factor_13_squared_completes(capsys):
+    # the 51-digit cofactor (squared) in this order splits only by ECM
+    code, out, _ = run(capsys, "order", "-p", "13", "-k", "2", "--factor")
+    assert code == 0
+    assert out.strip() == (
+        "7 * 13^78 * 53^2 * 79^4 * 1249^2 * 7151^2 * 19199607103951^2"
+        " * 35772957575456089^2 * 292252642963019318269^2"
+    )
 
 
 def test_size_guard_and_force(capsys):
@@ -73,11 +84,34 @@ def test_table_matches_reference_prefix(capsys):
     assert out.splitlines() == expected
 
 
-def test_table_parallel_deterministic(capsys):
-    code1, out1, _ = run(capsys, "table", "--pmax", "19")
-    code2, out2, _ = run(capsys, "table", "--pmax", "19", "--parallel", "4")
-    assert code1 == code2 == 0
-    assert out1 == out2
+def test_table_parallel_flag_is_gone(capsys):
+    # rows are pure-Python work: threads never sped them up, so the flag went
+    code, _, err = run(capsys, "table", "--pmax", "19", "--parallel", "4")
+    assert code == 2 and "--parallel" in err
+
+
+def test_table_pmax_101_matches_goldens_with_bounded_caches(capsys):
+    from cuspidal import cartan, classgroup, stickelberger
+
+    goldens_path = Path(__file__).parents[1] / "perfbench" / "goldens.json"
+    goldens = json.loads(goldens_path.read_text())
+    code, out, _ = run(capsys, "table", "--pmax", "101")
+    assert code == 0
+    assert out.splitlines() == goldens["table --pmax 101"]
+    caches = (
+        cartan.h_index_table,
+        cartan.norm_class_partition,
+        stickelberger.compute_a,
+        stickelberger.theta,
+        stickelberger.theta_prime,
+        stickelberger.stickelberger_data,
+        classgroup.circulant_theta_prime,
+        classgroup.theta_prime_norms,
+    )
+    for fn in caches:
+        info = fn.cache_info()
+        assert info.maxsize == cartan.CONTEXT_CACHE_SIZE, fn.__name__
+        assert info.currsize <= info.maxsize, fn.__name__
 
 
 def test_table_guard(capsys):
@@ -103,6 +137,30 @@ def test_verify_analytic_p5(capsys):
     code, out, _ = run(capsys, "verify", "-p", "5", "--analytic")
     assert code == 0
     assert "dihedral sign" in out and "FAIL" not in out
+
+
+def test_verify_structure_computes_each_orbit_norm_once(capsys, monkeypatch):
+    from collections import Counter
+
+    from cuspidal import classgroup
+    from cuspidal.cartan import CartanContext
+
+    calls = Counter()
+    exact = classgroup.orbit_norms
+
+    def counted(m, scale):
+        calls[m.first_row] += 1
+        return exact(m, scale)
+
+    monkeypatch.setattr(classgroup, "orbit_norms", counted)
+    classgroup.theta_prime_norms.cache_clear()
+    code, out, _ = run(capsys, "verify", "-p", "53", "--structure")
+    assert code == 0 and "FAIL" not in out
+    # one computation of the theta' norms serves order() in both routes and
+    # the float check; the Bernoulli route's own matrix is the only other one
+    theta_row = classgroup.circulant_theta_prime(CartanContext.create(53)).first_row
+    assert calls[theta_row] == 1
+    assert len(calls) == 2 and set(calls.values()) == {1}
 
 
 def test_verify_eps_independence_p13(capsys):
