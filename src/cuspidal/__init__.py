@@ -26,7 +26,6 @@ from .classgroup import (
     ClassGroupResult,
     bernoulli_formula_k1,
     compute_class_group,
-    det_exact,
     float_crosscheck,
     order,
     snf,
@@ -60,7 +59,6 @@ __all__ = [
     "compute_a",
     "compute_class_group",
     "cusp_count_plus",
-    "det_exact",
     "divisor_of_unit",
     "factorize",
     "find_generator_H",

@@ -29,7 +29,8 @@ from random import Random
 ONE_SIXTH = Fraction(1, 6)
 
 DEFAULT_RHO_BUDGET = 10**8  # steps per factorize call, rho and ECM together
-DEFAULT_TRIAL_BOUND = 10**6
+TRIAL_BOUND = 10**6  # trial division limit; also ECM's stage-2 prime sieve
+SEED = 1  # of the Random that draws rho constants and ECM curves
 
 # Brent rho runs first on each composite for at most this many steps: enough
 # for factors up to about ten digits, beyond which ECM finds them faster.
@@ -37,7 +38,7 @@ RHO_STAGE_STEPS = 1 << 16
 
 # ECM (B1, curves) levels, aimed at factors of about 15, 20 and 25 digits;
 # the last level runs until the budget is spent.  Stage 2 covers the primes
-# in (B1, min(100 B1, DEFAULT_TRIAL_BOUND)].
+# in (B1, min(100 B1, TRIAL_BOUND)].
 ECM_SCHEDULE = ((2000, 25), (11000, 90), (50000, None))
 _ECM_D = 2310  # stage-2 giant step, 2*3*5*7*11; every B1 above exceeds D/2,
 # so stage 2 starts at a giant step g >= 1
@@ -242,21 +243,16 @@ def _sieve(bound: int) -> tuple[int, ...]:
     return tuple(i for i in range(2, bound + 1) if sieve[i])
 
 
-# The trial_bound sieve, and the power-of-two sieves below it for numbers
-# whose square root is smaller; separate caches, so that small factorizations
-# never evict the large sieve.
-_small_primes = lru_cache(maxsize=4)(_sieve)
-_short_primes = lru_cache(maxsize=32)(_sieve)
+# Keyed by TRIAL_BOUND and the powers of two below it, which it can hold all
+# at once, so small factorizations never evict the large sieve.
+_small_primes = lru_cache(maxsize=TRIAL_BOUND.bit_length() + 1)(_sieve)
 
 
-def _trial_primes(n: int, trial_bound: int) -> tuple[int, ...]:
-    """Primes for trial division of n: up to trial_bound, or up to the next
+def _trial_primes(n: int) -> tuple[int, ...]:
+    """Primes for trial division of n: up to TRIAL_BOUND, or up to the next
     power of two above isqrt(n) when that is smaller (no prime beyond
     isqrt(n) can be the smallest factor of a composite n)."""
-    bound = 1 << math.isqrt(n).bit_length()
-    if bound >= trial_bound:
-        return _small_primes(trial_bound)
-    return _short_primes(bound)
+    return _small_primes(min(1 << math.isqrt(n).bit_length(), TRIAL_BOUND))
 
 
 def _brent_rho(n: int, rng: Random, limit: int) -> tuple[int | None, int]:
@@ -363,8 +359,8 @@ class _EcmPlan:
 
 @lru_cache(maxsize=len(ECM_SCHEDULE))
 def _ecm_plan(b1: int) -> _EcmPlan:
-    primes = _small_primes(DEFAULT_TRIAL_BOUND)
-    b2 = min(100 * b1, DEFAULT_TRIAL_BOUND)
+    primes = _small_primes(TRIAL_BOUND)
+    b2 = min(100 * b1, TRIAL_BOUND)
     lo, hi = bisect_right(primes, b1), bisect_right(primes, b2)
     scalar = 1
     for p in primes[:lo]:
@@ -538,12 +534,10 @@ def factorize(
     n: int,
     *,
     rho_budget: int = DEFAULT_RHO_BUDGET,
-    trial_bound: int = DEFAULT_TRIAL_BOUND,
-    seed: int = 1,
 ) -> Factorization:
     """Factor n >= 1.
 
-    Pipeline: trial division up to trial_bound, then per remaining composite
+    Pipeline: trial division up to TRIAL_BOUND, then per remaining composite
     a primality test, perfect-power extraction (run before rho: an exact
     k-th root splits large squares instantly where rho would stall), at most
     RHO_STAGE_STEPS Brent-rho iterations, and ECM curves by ECM_SCHEDULE.
@@ -553,7 +547,7 @@ def factorize(
     remaining budget cannot pay for, so ``steps_used <= rho_budget``.  Once
     the budget is spent, every unsplit composite is an entry flagged
     COMPOSITE and ``budget_exhausted`` is set.  The result depends only on
-    the arguments: curves and rho constants come from ``Random(seed)``.
+    the arguments: curves and rho constants come from ``Random(SEED)``.
     """
     if n < 1:
         raise ValueError("factorize needs n >= 1")
@@ -565,14 +559,14 @@ def factorize(
         certainty[v] = cert
 
     m = n
-    for p in _trial_primes(n, trial_bound):
+    for p in _trial_primes(n):
         if p * p > m:
             break
         while m % p == 0:
             record(p, 1, Primality.PROVEN)
             m //= p
 
-    rng = Random(seed)
+    rng = Random(SEED)
     budget = max(rho_budget, 0)
     remaining = budget
     exhausted = False

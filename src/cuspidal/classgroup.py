@@ -20,8 +20,13 @@ Two independent exact routes plus a floating cross-check:
     sums of the first row; per orbit, their log-magnitudes must add up to
     log|N_d|.
 
-The circulant convention is pinned by the p = 5 worked fixture: first row
-(-3, -2), determinant 5, order 1.
+Every row here is an integer row scaled by 12 p^k (12 p for the Bernoulli
+route), from the bucket sums through the determinant to the lattice; the
+scale is divided back out exactly, and a remainder is an InvariantViolation.
+
+The circulant convention is pinned by the p = 5 worked fixture: the scaled
+first row is (-180, -120) = 60 (-3, -2), with determinant 60^2 * 5, so
+det A = 5 and the order is 1.
 """
 
 from __future__ import annotations
@@ -30,13 +35,12 @@ import cmath
 import math
 import time
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
 from typing import Sequence
 
 from ._version import __version__
-from .arith import DEFAULT_RHO_BUDGET, Factorization, bernoulli2, factorize
+from .arith import DEFAULT_RHO_BUDGET, Factorization, factorize
 from .cartan import (
     CONTEXT_CACHE_SIZE,
     CartanContext,
@@ -45,20 +49,10 @@ from .cartan import (
     genus_plus,
 )
 from .errors import InvariantViolation
-from .stickelberger import d_value, stickelberger_data, theta
+from .stickelberger import compute_a, d_value, stickelberger_data
 
 _SCALE_NUM = 12  # denominators of theta' coefficients divide 12 p^k
-
-
-@dataclass(frozen=True)
-class CirculantMatrix:
-    """Circulant with entry (i, j) = first_row[(j - i) mod n]."""
-
-    first_row: tuple[Fraction, ...]
-
-    @property
-    def n(self) -> int:
-        return len(self.first_row)
+FLOAT_TOL = 1e-9  # relative tolerance of float_crosscheck
 
 
 def bareiss_det(rows: Sequence[Sequence[int]]) -> int:
@@ -125,24 +119,14 @@ def _cyclotomic_polys(n: int) -> dict[int, list[int]]:
     return phis
 
 
-def _scaled_row(m: CirculantMatrix, scale: int) -> list[int]:
-    out = []
-    for x in m.first_row:
-        y = x * scale
-        if y.denominator != 1:
-            raise ValueError(f"scale {scale} does not clear denominator of {x}")
-        out.append(int(y))
-    return out
-
-
-def orbit_norms(m: CirculantMatrix, scale: int) -> dict[int, int]:
+def orbit_norms(f: Sequence[int]) -> dict[int, int]:
     """{d: N_d} for every d | n, where N_d = Res(Phi_d, F) and F(x) is the
-    scaled first row sum_j scale*a_j x^j; their product is det(scale*m).
+    integer first row sum_j f_j x^j; their product is the determinant of the
+    circulant with entry (i, j) = f[(j - i) mod n].
 
     N_d is the product of the eigenvalues F(zeta) over the primitive d-th
     roots of unity zeta, computed exactly as the determinant of
     multiplication by F on Z[x]/Phi_d."""
-    f = _scaled_row(m, scale)
     n = len(f)
     norms = {}
     for d, phi in _cyclotomic_polys(n).items():
@@ -159,47 +143,50 @@ def orbit_norms(m: CirculantMatrix, scale: int) -> dict[int, int]:
     return norms
 
 
-def det_exact(m: CirculantMatrix, scale: int) -> Fraction:
-    """det(m) as the product of the orbit norms of scale*m, divided back out.
-
-    ``scale`` must clear every denominator (12 p^k does for A_theta')."""
-    return Fraction(math.prod(orbit_norms(m, scale).values()), scale**m.n)
+def _scaled_a(ctx: CartanContext) -> list[int]:
+    """12 p^k a_j for j in Z/nZ, exactly (compute_a's denominators divide 12 p^k)."""
+    scale = _SCALE_NUM * ctx.modulus
+    out = []
+    for x in compute_a(ctx):
+        q, r = divmod(scale, x.denominator)
+        if r:
+            raise InvariantViolation(f"12 p^k does not clear the bucket sum {x}")
+        out.append(x.numerator * q)
+    return out
 
 
 @lru_cache(maxsize=CONTEXT_CACHE_SIZE)
-def circulant_theta_prime(ctx: CartanContext) -> CirculantMatrix:
-    """A_theta' with first row a'_j indexed by the bucket exponent j
-    (a'_j is the coefficient of w^(-j) in theta', identity at j = 0)."""
-    tp = stickelberger_data(ctx).theta_prime
-    n = ctx.n
-    return CirculantMatrix(tuple(tp.coeffs[(-j) % n] for j in range(n)))
+def circulant_theta_prime(ctx: CartanContext) -> tuple[int, ...]:
+    """First row of 12 p^k A_theta': F_j = 12 p^k a'_j, where a'_j is the
+    coefficient of w^(-j) in theta' (identity at j = 0), i.e.
+    F_j = 12 p^k a_j - (p+1) p^(3k-1)."""
+    shift = (ctx.p + 1) * ctx.p ** (3 * ctx.k - 1)
+    return tuple(x - shift for x in _scaled_a(ctx))
 
 
 @lru_cache(maxsize=CONTEXT_CACHE_SIZE)
 def theta_prime_norms(ctx: CartanContext) -> MappingProxyType:
     """Read-only {d: N_d} of 12 p^k A_theta', computed once per context for
     order() and float_crosscheck()."""
-    norms = orbit_norms(circulant_theta_prime(ctx), _SCALE_NUM * ctx.modulus)
-    return MappingProxyType(norms)
+    return MappingProxyType(orbit_norms(circulant_theta_prime(ctx)))
 
 
 def order(ctx: CartanContext) -> int:
     """|det A_theta'| / ((p^2-1)/24 * p^(k-1) * e), checked to divide exactly."""
     data = stickelberger_data(ctx)
     p, k = ctx.p, ctx.k
-    scale = _SCALE_NUM * ctx.modulus
-    det = Fraction(math.prod(theta_prime_norms(ctx).values()), scale**ctx.n)
-    if det == 0:
+    scaled = math.prod(theta_prime_norms(ctx).values())
+    if scaled == 0:
         raise InvariantViolation("A_theta' is singular")
-    if det.denominator != 1:
-        raise InvariantViolation(f"det A_theta' is not an integer: {det}")
-    det_int = abs(det.numerator)
+    det, rem = divmod(abs(scaled), (_SCALE_NUM * ctx.modulus) ** ctx.n)
+    if rem:
+        raise InvariantViolation("det A_theta' is not an integer")
     denom = (p * p - 1) // 24 * p ** (k - 1) * data.e
-    if det_int % denom:
+    if det % denom:
         raise InvariantViolation(
-            f"|det| = {det_int} is not divisible by {denom} (indexing bug?)"
+            f"|det| = {det} is not divisible by {denom} (indexing bug?)"
         )
-    return det_int // denom
+    return det // denom
 
 
 # ---------------------------------------------------------------------------
@@ -270,18 +257,27 @@ def generator_matrix(ctx: CartanContext) -> list[list[int]]:
     part, in the basis {w^i - 1 : i = 1..n-1}.
 
     Rows are (w^j - 1) theta for j = 1..n-1 plus d * theta; an element of
-    degree zero with coefficients c has coordinates (c_1, ..., c_{n-1})."""
-    th = theta(ctx)
-    rows = []
-    for j in range(1, ctx.n):
-        rows.append(th.shift(j) - th)
-    rows.append(d_value(ctx.p) * th)
-    out = []
-    for elem in rows:
-        if elem.degree() != 0:
-            raise InvariantViolation("lattice generator does not have degree zero")
-        out.append(list(elem.integer_coeffs()[1:]))
-    return out
+    degree zero with coefficients c has coordinates (c_1, ..., c_{n-1}).
+    Each row is built from the integer vector 12 p^k theta and divided back
+    exactly."""
+    scale = _SCALE_NUM * ctx.modulus
+    n = ctx.n
+    a = _scaled_a(ctx)
+    t = [a[-i % n] for i in range(n)]  # 12 p^k theta, coefficient of w^i
+    if sum(t):
+        raise InvariantViolation("lattice generator does not have degree zero")
+
+    def exact(x: int) -> int:
+        q, r = divmod(x, scale)
+        if r:
+            raise InvariantViolation("lattice generator is not integral")
+        return q
+
+    # coefficient i of w^j theta is theta_(i-j); a negative index wraps mod n
+    rows = [[exact(t[i - j] - t[i]) for i in range(1, n)] for j in range(1, n)]
+    d = d_value(ctx.p)
+    rows.append([exact(d * t[i]) for i in range(1, n)])
+    return rows
 
 
 def structure(ctx: CartanContext) -> tuple[int, ...]:
@@ -298,7 +294,8 @@ def structure(ctx: CartanContext) -> tuple[int, ...]:
 
 def circulant_eigenvalues(ctx: CartanContext) -> list[complex]:
     """lambda_m = sum_j a'_j exp(2 pi i j m / n), m = 1..n (m = n trivial)."""
-    row = [float(x) for x in circulant_theta_prime(ctx).first_row]
+    scale = _SCALE_NUM * ctx.modulus
+    row = [x / scale for x in circulant_theta_prime(ctx)]
     n = len(row)
     out = []
     for m in range(1, n + 1):
@@ -306,10 +303,10 @@ def circulant_eigenvalues(ctx: CartanContext) -> list[complex]:
     return out
 
 
-def float_crosscheck(ctx: CartanContext, tol: float = 1e-9) -> bool:
+def float_crosscheck(ctx: CartanContext) -> bool:
     """Per orbit d | n, the sum of log|lambda_m| over the m with
     n / gcd(m, n) = d vs. log|N_d / (12 p^k)^phi(d)|, and the
-    trivial-character eigenvalue vs. deg(theta'), all to relative tol.
+    trivial-character eigenvalue vs. deg(theta'), all to relative FLOAT_TOL.
 
     Log magnitudes are compared instead of raw products because the
     determinants overflow doubles by many orders of magnitude."""
@@ -327,7 +324,7 @@ def float_crosscheck(ctx: CartanContext, tol: float = 1e-9) -> bool:
         sizes[d] += 1
 
     def close(x, want: float) -> bool:
-        return abs(x - want) <= tol * max(1.0, abs(want))
+        return abs(x - want) <= FLOAT_TOL * max(1.0, abs(want))
 
     log_scale = math.log(scale)
     ok_orbits = all(
@@ -338,45 +335,37 @@ def float_crosscheck(ctx: CartanContext, tol: float = 1e-9) -> bool:
     return ok_orbits and close(eigs[-1], deg)
 
 
-def bernoulli_formula_k1(p: int, epsilon: int | None = None, *, check: bool = True) -> int:
+def bernoulli_formula_k1(p: int) -> int:
     """Order at prime level through the explicit (p-1)/2 determinant over
-    powers of a generator of F_{p^2}*.
+    powers of a generator v of F_{p^2}*.
 
-    Entry (i, j) is (p/2) (sum_{l=0}^{p} B2(<tr(v^(i-j+l(p-1)/2))/2 / p>)
-    - (p+1)/6); the value is 576 |det| / ((p-1)^2 p (p+1) gcd(12, p+1)).
-    With ``check`` the result is compared against order() and a mismatch
-    raises, keeping the two computations honest against each other."""
-    ctx = CartanContext.create(p, 1, epsilon)
-    m = (p * p - 1) // 2  # largest exponent needed below is i-j+p(p-1)/2 < m
+    Entry (i, j) is P_(i-j) with P_r = (p/2) (sum_{l=0}^{p} B2(x_l / p)
+    - (p+1)/6) and x_l = tr(v^(r+l(p-1)/2))/2 mod p; the value is
+    576 |det P| / ((p-1)^2 p (p+1) gcd(12, p+1)).  The p+1 constant terms
+    1/6 of B2 cancel the shift, so 12 p P_r = 6 sum_l x_l (x_l - p) is an
+    integer row."""
+    ctx = CartanContext.create(p, 1)
+    m = (p * p - 1) // 2  # largest exponent needed below is r+p(p-1)/2 < m
     v = _field_generator(ctx)
     powers = [CartanElement(1, 0)]
     for _ in range(m):
         powers.append(ctx.mul(powers[-1], v))
 
     half = (p - 1) // 2
-    shift = Fraction(p + 1, 6)
-    scale = Fraction(p, 2)
-    profile = []
+    row = []
     for r in range(half):
-        total = sum(
-            bernoulli2(Fraction(powers[r + l * half].a1 % p, p)) for l in range(p + 1)
-        )
-        profile.append(scale * (total - shift))
+        xs = [powers[r + l * half].a1 % p for l in range(p + 1)]
+        row.append(6 * sum(x * (x - p) for x in xs))
 
-    rows = CirculantMatrix(tuple(profile))
-    det = det_exact(rows, _SCALE_NUM * p)
-    if det.denominator != 1:
+    scaled = math.prod(orbit_norms(row).values())
+    det, rem = divmod(abs(scaled), (_SCALE_NUM * p) ** half)
+    if rem:
         raise InvariantViolation("Bernoulli determinant is not an integer")
-    num = 576 * abs(det.numerator)
+    num = 576 * det
     den = (p - 1) ** 2 * p * (p + 1) * math.gcd(12, p + 1)
     if num % den:
         raise InvariantViolation("Bernoulli formula does not divide exactly")
-    value = num // den
-    if check and value != order(ctx):
-        raise InvariantViolation(
-            f"Bernoulli-number route gives {value}, determinant route {order(ctx)}"
-        )
-    return value
+    return num // den
 
 
 def _field_generator(ctx: CartanContext) -> CartanElement:
@@ -478,10 +467,8 @@ def compute_class_group(
     factor: bool = True,
     with_structure: bool = False,
     rho_budget: int = DEFAULT_RHO_BUDGET,
-    epsilon: int | None = None,
-    w: int | None = None,
 ) -> ClassGroupResult:
-    ctx = CartanContext.create(p, k, epsilon, w)
+    ctx = CartanContext.create(p, k)
     timings: dict[str, float] = {}
 
     t0 = time.perf_counter()

@@ -71,11 +71,9 @@ def bundled_fixture_path() -> Path:
     return Path(resources.files("cuspidal").joinpath("data/jacobian_counts.csv"))
 
 
-def load_records(path, fmt: str = "csv") -> LoadReport:
-    """Parse a counts file; malformed rows are reported with their line
+def load_records(path) -> LoadReport:
+    """Parse a CSV counts file; malformed rows are reported with their line
     number and skipped, the rest of the load continues."""
-    if fmt != "csv":
-        raise ValueError(f"unsupported format: {fmt!r}")
     report = LoadReport()
     text = Path(path).read_text(encoding="utf-8")
     for lineno, raw in enumerate(text.splitlines(), start=1):

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -38,18 +37,6 @@ TRUNCATION_TARGET = 1e-12
 DEFAULT_TERMS = 200
 
 Matrix = Sequence[Sequence[int]]
-
-
-@dataclass(frozen=True)
-class QSeriesParams:
-    """Evaluation parameters; terms must push |q|^terms below the target."""
-
-    tau: complex
-    terms: int = DEFAULT_TERMS
-    a: tuple[Fraction, Fraction] = (Fraction(0), Fraction(0))
-
-    def __post_init__(self):
-        _require_convergent(self.tau, self.terms)
 
 
 def required_terms(tau: complex, target: float = TRUNCATION_TARGET) -> int:

@@ -88,11 +88,6 @@ class GroupRingElement:
     def is_integral(self) -> bool:
         return all(c.denominator == 1 for c in self.coeffs)
 
-    def integer_coeffs(self) -> tuple[int, ...]:
-        if not self.is_integral():
-            raise InvariantViolation(f"non-integral coefficients: {self.coeffs}")
-        return tuple(int(c) for c in self.coeffs)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, GroupRingElement):
             return NotImplemented

@@ -104,7 +104,7 @@ def algebraic_checks(p: int, k: int = 1) -> list[Check]:
     out.append(
         _check(
             "eigenvalue/determinant float crosscheck",
-            lambda: (float_crosscheck(ctx, tol=1e-9), "relative 1e-9"),
+            lambda: (float_crosscheck(ctx), "relative 1e-9"),
         )
     )
     return out
@@ -136,7 +136,7 @@ def structure_checks(p: int, k: int = 1) -> list[Check]:
 
     if k == 1:
         def bernoulli_route():
-            value = bernoulli_formula_k1(p, check=False)
+            value = bernoulli_formula_k1(p)
             return value == order(ctx), f"Bernoulli-number route = {value}"
 
         out.append(_check("order equals Bernoulli-number formula", bernoulli_route))

@@ -15,9 +15,9 @@ from cuspidal.cartan import CartanContext, cusp_count_plus, genus_plus
 from cuspidal.classgroup import (
     bernoulli_formula_k1,
     circulant_theta_prime,
-    det_exact,
     float_crosscheck,
     generator_matrix,
+    orbit_norms,
     order,
     structure,
 )
@@ -75,7 +75,7 @@ def test_criterion_2_triple_oracle():
         ctx = CartanContext.create(p)
         by_det = order(ctx)
         by_snf = math.prod(structure(ctx))
-        by_bernoulli = bernoulli_formula_k1(p, check=False)
+        by_bernoulli = bernoulli_formula_k1(p)
         assert by_det == by_snf == by_bernoulli, (p, by_det, by_snf, by_bernoulli)
     elapsed = time.perf_counter() - t0
     assert elapsed < 30.0
@@ -87,8 +87,9 @@ def test_criterion_3_p5_micro_fixture():
     ctx = CartanContext.create(5)
     # a = -1/2 on the identity bucket (+-1), +1/2 on the bucket of +-2
     assert compute_a(ctx) == (Fraction(-1, 2), Fraction(1, 2))
-    assert circulant_theta_prime(ctx).first_row == (Fraction(-3), Fraction(-2))
-    assert det_exact(circulant_theta_prime(ctx), 60) == 5
+    # the first row scaled by 12 p = 60: 60 (-3, -2), determinant 60^2 * 5
+    assert circulant_theta_prime(ctx) == (-180, -120)
+    assert math.prod(orbit_norms(circulant_theta_prime(ctx)).values()) == 60**2 * 5
     assert order(ctx) == 1
     assert structure(ctx) == ()
     report(3, "p = 5 worked micro-fixture", time.perf_counter() - t0)
@@ -122,7 +123,7 @@ def test_criterion_4_algebraic_invariants():
 def test_criterion_5_float_crosscheck():
     t0 = time.perf_counter()
     for p in SMALL_PRIMES:
-        assert float_crosscheck(CartanContext.create(p), tol=1e-9), p
+        assert float_crosscheck(CartanContext.create(p)), p
     report(5, "eigenvalue log-sums vs orbit norms at 1e-9", time.perf_counter() - t0)
 
 

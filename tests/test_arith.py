@@ -217,14 +217,16 @@ def test_factorize_short_sieve_boundaries():
 
 
 def test_factorize_small_inputs_keep_the_trial_bound_sieve():
-    from cuspidal.arith import DEFAULT_TRIAL_BOUND, _small_primes
+    from cuspidal.arith import TRIAL_BOUND, _small_primes
 
-    _small_primes(DEFAULT_TRIAL_BOUND)
-    misses = _small_primes.cache_info().misses
+    # the one cache also holds the short sieves, so only the last lookup of
+    # the TRIAL_BOUND sieve is counted: it must still be a hit
+    _small_primes(TRIAL_BOUND)
     for n in range(2, 3000):
         factorize(n)
     factorize(2**61 - 1)
-    _small_primes(DEFAULT_TRIAL_BOUND)
+    misses = _small_primes.cache_info().misses
+    _small_primes(TRIAL_BOUND)
     assert _small_primes.cache_info().misses == misses
 
 

@@ -1,19 +1,16 @@
 import itertools
 import math
 import random
-from fractions import Fraction
 
 import pytest
 
 from cuspidal.cartan import CartanContext
 from cuspidal.classgroup import (
-    CirculantMatrix,
     ClassGroupResult,
     bareiss_det,
     bernoulli_formula_k1,
     circulant_theta_prime,
     compute_class_group,
-    det_exact,
     float_crosscheck,
     generator_matrix,
     orbit_norms,
@@ -21,7 +18,7 @@ from cuspidal.classgroup import (
     snf,
     structure,
 )
-from cuspidal.stickelberger import stickelberger_data
+from cuspidal.stickelberger import d_value, stickelberger_data, theta
 
 TABLE_SMALL = {5: 1, 7: 1, 11: 11, 13: 7 * 13**2, 17: 2**4 * 3 * 17**3}
 
@@ -45,6 +42,11 @@ def circulant_rows(first_row):
     """Dense circulant: entry (i, j) = first_row[(j - i) mod n]."""
     n = len(first_row)
     return [[first_row[(j - i) % n] for j in range(n)] for i in range(n)]
+
+
+def orbit_det(first_row):
+    """Circulant determinant as the product of the orbit norms."""
+    return math.prod(orbit_norms(first_row).values())
 
 
 def adjugate3(rows):
@@ -107,34 +109,31 @@ def test_det_exact_on_random_circulants():
     rng = random.Random(5)
     for n in (4, 5):
         for _ in range(20):
-            first = tuple(Fraction(rng.randrange(-9, 10)) for _ in range(n))
-            m = CirculantMatrix(first)
-            assert det_exact(m, 1) == naive_det(circulant_rows(first))
+            first = tuple(rng.randrange(-9, 10) for _ in range(n))
+            assert orbit_det(first) == naive_det(circulant_rows(first))
 
 
 @pytest.mark.parametrize("n", [6, 8, 12, 30])
 def test_orbit_det_vs_dense_on_random_circulants(n):
     rng = random.Random(n)
-    rows = [[rng.randrange(-9, 10) for _ in range(n)] for _ in range(10)]
-    rows.append([1] * (n - 1) + [1 - n])  # row sum 0: F(1) = 0, singular
-    rows.append([Fraction(rng.randrange(-30, 31), 6) for _ in range(n)])
+    rows = [[6 * rng.randrange(-9, 10) for _ in range(n)] for _ in range(10)]
+    rows.append([6] * (n - 1) + [6 - 6 * n])  # row sum 0: F(1) = 0, singular
+    # a row of sixths, times 6
+    rows.append([rng.randrange(-30, 31) for _ in range(n)])
     for first in rows:
-        m = CirculantMatrix(tuple(Fraction(x) for x in first))
-        dense = bareiss_det([[6 * x for x in r] for r in circulant_rows(first)])
-        assert det_exact(m, 6) == Fraction(dense, 6**n)
-        if n == 6 and all(Fraction(x).denominator == 1 for x in first):
-            assert det_exact(m, 1) == naive_det(circulant_rows(first))
-    assert det_exact(CirculantMatrix((Fraction(1),) * n), 1) == 0
+        assert orbit_det(first) == bareiss_det(circulant_rows(first))
+        if n == 6:
+            assert orbit_det(first) == naive_det(circulant_rows(first))
+    assert orbit_det((1,) * n) == 0
 
 
 @pytest.mark.parametrize("p,k", [(83, 1), (101, 1), (11, 2), (13, 2)])
 def test_orbit_norms_vs_dense_bareiss(p, k):
     ctx = CartanContext.create(p, k)
-    m = circulant_theta_prime(ctx)
+    first = circulant_theta_prime(ctx)
     scale = 12 * ctx.modulus
-    norms = orbit_norms(m, scale)
+    norms = orbit_norms(first)
     assert sorted(norms) == [d for d in range(1, ctx.n + 1) if ctx.n % d == 0]
-    first = [int(x * scale) for x in m.first_row]
     assert math.prod(norms.values()) == bareiss_det(circulant_rows(first))
     # the trivial orbit is F(1) = scale * deg(theta')
     assert norms[1] == scale * stickelberger_data(ctx).theta_prime.degree()
@@ -144,22 +143,15 @@ def test_orbit_norms_pair_d_and_2d_at_13_squared():
     # n = 78: the orbits d and 2d carry the same norm for d = 3, 13, 39,
     # while the two rational orbits F(1) and F(-1) differ
     ctx = CartanContext.create(13, 2)
-    norms = orbit_norms(circulant_theta_prime(ctx), 12 * ctx.modulus)
+    norms = orbit_norms(circulant_theta_prime(ctx))
     assert all(norms[d] == norms[2 * d] for d in (3, 13, 39))
     assert norms[1] != norms[2]
 
 
 def test_det_exact_examples():
-    assert det_exact(CirculantMatrix((Fraction(-3), Fraction(-2))), 60) == 5
-    assert det_exact(CirculantMatrix((Fraction(1), Fraction(0), Fraction(0))), 1) == 1
-    assert det_exact(CirculantMatrix((Fraction(7),)), 1) == 7
-
-
-def test_det_exact_clears_denominators():
-    m = CirculantMatrix((Fraction(1, 3), Fraction(1, 4)))
-    assert det_exact(m, 12) == Fraction(1, 9) - Fraction(1, 16)
-    with pytest.raises(ValueError):
-        det_exact(m, 3)
+    assert orbit_det((-180, -120)) == 60**2 * 5  # 60 x the p = 5 row (-3, -2)
+    assert orbit_det((1, 0, 0)) == 1
+    assert orbit_det((7,)) == 7
 
 
 def test_snf_examples():
@@ -194,7 +186,7 @@ def test_snf_product_equals_det_nonsingular():
 
 def test_circulant_first_row_p5():
     ctx = CartanContext.create(5)
-    assert circulant_theta_prime(ctx).first_row == (Fraction(-3), Fraction(-2))
+    assert circulant_theta_prime(ctx) == (-180, -120)  # 12 * 5 * (-3, -2)
 
 
 @pytest.mark.parametrize("p,want", sorted(TABLE_SMALL.items()))
@@ -213,6 +205,20 @@ def test_generator_matrix_shape_and_integrality():
     ctx = CartanContext.create(13)
     rows = generator_matrix(ctx)
     assert len(rows) == ctx.n and all(len(r) == ctx.n - 1 for r in rows)
+
+
+@pytest.mark.parametrize("p,k", [(13, 1), (5, 2), (7, 2)])
+def test_generator_matrix_matches_group_ring_definition(p, k):
+    # the integer rows against (w^j - 1) theta and d theta in Q[H], read off
+    # at the coordinates 1..n-1 of the basis {w^i - 1}
+    ctx = CartanContext.create(p, k)
+    th = theta(ctx)
+    elems = [th.shift(j) - th for j in range(1, ctx.n)] + [d_value(p) * th]
+    want = []
+    for elem in elems:
+        assert elem.degree() == 0 and elem.is_integral()
+        want.append([int(c) for c in elem.coeffs[1:]])
+    assert generator_matrix(ctx) == want
 
 
 @pytest.mark.parametrize("p", [7, 11, 13, 17, 19, 23, 29, 31])
@@ -242,7 +248,7 @@ def test_order_and_structure_invariant_under_choices():
 
 @pytest.mark.parametrize("p", [5, 7, 11, 13, 17, 19, 23, 29, 31])
 def test_float_crosscheck(p):
-    assert float_crosscheck(CartanContext.create(p), tol=1e-9)
+    assert float_crosscheck(CartanContext.create(p))
 
 
 def test_float_crosscheck_is_per_orbit(monkeypatch):

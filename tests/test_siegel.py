@@ -7,7 +7,6 @@ import pytest
 from cuspidal.arith import bernoulli2
 from cuspidal.cartan import CartanContext
 from cuspidal.siegel import (
-    QSeriesParams,
     cartan_group_lift,
     check_Th_weight,
     classify_in_normalizer,
@@ -40,9 +39,6 @@ def grid(den):
 def test_convergence_guard():
     with pytest.raises(ValueError):
         siegel_eval((Fraction(1, 5), Fraction(0)), 0.001j, terms=10)
-    with pytest.raises(ValueError):
-        QSeriesParams(tau=0.001j, terms=10)
-    QSeriesParams(tau=1j)  # fine at the default truncation
     assert required_terms(1j) < 10
 
 
