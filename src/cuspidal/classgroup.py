@@ -144,15 +144,10 @@ def orbit_norms(f: Sequence[int]) -> dict[int, int]:
 
 
 def _scaled_a(ctx: CartanContext) -> list[int]:
-    """12 p^k a_j for j in Z/nZ, exactly (compute_a's denominators divide 12 p^k)."""
+    """12 p^k a_j for j in Z/nZ; compute_a divides integer totals by 12 p^k,
+    so every denominator divides the scale."""
     scale = _SCALE_NUM * ctx.modulus
-    out = []
-    for x in compute_a(ctx):
-        q, r = divmod(scale, x.denominator)
-        if r:
-            raise InvariantViolation(f"12 p^k does not clear the bucket sum {x}")
-        out.append(x.numerator * q)
-    return out
+    return [x.numerator * (scale // x.denominator) for x in compute_a(ctx)]
 
 
 @lru_cache(maxsize=CONTEXT_CACHE_SIZE)
@@ -175,10 +170,15 @@ def order(ctx: CartanContext) -> int:
     """|det A_theta'| / ((p^2-1)/24 * p^(k-1) * e), checked to divide exactly."""
     data = stickelberger_data(ctx)
     p, k = ctx.p, ctx.k
-    scaled = math.prod(theta_prime_norms(ctx).values())
+    scale = _SCALE_NUM * ctx.modulus
+    norms = theta_prime_norms(ctx)
+    # N_1 = F(1) is the degree of the scaled row, so this ties the row to theta'
+    if norms[1] != scale * data.theta_prime.degree():
+        raise InvariantViolation("circulant row does not have the degree of theta'")
+    scaled = math.prod(norms.values())
     if scaled == 0:
         raise InvariantViolation("A_theta' is singular")
-    det, rem = divmod(abs(scaled), (_SCALE_NUM * ctx.modulus) ** ctx.n)
+    det, rem = divmod(abs(scaled), scale ** ctx.n)
     if rem:
         raise InvariantViolation("det A_theta' is not an integer")
     denom = (p * p - 1) // 24 * p ** (k - 1) * data.e

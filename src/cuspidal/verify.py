@@ -15,6 +15,7 @@ from fractions import Fraction
 from .arith import bernoulli2
 from .cartan import CartanContext, norm_class_partition, valid_epsilons
 from .classgroup import (
+    FLOAT_TOL,
     bernoulli_formula_k1,
     float_crosscheck,
     generator_matrix,
@@ -101,10 +102,11 @@ def algebraic_checks(p: int, k: int = 1) -> list[Check]:
         return sizes == {ctx.bucket_size()}, f"{ctx.n} buckets of {ctx.bucket_size()}"
 
     out.append(_check("norm buckets uniform", buckets))
+    tol = f"{FLOAT_TOL:g}".replace("e-0", "e-")  # 1e-09 reads 1e-9
     out.append(
         _check(
             "eigenvalue/determinant float crosscheck",
-            lambda: (float_crosscheck(ctx), "relative 1e-9"),
+            lambda: (float_crosscheck(ctx), f"relative {tol}"),
         )
     )
     return out

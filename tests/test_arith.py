@@ -219,14 +219,15 @@ def test_factorize_short_sieve_boundaries():
 def test_factorize_small_inputs_keep_the_trial_bound_sieve():
     from cuspidal.arith import TRIAL_BOUND, _small_primes
 
-    # the one cache also holds the short sieves, so only the last lookup of
-    # the TRIAL_BOUND sieve is counted: it must still be a hit
+    # the one cache also holds the short sieves, so their misses are counted
+    # too: after the small inputs, neither the TRIAL_BOUND lookup nor an input
+    # that needs the full sieve may miss
     _small_primes(TRIAL_BOUND)
     for n in range(2, 3000):
         factorize(n)
-    factorize(2**61 - 1)
     misses = _small_primes.cache_info().misses
     _small_primes(TRIAL_BOUND)
+    factorize(2**61 - 1)
     assert _small_primes.cache_info().misses == misses
 
 
