@@ -12,7 +12,11 @@ Lenstra's elliptic-curve method (ECM): Montgomery curves in x/z coordinates
 with Suyama's parametrisation, a Montgomery-ladder stage 1 and a
 baby-step/giant-step stage 2 with one batched gcd.  One step budget per
 call is shared by rho and ECM; it is counted in Brent-rho iterations, never
-in wall-clock time.  Whatever it leaves unsplit is reported as a flagged
+in wall-clock time.  The default, DEFAULT_RHO_BUDGET = 10^7 steps, is about
+ten seconds of work on a 2-vCPU x86-64 VM: enough for every order of the
+reference table and for 13^2 (under 10^6 steps), while a cofactor ECM cannot
+split (the 62-digit one at 11^2) is given up after that long rather than
+after minutes.  Whatever the budget leaves unsplit is reported as a flagged
 composite, never silently.
 """
 
@@ -28,7 +32,7 @@ from random import Random
 
 ONE_SIXTH = Fraction(1, 6)
 
-DEFAULT_RHO_BUDGET = 10**8  # steps per factorize call, rho and ECM together
+DEFAULT_RHO_BUDGET = 10**7  # steps per factorize call, rho and ECM together
 TRIAL_BOUND = 10**6  # trial division limit; also ECM's stage-2 prime sieve
 SEED = 1  # of the Random that draws rho constants and ECM curves
 

@@ -280,32 +280,38 @@ def norm_fiber(ctx: CartanContext, h: int) -> tuple[CartanClass, ...]:
     return tuple(c for c in norm_class_partition(ctx)[i] if ctx.norm(c) == h)
 
 
+def _units_of_norm(ctx: CartanContext, target: int) -> Iterator[CartanElement]:
+    """Every unit s = a1 + a2 sqrt(eps) of norm exactly ``target``, in the
+    order a1 = 0, 1, ..., then a2 = 0, 1, ...; the a2 for each a1 are
+    looked up by the value of eps * a2^2."""
+    m = ctx.modulus
+    by_square: dict[int, list[int]] = {}
+    for a2 in range(m):
+        by_square.setdefault(ctx.epsilon * a2 * a2 % m, []).append(a2)
+    for a1 in range(m):
+        for a2 in by_square.get((a1 * a1 - target) % m, ()):
+            s = CartanElement(a1, a2)
+            if ctx.is_invertible(s):
+                yield s
+
+
 def find_norm_one_generator(ctx: CartanContext) -> CartanElement:
     """A generator of the norm-one subgroup, which is cyclic of order
     (p+1) p^(k-1); its existence is itself the cyclicity check."""
     target = ctx.bucket_size()
     prime_divs = [e.prime for e in factorize(target).entries]
     one = CartanElement(1, 0)
-    m = ctx.modulus
-    for a1 in range(m):
-        for a2 in range(1, m):
-            s = CartanElement(a1, a2)
-            if not ctx.is_invertible(s) or ctx.norm(s) != 1:
-                continue
-            if ctx.power(s, target) != one:
-                raise InvariantViolation("norm-one element order does not divide group order")
-            if all(ctx.power(s, target // q) != one for q in prime_divs):
-                return s
+    for s in _units_of_norm(ctx, 1):
+        if ctx.power(s, target) != one:
+            raise InvariantViolation("norm-one element order does not divide group order")
+        if all(ctx.power(s, target // q) != one for q in prime_divs):
+            return s
     raise InvariantViolation("norm-one subgroup has no generator: not cyclic")
 
 
 def find_norm_minus_one_element(ctx: CartanContext) -> CartanElement:
     """Some unit of norm exactly -1 (the norm map onto (Z/p^k Z)* is onto)."""
-    m = ctx.modulus
-    want = m - 1
-    for a1 in range(m):
-        for a2 in range(m):
-            s = CartanElement(a1, a2)
-            if ctx.is_invertible(s) and ctx.norm(s) == want:
-                return s
-    raise InvariantViolation("norm map missed -1; it must be surjective")
+    s = next(_units_of_norm(ctx, -1), None)
+    if s is None:
+        raise InvariantViolation("norm map missed -1; it must be surjective")
+    return s

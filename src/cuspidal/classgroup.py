@@ -11,9 +11,14 @@ Two independent exact routes plus a floating cross-check:
     one factor per orbit of characters of H of exact order d.  N_d is the
     determinant of multiplication by F on Z[x]/Phi_d, a phi(d) x phi(d)
     integer matrix; Bareiss is only the kernel for these blocks.
-  * structure(): Smith normal form of the lattice of unit divisors inside
-    the degree-zero part of the group ring; the invariant factors describe
-    the full abelian group, and their product must equal order().
+  * structure(): Smith normal form of the lattice L of unit divisors inside
+    the degree-zero part I of the group ring; the invariant factors describe
+    the full abelian group, and their product must equal order().  L holds
+    theta I, of index T = |prod_{d > 1} N_d| / (12 p^k)^(n-1) in I, so the
+    form is computed modulo T (lattice_index), every entry kept below its
+    modulus: over Z/p^s for the p-parts and modulo the prime-to-p part of T
+    for the rest, pivoting on units; snf() is the kernel for the small block
+    left over, and the dense test oracle.
   * bernoulli_formula_k1(): for k = 1, the same order through an explicit
     determinant over F_{p^2} powers of an independent generator.
   * float_crosscheck(): eigenvalues of the circulant are finite Fourier
@@ -162,7 +167,7 @@ def circulant_theta_prime(ctx: CartanContext) -> tuple[int, ...]:
 @lru_cache(maxsize=CONTEXT_CACHE_SIZE)
 def theta_prime_norms(ctx: CartanContext) -> MappingProxyType:
     """Read-only {d: N_d} of 12 p^k A_theta', computed once per context for
-    order() and float_crosscheck()."""
+    order(), lattice_index() and float_crosscheck()."""
     return MappingProxyType(orbit_norms(circulant_theta_prime(ctx)))
 
 
@@ -280,13 +285,164 @@ def generator_matrix(ctx: CartanContext) -> list[list[int]]:
     return rows
 
 
+def lattice_index(ctx: CartanContext) -> int:
+    """T = [I : theta I], I the augmentation ideal: the index of the span of
+    the rows (w^j - 1) theta, j = 1..n-1, in the degree-zero part.
+
+    It is |prod_{d > 1} N_d| / (12 p^k)^(n-1) over the theta' orbit norms;
+    theta' and theta differ by a multiple of the norm element, which only
+    the trivial character (d = 1) sees.  T = 0 means the lattice does not
+    have full rank."""
+    scaled = math.prod(v for d, v in theta_prime_norms(ctx).items() if d > 1)
+    index, rem = divmod(abs(scaled), (_SCALE_NUM * ctx.modulus) ** (ctx.n - 1))
+    if rem:
+        raise InvariantViolation("[I : theta I] is not an integer")
+    if index == 0:
+        raise InvariantViolation("unit-divisor lattice does not have full rank")
+    return index
+
+
+_CHECK_PRIME = 1073741789  # largest prime below 2^30
+
+
+def _det_mod(rows: Sequence[Sequence[int]], q: int) -> int:
+    """Determinant of a square integer matrix modulo the prime q."""
+    a = [[x % q for x in row] for row in rows]
+    det = 1
+    for c in range(len(a)):
+        piv = next((i for i in range(c, len(a)) if a[i][c]), None)
+        if piv is None:
+            return 0
+        if piv != c:
+            a[c], a[piv] = a[piv], a[c]
+            det = -det
+        prow = a[c]
+        det = det * prow[c] % q
+        inv = pow(prow[c], -1, q)
+        tail = prow[c + 1 :]
+        for row in a[c + 1 :]:
+            f = row[c] * inv % q
+            if f:
+                row[c + 1 :] = [(x - f * y) % q for x, y in zip(row[c + 1 :], tail)]
+    return det % q
+
+
+def _pivot_out_units(rows: list[list[int]], mod: int, is_unit) -> int:
+    """Pivot on entries that are units mod ``mod`` until none is left.
+
+    Each pivot clears its column from the other rows (row operations mod
+    ``mod``), then its row and column go: it is an invariant factor 1 of
+    the quotient module.  The pivot column is swapped to the end of every
+    row and popped, so the rows are updated in place and their columns
+    reordered alike.  Zero rows are dropped.  Returns the pivot count."""
+    pivots = 0
+    while True:
+        rows[:] = [row for row in rows if any(row)]
+        hit = next(
+            ((i, j) for i, row in enumerate(rows) for j, x in enumerate(row) if is_unit(x)),
+            None,
+        )
+        if hit is None:
+            return pivots
+        i, j = hit
+        prow = rows[i]
+        rows[i] = rows[-1]
+        rows.pop()
+        inv = pow(prow[j], -1, mod)
+        prow[j] = prow[-1]
+        prow.pop()
+        prow[:] = [y * inv % mod for y in prow]
+        for row in rows:
+            f = row[j]
+            row[j] = row[-1]
+            row.pop()
+            if f:
+                row[:] = [(x - f * y) % mod for x, y in zip(row, prow)]
+        pivots += 1
+
+
+def _p_exponents_mod(rows: Sequence[Sequence[int]], p: int, s: int, ncols: int) -> list[int]:
+    """min(v, s) for the exponents v with p^v the invariant factors of
+    Z^ncols modulo the rows, by elimination over Z/p^s with unit pivots.
+
+    When no unit is left, every entry is divisible by p: the remaining
+    factors each gain one p and the modulus drops to p^(s - shift).  A
+    column no row reaches any more has the full exponent s."""
+    mod = p**s
+    block = [[x % mod for x in row] for row in rows]
+    exps: list[int] = []
+    shift = 0
+    while True:
+        exps += [shift] * _pivot_out_units(block, mod, lambda x: x % p)
+        if not block:
+            return exps + [s] * (ncols - len(exps))
+        shift += 1
+        mod //= p
+        for row in block:
+            row[:] = [x // p for x in row]
+
+
+def _p_exponents(rows: Sequence[Sequence[int]], p: int, e: int, ncols: int) -> list[int]:
+    """The p-adic exponents of the invariant factors, given that p^e Z^ncols
+    lies in the row span.
+
+    They are taken modulo p^s for s = 2, 4, 8, ... up to e: once every
+    exponent found is below s, none was cut off by the modulus.  The
+    exponents stay far below e (at most 4 at every tested level, where e
+    reaches 79), so the entries stay small."""
+    s = min(2, e)
+    while True:
+        exps = _p_exponents_mod(rows, p, s, ncols)
+        if s == e or max(exps, default=0) < s:
+            return exps
+        s = min(2 * s, e)
+
+
+def _coprime_factors(rows: Sequence[Sequence[int]], m: int, ncols: int) -> list[int]:
+    """Invariant factors of Z^ncols modulo the rows and m Z^ncols: units
+    mod m are pivoted out, and the small block left over, with m I
+    appended, goes to snf()."""
+    if m == 1:
+        return [1] * ncols
+    block = [[x % m for x in row] for row in rows]
+    ones = _pivot_out_units(block, m, lambda x: math.gcd(x, m) == 1)
+    c = ncols - ones
+    block += [[m if i == j else 0 for j in range(c)] for i in range(c)]
+    return [1] * ones + list(snf(block))
+
+
+def snf_mod(matrix: Sequence[Sequence[int]], modulus: int, p: int) -> tuple[int, ...]:
+    """Invariant factors d1 | ... | dc of Z^c modulo the rows of an integer
+    matrix with c columns whose row span contains modulus * Z^c, the 1s
+    included; p is a prime to split off the modulus.
+
+    With modulus = p^e M and p not dividing M, the p-parts come from
+    elimination over Z/p^s, s <= e, and the rest from elimination mod M,
+    every entry below its modulus."""
+    ncols = len(matrix[0])
+    e, m = 0, modulus
+    while m % p == 0:
+        m //= p
+        e += 1
+    exps = _p_exponents(matrix, p, e, ncols)
+    rest = _coprime_factors(matrix, m, ncols)
+    return tuple(p**v * r for v, r in zip(sorted(exps), sorted(rest)))
+
+
 def structure(ctx: CartanContext) -> tuple[int, ...]:
     """Invariant factors (> 1) of the cuspidal class group, via the Smith
-    form of the unit-divisor lattice; the product equals order()."""
-    diag = snf(generator_matrix(ctx))
-    if len(diag) != ctx.n - 1:
-        raise InvariantViolation("unit-divisor lattice does not have full rank")
-    return tuple(d for d in diag if d != 1)
+    form of the unit-divisor lattice L; the product equals order().
+
+    The n-1 rows (w^j - 1) theta have determinant +-T = [I : theta I], so
+    T Z^(n-1) lies in L and SNF(L) = SNF(L + T Z^(n-1)), which snf_mod()
+    computes.  The determinant is checked modulo a 30-bit prime first,
+    which ties the rows to the orbit norms that T is taken from."""
+    rows = generator_matrix(ctx)
+    index = lattice_index(ctx)
+    det = _det_mod(rows[:-1], _CHECK_PRIME)
+    if det not in (index % _CHECK_PRIME, -index % _CHECK_PRIME):
+        raise InvariantViolation("lattice rows do not have determinant +-[I : theta I]")
+    return tuple(f for f in snf_mod(rows, index, ctx.p) if f != 1)
 
 
 # ---------------------------------------------------------------------------

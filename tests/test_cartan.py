@@ -10,6 +10,7 @@ from cuspidal.cartan import (
     choose_epsilon,
     cusp_count_plus,
     find_generator_H,
+    find_norm_minus_one_element,
     find_norm_one_generator,
     genus_plus,
     h_index_table,
@@ -96,6 +97,30 @@ def test_norm_one_subgroup_cyclic(p, k):
     target = (p + 1) * p ** (k - 1)
     assert ctx.norm(g) == 1
     assert ctx.element_order(g) == target
+
+
+@pytest.mark.parametrize(
+    "p,k,gen,minus_one",
+    [
+        (5, 1, (3, 1), (1, 2)),
+        (7, 1, (2, 2), (2, 3)),
+        (5, 2, (3, 6), (1, 3)),
+        (7, 2, (2, 12), (2, 17)),
+    ],
+)
+def test_norm_scans_return_the_first_element_in_scan_order(p, k, gen, minus_one):
+    # the elements the separate brute-force scans over (a1, a2) returned
+    ctx = CartanContext.create(p, k)
+    assert find_norm_one_generator(ctx) == CartanElement(*gen)
+    assert find_norm_minus_one_element(ctx) == CartanElement(*minus_one)
+    m = ctx.modulus
+    first = next(
+        CartanElement(a1, a2)
+        for a1 in range(m)
+        for a2 in range(m)
+        if ctx.is_invertible((a1, a2)) and ctx.norm((a1, a2)) == m - 1
+    )
+    assert first == CartanElement(*minus_one)
 
 
 def test_norm_multiplicative():

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from cuspidal.arith import Primality, is_prime
 from cuspidal.cartan import CartanContext
 from cuspidal.classgroup import (
     ClassGroupResult,
@@ -13,11 +14,14 @@ from cuspidal.classgroup import (
     compute_class_group,
     float_crosscheck,
     generator_matrix,
+    lattice_index,
     orbit_norms,
     order,
     snf,
+    snf_mod,
     structure,
 )
+from cuspidal.errors import InvariantViolation
 from cuspidal.stickelberger import d_value, stickelberger_data, theta
 
 TABLE_SMALL = {5: 1, 7: 1, 11: 11, 13: 7 * 13**2, 17: 2**4 * 3 * 17**3}
@@ -326,3 +330,105 @@ def test_result_without_factorization_round_trips():
     res = compute_class_group(7, factor=False)
     back = ClassGroupResult.from_json_dict(json.loads(json.dumps(res.to_json_dict())))
     assert back == res
+
+
+# ---------------------------------------------------------------------------
+# Smith form modulo the lattice index
+
+PRIMES_5_101 = [p for p in range(5, 102) if is_prime(p) is not Primality.COMPOSITE]
+PRIME_POWER_LEVELS = [(5, 2), (7, 2), (5, 3), (11, 2), (13, 2)]
+
+
+def unimodular(n, rng, steps=12):
+    """A random integer matrix of determinant +-1, from elementary row moves."""
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(steps):
+        i, j = rng.sample(range(n), 2)
+        c = rng.randrange(-3, 4)
+        u[i] = [x + c * y for x, y in zip(u[i], u[j])]
+    return u
+
+
+def matmul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+@pytest.mark.parametrize("p,k", [(p, 1) for p in PRIMES_5_101] + PRIME_POWER_LEVELS)
+def test_structure_equals_dense_snf(p, k):
+    # the dense minimal-pivot snf of the whole lattice is the oracle
+    ctx = CartanContext.create(p, k)
+    want = tuple(d for d in snf(generator_matrix(ctx)) if d != 1)
+    assert structure(ctx) == want
+    assert lattice_index(ctx) % order(ctx) == 0
+
+
+@pytest.mark.parametrize("p,k", [(13, 1), (5, 2), (7, 2)])
+def test_lattice_index_is_the_determinant_of_the_shift_rows(p, k):
+    # T from the theta' orbit norms against the dense (w^j - 1) theta rows
+    ctx = CartanContext.create(p, k)
+    shift_rows = generator_matrix(ctx)[:-1]
+    assert lattice_index(ctx) == abs(bareiss_det(shift_rows))
+
+
+def test_snf_mod_matches_snf_on_random_lattices():
+    rng = random.Random(5)
+    cases = 0
+    while cases < 30:
+        n = rng.randrange(2, 7)
+        p = rng.choice([2, 3, 5, 7])
+        # p-parts with exponents up to 6, so the modulus p^s is raised past 2
+        diag = [rng.choice([1, 1, 2, 3, p, p**2, p**3, p**6, 6 * p**2]) for _ in range(n)]
+        core = [[diag[i] if i == j else 0 for j in range(n)] for i in range(n)]
+        rows = matmul(matmul(unimodular(n, rng), core), unimodular(n, rng))
+        rows.append([rng.randrange(-50, 51) for _ in range(n)])  # one more row
+        det = abs(bareiss_det(rows[:-1]))
+        want = snf(rows)
+        assert snf_mod(rows, det, p) == want
+        # any multiple of the index also lies in the row span
+        assert snf_mod(rows, det * p**3 * 35, p) == want
+        cases += 1
+
+
+def test_snf_mod_column_reached_by_no_row_takes_the_full_exponent():
+    # the second column is 0 in every row: its factor is the modulus p^e M
+    assert snf_mod([[1, 0], [0, 0]], 11**3 * 6, 11) == (1, 11**3 * 6)
+    assert snf_mod([[11, 0], [0, 11**3]], 11**3, 11) == (11, 11**3)
+
+
+def test_structure_rejects_a_doubled_lattice_row(monkeypatch):
+    # a doubled row leaves L + T Z^(n-1) unchanged wherever T is odd, so only
+    # the determinant check can see it; structure must not return the order
+    import cuspidal.classgroup as cg
+
+    real = cg.generator_matrix
+
+    def doubled(ctx):
+        rows = real(ctx)
+        rows[0] = [2 * x for x in rows[0]]
+        return rows
+
+    monkeypatch.setattr(cg, "generator_matrix", doubled)
+    for p, k in [(11, 1), (13, 1), (19, 1), (5, 2), (7, 2)]:
+        ctx = CartanContext.create(p, k)
+        try:
+            got = math.prod(structure(ctx))
+        except InvariantViolation:
+            continue
+        assert got != order(ctx), (p, k)
+
+
+def test_structure_at_7_cubed():
+    # pinned from the dense minimal-pivot snf (about 50 s there); the product
+    # is the order, whose largest invariant factor has 300 digits
+    ctx = CartanContext.create(7, 3)
+    big = int(
+    "957622899072865789699129177684196737597722620573874991003304731162379203"
+    "503558018609663001914365345227482970999382159644518876096789337666606222"
+    "543942094572863936858679677471102369544449033659640832896750018357784041"
+    "379550676176376617438009142706693723562357441054164536749692999297665843"
+    "400943969597"
+    )
+    want = (7,) * 77 + (49,) * 49 + (343,) * 14 + (2401, big)
+    got = structure(ctx)
+    assert got == want
+    assert math.prod(got) == order(ctx)

@@ -1,6 +1,7 @@
 import json
 from pathlib import Path
 
+from cuspidal.arith import DEFAULT_RHO_BUDGET
 from cuspidal.classgroup import ClassGroupResult
 from cuspidal.cli import main, table_row
 from cuspidal.reference import reference_order, reference_table
@@ -40,6 +41,11 @@ def test_order_factor_13_squared_completes(capsys):
         "7 * 13^78 * 53^2 * 79^4 * 1249^2 * 7151^2 * 19199607103951^2"
         " * 35772957575456089^2 * 292252642963019318269^2"
     )
+    # and it does so within the default budget, with none of it run out
+    code, out, _ = run(capsys, "order", "-p", "13", "-k", "2", "--factor", "--json")
+    data = json.loads(out)
+    assert code == 0 and data["factor_budget_exhausted"] is False
+    assert 0 < data["factor_steps_used"] <= DEFAULT_RHO_BUDGET
 
 
 def test_size_guard_and_force(capsys):
