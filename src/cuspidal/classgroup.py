@@ -9,8 +9,10 @@ Two independent exact routes plus a floating cross-check:
         det(12 p^k A) = prod_{d | n} N_d,    N_d = Res(Phi_d, F),
 
     one factor per orbit of characters of H of exact order d.  N_d is the
-    determinant of multiplication by F on Z[x]/Phi_d, a phi(d) x phi(d)
-    integer matrix; Bareiss is only the kernel for these blocks.
+    product of F(zeta) over the primitive d-th roots of unity zeta, taken
+    modulo proven primes l = 1 (mod 2n), where one Bluestein transform
+    evaluates F at every n-th root of unity, and recovered by CRT past a
+    Parseval bound on |N_d|.
   * structure(): Smith normal form of the lattice L of unit divisors inside
     the degree-zero part I of the group ring; the invariant factors describe
     the full abelian group, and their product must equal order().  L holds
@@ -45,7 +47,7 @@ from types import MappingProxyType
 from typing import Sequence
 
 from ._version import __version__
-from .arith import DEFAULT_RHO_BUDGET, Factorization, factorize
+from .arith import DEFAULT_RHO_BUDGET, Factorization, Primality, factorize, is_prime
 from .cartan import (
     CONTEXT_CACHE_SIZE,
     CartanContext,
@@ -58,70 +60,61 @@ from .stickelberger import compute_a, d_value, stickelberger_data
 
 _SCALE_NUM = 12  # denominators of theta' coefficients divide 12 p^k
 FLOAT_TOL = 1e-9  # relative tolerance of float_crosscheck
+_PRIME_TOP = 1 << 62  # CRT primes are the proven primes = 1 (mod 2n) below it
 
 
-def bareiss_det(rows: Sequence[Sequence[int]]) -> int:
-    """Exact determinant of an integer matrix by fraction-free elimination."""
-    a = [list(map(int, row)) for row in rows]
-    n = len(a)
-    if any(len(row) != n for row in a):
-        raise ValueError("matrix must be square")
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for r in range(n - 1):
-        if a[r][r] == 0:
-            for i in range(r + 1, n):
-                if a[i][r]:
-                    a[r], a[i] = a[i], a[r]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = a[r][r]
-        tail = a[r][r + 1 :]
-        # column r below the pivot is never read again, so it is left as is
-        for i in range(r + 1, n):
-            row = a[i]
-            f = row[r]
-            row[r + 1 :] = [
-                (x * pivot - f * y) // prev for x, y in zip(row[r + 1 :], tail)
-            ]
-        prev = pivot
-    return sign * a[n - 1][n - 1]
+def _norm_bound(f: Sequence[int], d: int, phi: int) -> int:
+    """B with |N_d| <= B: with G = F mod (x^d - 1), AM-GM over the primitive
+    d-th roots and Parseval over all d-th roots give
+    |N_d|^2 <= (d ||G||_2^2 / phi(d))^phi(d)."""
+    folded = [0] * d
+    for j, c in enumerate(f):
+        folded[j % d] += c
+    num = (d * sum(c * c for c in folded)) ** phi
+    den = phi**phi
+    return math.isqrt(-(-num // den))
 
 
-def _divmod_monic(num: Sequence[int], den: Sequence[int]) -> tuple[list[int], list[int]]:
-    """Quotient and remainder of integer polynomials (coefficients from the
-    constant term up) by a monic divisor; both stay integral."""
-    rem = list(num)
-    deg = len(den) - 1
-    quot = [0] * max(len(rem) - deg, 0)
-    for i in range(len(quot) - 1, -1, -1):
-        c = rem[i + deg]
-        quot[i] = c
-        if c:
-            for j, dj in enumerate(den):
-                rem[i + j] -= c * dj
-    return quot, rem[:deg]
-
-
-def _cyclotomic_polys(n: int) -> dict[int, list[int]]:
-    """Phi_d for every d | n, from x^d - 1 = prod_{e | d} Phi_e by exact
-    division; coefficients from the constant term up."""
-    phis: dict[int, list[int]] = {}
-    for d in range(1, n + 1):
-        if n % d:
+def _crt_primes(n: int):
+    """(l, h) for the proven primes l = 1 (mod 2n) below 2^62, walking down
+    from the top; h has exact order 2n mod l."""
+    step = 2 * n
+    qs, m = [], step  # the primes q | 2n
+    for q in range(2, step + 1):
+        if m % q == 0:
+            qs.append(q)
+            while m % q == 0:
+                m //= q
+    for ell in range((_PRIME_TOP - 2) // step * step + 1, step, -step):
+        if is_prime(ell) is not Primality.PROVEN:
             continue
-        poly = [-1] + [0] * (d - 1) + [1]
-        for e, phi in phis.items():
-            if d % e == 0:
-                poly, rem = _divmod_monic(poly, phi)
-                if any(rem):
-                    raise InvariantViolation(f"Phi_{e} does not divide x^{d} - 1")
-        phis[d] = poly
-    return phis
+        for c in range(2, ell):
+            h = pow(c, (ell - 1) // step, ell)
+            if all(pow(h, step // q, ell) != 1 for q in qs):
+                yield ell, h
+                break
+    raise InvariantViolation(f"too few primes = 1 (mod {step}) below 2^62")
+
+
+def _values_mod(f: Sequence[int], ell: int, h: int) -> list[int]:
+    """F(g^i) mod l for i in Z/nZ, g = h^2 of order n, by Bluestein's chirp:
+    g^(ij) = h^(i^2) h^(j^2) h^(-(i-j)^2), so the values come from one
+    convolution of (f_j h^(j^2)) with (h^(-m^2)).  As h^(-(m+n)^2) =
+    (-1)^n h^(-m^2), it is cyclic (n even) or negacyclic (n odd) of length
+    n: one big-integer product of packed residues, folded at n."""
+    n = len(f)
+    step = 2 * n
+    hp = [1] * step  # h^e for e in Z/2nZ
+    for e in range(1, step):
+        hp[e] = hp[e - 1] * h % ell
+    w = (2 * ell.bit_length() + n.bit_length() + 7) // 8  # bytes per slot
+    a = b"".join((c * hp[j * j % step] % ell).to_bytes(w, "little") for j, c in enumerate(f))
+    b = b"".join(hp[-j * j % step].to_bytes(w, "little") for j in range(n))
+    prod = int.from_bytes(a, "little") * int.from_bytes(b, "little")
+    buf = prod.to_bytes(2 * n * w, "little")
+    coef = [int.from_bytes(buf[i * w : (i + 1) * w], "little") for i in range(2 * n)]
+    sign = -1 if n % 2 else 1
+    return [(coef[i] + sign * coef[i + n]) * hp[i * i % step] % ell for i in range(n)]
 
 
 def orbit_norms(f: Sequence[int]) -> dict[int, int]:
@@ -129,22 +122,36 @@ def orbit_norms(f: Sequence[int]) -> dict[int, int]:
     integer first row sum_j f_j x^j; their product is the determinant of the
     circulant with entry (i, j) = f[(j - i) mod n].
 
-    N_d is the product of the eigenvalues F(zeta) over the primitive d-th
-    roots of unity zeta, computed exactly as the determinant of
-    multiplication by F on Z[x]/Phi_d."""
+    N_d is the product of F(zeta) over the primitive d-th roots of unity
+    zeta.  It is computed by CRT over primes l = 1 (mod 2n), where every
+    such zeta is a power g^i with n / gcd(i, n) = d, until the primes'
+    product exceeds twice the largest bound of _norm_bound; N_d is then the
+    symmetric residue."""
     n = len(f)
+    orbit = [n // math.gcd(i, n) for i in range(n)]
+    phis = dict.fromkeys(orbit, 0)
+    for d in orbit:
+        phis[d] += 1
+    bounds = {d: _norm_bound(f, d, phi) for d, phi in phis.items()}
+    need = 2 * max(bounds.values())
+    res = dict.fromkeys(phis, 0)
+    modulus = 1
+    for ell, h in _crt_primes(n):
+        local = dict.fromkeys(phis, 1)
+        for d, v in zip(orbit, _values_mod(f, ell, h)):
+            local[d] = local[d] * v % ell
+        inv = pow(modulus, -1, ell)
+        for d, x in res.items():
+            res[d] = x + modulus * ((local[d] - x) * inv % ell)
+        modulus *= ell
+        if modulus > need:
+            break
     norms = {}
-    for d, phi in _cyclotomic_polys(n).items():
-        folded = [0] * d  # F mod x^d - 1, which Phi_d divides
-        for j, c in enumerate(f):
-            folded[j % d] += c
-        _, r = _divmod_monic(folded, phi)
-        rows = []
-        for _ in range(len(phi) - 1):
-            rows.append(r)
-            top = r[-1]  # r <- x * r mod Phi_d
-            r = [lo - top * c for lo, c in zip([0] + r[:-1], phi)]
-        norms[d] = bareiss_det(rows)
+    for d in sorted(res):
+        x = res[d]
+        norms[d] = x - modulus if 2 * x > modulus else x
+        if abs(norms[d]) > bounds[d]:
+            raise InvariantViolation(f"N_{d} exceeds its bound")
     return norms
 
 
@@ -449,14 +456,13 @@ def structure(ctx: CartanContext) -> tuple[int, ...]:
 # cross-checks
 
 def circulant_eigenvalues(ctx: CartanContext) -> list[complex]:
-    """lambda_m = sum_j a'_j exp(2 pi i j m / n), m = 1..n (m = n trivial)."""
+    """lambda_m = sum_j a'_j exp(2 pi i j m / n), m = 1..n (m = n trivial);
+    the n roots of unity are built once and indexed by j m mod n."""
     scale = _SCALE_NUM * ctx.modulus
     row = [x / scale for x in circulant_theta_prime(ctx)]
     n = len(row)
-    out = []
-    for m in range(1, n + 1):
-        out.append(sum(row[j] * cmath.exp(2j * math.pi * j * m / n) for j in range(n)))
-    return out
+    roots = [cmath.exp(2j * math.pi * t / n) for t in range(n)]
+    return [sum(x * roots[j * m % n] for j, x in enumerate(row)) for m in range(1, n + 1)]
 
 
 def float_crosscheck(ctx: CartanContext) -> bool:

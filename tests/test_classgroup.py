@@ -8,7 +8,7 @@ from cuspidal.arith import Primality, is_prime
 from cuspidal.cartan import CartanContext
 from cuspidal.classgroup import (
     ClassGroupResult,
-    bareiss_det,
+    _norm_bound,
     bernoulli_formula_k1,
     circulant_theta_prime,
     compute_class_group,
@@ -23,6 +23,7 @@ from cuspidal.classgroup import (
 )
 from cuspidal.errors import InvariantViolation
 from cuspidal.stickelberger import d_value, stickelberger_data, theta
+from oracles import bareiss_det, block_norms
 
 TABLE_SMALL = {5: 1, 7: 1, 11: 11, 13: 7 * 13**2, 17: 2**4 * 3 * 17**3}
 
@@ -150,6 +151,66 @@ def test_orbit_norms_pair_d_and_2d_at_13_squared():
     norms = orbit_norms(circulant_theta_prime(ctx))
     assert all(norms[d] == norms[2 * d] for d in (3, 13, 39))
     assert norms[1] != norms[2]
+
+
+NORM_LEVELS = [
+    (p, 1) for p in range(5, 102) if is_prime(p) is not Primality.COMPOSITE
+] + [(5, 2), (7, 2), (5, 3), (11, 2), (13, 2), (7, 3), (19, 2)]
+
+
+@pytest.fixture(scope="module")
+def level_norms():
+    """(p, k) -> (theta' row, Bareiss-block norms), computed once: 19^2
+    alone takes about 2 s in the oracle."""
+    out = {}
+    for p, k in NORM_LEVELS:
+        first = circulant_theta_prime(CartanContext.create(p, k))
+        out[p, k] = first, block_norms(first)
+    return out
+
+
+@pytest.mark.parametrize("p,k", NORM_LEVELS)
+def test_orbit_norms_equal_bareiss_blocks(level_norms, p, k):
+    first, want = level_norms[p, k]
+    assert orbit_norms(first) == want
+
+
+@pytest.mark.parametrize("p,k", NORM_LEVELS)
+def test_norm_bound_covers_each_orbit_norm(level_norms, p, k):
+    first, want = level_norms[p, k]
+    n = len(first)
+    for d, norm in want.items():
+        phi = sum(1 for i in range(n) if n // math.gcd(i, n) == d)
+        bound = _norm_bound(first, d, phi)
+        assert bound >= abs(norm)
+
+
+def test_orbit_norms_on_random_rows():
+    rng = random.Random(40)
+    big = 1 << 200
+    for n in range(1, 41):
+        rows = [
+            [rng.randrange(-99, 100) for _ in range(n)],
+            [(-1) ** j * rng.randrange(1, 10**6) for j in range(n)],  # alternating
+            [(-1) ** j * 7 for j in range(n)],  # n even: N_d = 0 for every d != 2
+            [rng.choice((-1, 1)) * (big - rng.randrange(1000)) for _ in range(n)],
+        ]
+        singular = [rng.randrange(-50, 51) for _ in range(n)]
+        singular[-1] -= sum(singular)  # F(1) = 0
+        rows.append(singular)
+        for first in rows:
+            assert orbit_norms(first) == block_norms(first), (n, first)
+
+
+def test_orbit_norms_reject_a_norm_past_its_bound(monkeypatch):
+    # with every bound cut to 1, one prime is taken and the residue of N_d
+    # is far larger than the (false) bound: that must raise, not return it
+    import cuspidal.classgroup as cg
+
+    first = circulant_theta_prime(CartanContext.create(7, 3))
+    monkeypatch.setattr(cg, "_norm_bound", lambda f, d, phi: 1)
+    with pytest.raises(InvariantViolation):
+        orbit_norms(first)
 
 
 def test_det_exact_examples():
@@ -432,3 +493,24 @@ def test_structure_at_7_cubed():
     got = structure(ctx)
     assert got == want
     assert math.prod(got) == order(ctx)
+
+
+def test_order_at_23_squared():
+    # pinned from the Bareiss-block orbit norms (about 60 s there); n = 253
+    want = int(
+    "126850060483915077087990263992859861684383541038616309410930077827097584"
+    "596206181897175163024296654174570264744725817639789411810642747327818664"
+    "626444427648276351600781272973118152552158567305635712121734017131770405"
+    "313688132884660030881912944558524883098638583552634710010089307282014288"
+    "248745320720854745011530335291689796117056908234387056445958462235164511"
+    "753515266170095576205735914911495046888819613855915675974035361994102820"
+    "332291937574045900315250253221070487668449574570220387661700275116101770"
+    "267529719028647137699961331749735155428538129195361424054969081867937694"
+    "473294725728204485579317533459516000517728146118992279165836012363924286"
+    "670424111130064929504870164805113995848466520121044693887999884581556229"
+    "971068510001978695909772339207916714730473198537491867500048192257352621"
+    "919062459222082712011232378674384830813802852014922374011899121189846924"
+    "434760795269491352662907940100079561626856555662756908380742354088438014"
+    "0398181570066983071"
+    )
+    assert order(CartanContext.create(23, 2)) == want
