@@ -99,9 +99,11 @@ _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
 # Strong-pseudoprime testing with the first 13 prime bases is a proven
 # primality test below this bound (Sorenson-Webster); beyond it we fall back
-# to Baillie-PSW and report "probable".
+# to Baillie-PSW and report "probable".  Below 2^64, Sinclair's seven bases
+# are enough; a base divisible by n counts as passed.
 _MR_PROVEN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_PROVEN_LIMIT = 3_317_044_064_679_887_385_961_981
+_MR_64_BASES = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
 
 
 def _strong_probable_prime(n: int, base: int) -> bool:
@@ -177,7 +179,8 @@ def is_probable_prime(n: int) -> bool:
 def is_prime(n: int) -> Primality:
     """Primality with an explicit certainty level.
 
-    Deterministic (PROVEN / COMPOSITE) below the 13-base Miller-Rabin bound;
+    Deterministic (PROVEN / COMPOSITE) below the 13-base Miller-Rabin bound
+    (seven bases below 2^64);
     above it Baillie-PSW, reporting PROBABLE for survivors.  Composite
     answers are always correct.  0 and 1 count as composite by convention.
     """
@@ -187,7 +190,8 @@ def is_prime(n: int) -> Primality:
         if n % p == 0:
             return Primality.PROVEN if n == p else Primality.COMPOSITE
     if n < _MR_PROVEN_LIMIT:
-        for base in _MR_PROVEN_BASES:
+        bases = _MR_64_BASES if n < 1 << 64 else _MR_PROVEN_BASES
+        for base in bases:
             if not _strong_probable_prime(n, base):
                 return Primality.COMPOSITE
         return Primality.PROVEN

@@ -16,11 +16,15 @@ Two independent exact routes plus a floating cross-check:
   * structure(): Smith normal form of the lattice L of unit divisors inside
     the degree-zero part I of the group ring; the invariant factors describe
     the full abelian group, and their product must equal order().  L holds
-    theta I, of index T = |prod_{d > 1} N_d| / (12 p^k)^(n-1) in I, so the
-    form is computed modulo T (lattice_index), every entry kept below its
-    modulus: over Z/p^s for the p-parts and modulo the prime-to-p part of T
-    for the rest, pivoting on units; snf() is the kernel for the small block
-    left over, and the dense test oracle.
+    theta I, of index T = |prod_{d > 1} N_d| / (12 p^k)^(n-1) in I.  The
+    parts at the primes S dividing 6pn come from the whole lattice modulo
+    T_S, the part of T made of S (over Z/p^s for the p-parts, modulo the
+    rest of T_S for the others); for a prime outside S the group ring
+    splits into the fields Z[x]/Phi_d, so the rest comes from the
+    phi(d) x phi(d) orbit blocks of the scaled theta' row (orbit_blocks),
+    each modulo M_d, the part of N_d prime to S.  Every elimination pivots
+    on units and keeps each entry below its modulus; snf() is the kernel
+    for the small block left over, and the dense test oracle.
   * bernoulli_formula_k1(): for k = 1, the same order through an explicit
     determinant over F_{p^2} powers of an independent generator.
   * float_crosscheck(): eigenvalues of the circulant are finite Fourier
@@ -75,16 +79,23 @@ def _norm_bound(f: Sequence[int], d: int, phi: int) -> int:
     return math.isqrt(-(-num // den))
 
 
-def _crt_primes(n: int):
-    """(l, h) for the proven primes l = 1 (mod 2n) below 2^62, walking down
-    from the top; h has exact order 2n mod l."""
-    step = 2 * n
-    qs, m = [], step  # the primes q | 2n
-    for q in range(2, step + 1):
+def _prime_divisors(m: int) -> list[int]:
+    """The primes dividing m >= 1, by trial division (m is at most 2n here)."""
+    qs, q = [], 2
+    while q * q <= m:
         if m % q == 0:
             qs.append(q)
             while m % q == 0:
                 m //= q
+        q += 1
+    return qs + [m] * (m > 1)
+
+
+def _crt_primes(n: int):
+    """(l, h) for the proven primes l = 1 (mod 2n) below 2^62, walking down
+    from the top; h has exact order 2n mod l."""
+    step = 2 * n
+    qs = _prime_divisors(step)
     for ell in range((_PRIME_TOP - 2) // step * step + 1, step, -step):
         if is_prime(ell) is not Primality.PROVEN:
             continue
@@ -153,6 +164,55 @@ def orbit_norms(f: Sequence[int]) -> dict[int, int]:
         if abs(norms[d]) > bounds[d]:
             raise InvariantViolation(f"N_{d} exceeds its bound")
     return norms
+
+
+def _divmod_monic(num: Sequence[int], den: Sequence[int]) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of integer polynomials (coefficients from the
+    constant term up) by a monic divisor; both stay integral."""
+    rem = list(num)
+    deg = len(den) - 1
+    quot = [0] * max(len(rem) - deg, 0)
+    for i in range(len(quot) - 1, -1, -1):
+        c = rem[i + deg]
+        quot[i] = c
+        if c:
+            for j, dj in enumerate(den):
+                rem[i + j] -= c * dj
+    return quot, rem[:deg]
+
+
+def orbit_blocks(f: Sequence[int]) -> dict[int, list[list[int]]]:
+    """{d: B_d} for every d | n = len(f), where B_d is the phi(d) x phi(d)
+    integer matrix of multiplication by F = sum_j f_j x^j on Z[x]/Phi_d:
+    row i holds the coefficients of x^i F mod Phi_d.  det B_d = N_d, and
+    coker B_d = Z[x]/(Phi_d, F).
+
+    Phi_d comes from x^d - 1 = prod_{e | d} Phi_e by exact division, and
+    F mod Phi_d from F mod (x^d - 1), which Phi_d divides."""
+    n = len(f)
+    phis: dict[int, list[int]] = {}
+    blocks = {}
+    for d in range(1, n + 1):
+        if n % d:
+            continue
+        phi = [-1] + [0] * (d - 1) + [1]
+        for e, phi_e in phis.items():
+            if d % e == 0:
+                phi, rem = _divmod_monic(phi, phi_e)
+                if any(rem):
+                    raise InvariantViolation(f"Phi_{e} does not divide x^{d} - 1")
+        phis[d] = phi
+        folded = [0] * d
+        for j, c in enumerate(f):
+            folded[j % d] += c
+        _, r = _divmod_monic(folded, phi)
+        rows = []
+        for _ in range(len(phi) - 1):
+            rows.append(r)
+            top = r[-1]  # r <- x * r mod Phi_d
+            r = [lo - top * c for lo, c in zip([0] + r[:-1], phi)]
+        blocks[d] = rows
+    return blocks
 
 
 def _scaled_a(ctx: CartanContext) -> list[int]:
@@ -250,11 +310,19 @@ def snf(matrix: Sequence[Sequence[int]]) -> tuple[int, ...]:
             continue
         t += 1
 
-    diag = [abs(a[i][i]) for i in range(min(nr, nc)) if a[i][i]]
+    return _divisibility_chain([abs(a[i][i]) for i in range(min(nr, nc)) if a[i][i]])
+
+
+def _divisibility_chain(diag: Sequence[int]) -> tuple[int, ...]:
+    """The invariant factors of the diagonal matrix diag, sorted: gcd/lcm
+    exchanges (diag(a, b) ~ diag(gcd, lcm)) until each divides the next."""
+    diag = list(diag)
     changed = True
     while changed:
         changed = False
         for i in range(len(diag)):
+            if diag[i] == 1:  # divides everything
+                continue
             for j in range(i + 1, len(diag)):
                 if diag[j] % diag[i]:
                     g = math.gcd(diag[i], diag[j])
@@ -420,8 +488,10 @@ def _coprime_factors(rows: Sequence[Sequence[int]], m: int, ncols: int) -> list[
 
 def snf_mod(matrix: Sequence[Sequence[int]], modulus: int, p: int) -> tuple[int, ...]:
     """Invariant factors d1 | ... | dc of Z^c modulo the rows of an integer
-    matrix with c columns whose row span contains modulus * Z^c, the 1s
-    included; p is a prime to split off the modulus.
+    matrix with c columns and modulus * Z^c, the 1s included; p is a prime
+    to split off the modulus.  When the row span contains modulus * Z^c,
+    they are the row span's own; otherwise they are its parts at the primes
+    of the modulus, cut at the modulus.
 
     With modulus = p^e M and p not dividing M, the p-parts come from
     elimination over Z/p^s, s <= e, and the rest from elimination mod M,
@@ -436,20 +506,63 @@ def snf_mod(matrix: Sequence[Sequence[int]], modulus: int, p: int) -> tuple[int,
     return tuple(p**v * r for v, r in zip(sorted(exps), sorted(rest)))
 
 
+def _prime_to(x: int, primes: Sequence[int]) -> int:
+    """x with every factor from the given primes divided out."""
+    for q in primes:
+        while x % q == 0:
+            x //= q
+    return x
+
+
 def structure(ctx: CartanContext) -> tuple[int, ...]:
     """Invariant factors (> 1) of the cuspidal class group, via the Smith
     form of the unit-divisor lattice L; the product equals order().
 
     The n-1 rows (w^j - 1) theta have determinant +-T = [I : theta I], so
-    T Z^(n-1) lies in L and SNF(L) = SNF(L + T Z^(n-1)), which snf_mod()
-    computes.  The determinant is checked modulo a 30-bit prime first,
-    which ties the rows to the orbit norms that T is taken from."""
+    T Z^(n-1) lies in L.  The determinant is checked modulo a 30-bit prime
+    first, which ties the rows to the orbit norms that T is taken from.
+    With S the primes dividing 6pn, T = T_S T' where T_S is made of S:
+
+      * the S-parts are those of L + T_S Z^(n-1), from snf_mod() on the
+        joint lattice;
+      * for a prime l outside S, Z_l[H] = prod_{d | n} Z_l[x]/Phi_d; 12 p^k
+        and d_value(p) are l-units, theta has degree 0, and theta' - theta
+        is a multiple of the norm element, which is 0 in every factor with
+        d > 1.  So the l-part of the group is that of the sum over d > 1 of
+        coker B_d, the orbit blocks of the scaled theta' row, each taken
+        modulo M_d, the part of N_d prime to S.
+
+    Each block must have determinant N_d modulo the check prime and factors
+    whose product is M_d, and the M_d must multiply to T'.  The block
+    factors are merged into one chain and multiplied into the S-parts
+    position by position, the two being coprime."""
     rows = generator_matrix(ctx)
     index = lattice_index(ctx)
     det = _det_mod(rows[:-1], _CHECK_PRIME)
     if det not in (index % _CHECK_PRIME, -index % _CHECK_PRIME):
         raise InvariantViolation("lattice rows do not have determinant +-[I : theta I]")
-    return tuple(f for f in snf_mod(rows, index, ctx.p) if f != 1)
+    primes = sorted({2, 3, ctx.p, *_prime_divisors(ctx.n)})
+    index_prime_to_s = _prime_to(index, primes)
+    joint = snf_mod(rows, index // index_prime_to_s, ctx.p)
+
+    norms = theta_prime_norms(ctx)
+    pieces: list[int] = []
+    m_product = 1
+    for d, block in orbit_blocks(circulant_theta_prime(ctx)).items():
+        if d == 1:
+            continue
+        if _det_mod(block, _CHECK_PRIME) != norms[d] % _CHECK_PRIME:
+            raise InvariantViolation(f"orbit block {d} does not have determinant N_{d}")
+        m = _prime_to(abs(norms[d]), primes)
+        factors = _coprime_factors(block, m, len(block))
+        if math.prod(factors) != m:
+            raise InvariantViolation(f"orbit block {d} factors do not multiply to M_{d}")
+        pieces += factors
+        m_product *= m
+    if m_product != index_prime_to_s:
+        raise InvariantViolation("the M_d do not multiply to the part of T prime to 6pn")
+    chain = _divisibility_chain(pieces)  # n - 1 entries, like joint
+    return tuple(f for f in (a * b for a, b in zip(joint, chain)) if f != 1)
 
 
 # ---------------------------------------------------------------------------

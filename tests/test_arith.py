@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -6,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cuspidal.arith import (
+    _MR_PROVEN_BASES,
+    _strong_probable_prime,
     RHO_STAGE_STEPS,
     Factorization,
     Primality,
@@ -123,6 +126,51 @@ def test_is_prime_large():
     # strong pseudoprimes to base 2 must still be caught
     for n in (2047, 3277, 4033, 1373653, 3215031751):
         assert is_prime(n) is Primality.COMPOSITE
+
+
+def test_is_prime_seven_bases_below_2_64():
+    # a strong pseudoprime to every prime base up to 23
+    assert is_prime(3825123056546413051) is Primality.COMPOSITE
+    # the base divisors past trial division: a base = 0 (mod n) passes, so
+    # the primes are proven and their product is left to the other bases
+    for q in (73, 193, 407521, 299210837):
+        assert is_prime(q) is Primality.PROVEN
+    assert is_prime(14089) is Primality.COMPOSITE  # 73 * 193
+
+
+def _thirteen_bases(n):
+    return all(_strong_probable_prime(n, b) for b in _MR_PROVEN_BASES)
+
+
+def _chernick_carmichaels(rng, count):
+    """(6k+1)(12k+1)(18k+1) with all three factors prime, below 2^64."""
+    def prime(m):
+        return all(m % q for q in range(2, math.isqrt(m) + 1))
+
+    out = []
+    while len(out) < count:
+        k = rng.randrange(1, 230_000)
+        f = (6 * k + 1, 12 * k + 1, 18 * k + 1)
+        if all(map(prime, f)):
+            out.append(math.prod(f))
+    return out
+
+
+def test_is_prime_seven_bases_agree_with_thirteen():
+    # on the first candidates l = 1 (mod 2n) below 2^62 that the orbit-norm
+    # CRT walks, and on seeded odd n < 2^64 with Carmichael numbers among them
+    cands = []
+    for n in range(1, 201):
+        step = 2 * n
+        top = ((1 << 62) - 2) // step * step + 1
+        cands += range(top, top - 40 * step, -step)
+    rng = random.Random(64)
+    cands += [rng.randrange(49, 1 << 64) | 1 for _ in range(2000)]
+    cands += _chernick_carmichaels(rng, 20)
+    for n in cands:
+        if math.gcd(n, math.prod(_MR_PROVEN_BASES)) > 1:
+            continue  # trial division answers these
+        assert (is_prime(n) is Primality.PROVEN) == _thirteen_bases(n), n
 
 
 def test_iroot():

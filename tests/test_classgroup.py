@@ -495,6 +495,119 @@ def test_structure_at_7_cubed():
     assert math.prod(got) == order(ctx)
 
 
+def test_structure_at_17_squared():
+    # pinned from the full-lattice Smith form modulo T (about 5 s there)
+    ctx = CartanContext.create(17, 2)
+    big = (
+        int(
+    "978584414077043167375528197438316646666034483515697910098646812521831263"
+    "3333801636970639328909245129524360798556127312462385949701101202"
+        ),
+        int(
+    "117430129689245180085063383692597997599924138021883749211837617502619751"
+    "600005619643647671946910941554292329582673527749548631396413214424"
+        ),
+    )
+    want = (17,) * 122 + (289, 289, 29767, 506039) + big
+    got = structure(ctx)
+    assert got == want
+    assert math.prod(got) == order(ctx)
+
+
+def test_structure_at_19_squared():
+    # pinned from the full-lattice Smith form modulo T (about 14 s there)
+    ctx = CartanContext.create(19, 2)
+    big = int(
+    "372954128607535728525831287876617195461052863695614913889039613328831297"
+    "664339807181403247554830931479099552701093595367622597352295577059067643"
+    "082393631574608564753472860002586434733775562243801736839495030570995303"
+    "949450064716660202555444386497339226474105928584222025554046578240354274"
+    "085440099155382483021377596377360581592862161371218132813910010549203643"
+    "9761212191"
+    )
+    want = (19,) * 152 + (361,) * 5 + (6859, 253783, big)
+    got = structure(ctx)
+    assert got == want
+    assert math.prod(got) == order(ctx)
+
+
+BLOCK_LEVELS = [(13, 1), (101, 1), (7, 2), (13, 2)]
+
+
+def _primes_of_6pn(ctx):
+    n, primes = ctx.n, {2, 3, ctx.p}
+    primes |= {q for q in range(2, n + 1) if n % q == 0 and is_prime(q) is Primality.PROVEN}
+    return primes
+
+
+@pytest.mark.parametrize("p,k", BLOCK_LEVELS)
+def test_structure_rejects_a_scaled_orbit_block_row(monkeypatch, p, k):
+    # a block row times a prime l outside 6pn and T leaves the block's
+    # factors modulo M_d unchanged; only its determinant shows it
+    import cuspidal.classgroup as cg
+
+    ctx = CartanContext.create(p, k)
+    index = lattice_index(ctx)
+    bad = _primes_of_6pn(ctx)
+    ell = next(q for q in range(5, 1000) if is_prime(q) is Primality.PROVEN
+               and q not in bad and index % q)
+    real = cg.orbit_blocks
+    d = max(real(circulant_theta_prime(ctx)))
+
+    def scaled(f):
+        blocks = real(f)
+        blocks[d][0] = [ell * x for x in blocks[d][0]]
+        return blocks
+
+    monkeypatch.setattr(cg, "orbit_blocks", scaled)
+    with pytest.raises(InvariantViolation):
+        structure(ctx)
+
+
+@pytest.mark.parametrize("p,k", BLOCK_LEVELS)
+def test_structure_rejects_a_wrong_orbit_norm(monkeypatch, p, k):
+    import cuspidal.classgroup as cg
+
+    ctx = CartanContext.create(p, k)
+    real = dict(cg.theta_prime_norms(ctx))
+    for d in real:
+        if d == 1:
+            continue
+        for wrong in (7 * real[d], real[d] + 1, -real[d]):
+            norms = {**real, d: wrong}
+            monkeypatch.setattr(cg, "theta_prime_norms", lambda c: norms)
+            try:  # structure must raise or fail the order check
+                got = math.prod(structure(ctx))
+                want = order(ctx)
+            except InvariantViolation:
+                continue
+            assert got != want, (p, k, d, wrong)
+
+
+@pytest.mark.parametrize("p,k", BLOCK_LEVELS)
+def test_structure_takes_the_full_lattice_only_modulo_primes_of_6pn(monkeypatch, p, k):
+    # the parts prime to 6pn come from the phi(d) x phi(d) blocks alone
+    import cuspidal.classgroup as cg
+
+    ctx = CartanContext.create(p, k)
+    bad = _primes_of_6pn(ctx)
+    real = cg._coprime_factors
+    seen = []
+
+    def spy(rows, m, ncols):
+        if len(rows) == ctx.n:  # a block has phi(d) < n rows
+            seen.append(m)
+        return real(rows, m, ncols)
+
+    monkeypatch.setattr(cg, "_coprime_factors", spy)
+    structure(ctx)
+    for m in seen:
+        for q in bad:
+            while m % q == 0:
+                m //= q
+        assert m == 1
+
+
 def test_order_at_23_squared():
     # pinned from the Bareiss-block orbit norms (about 60 s there); n = 253
     want = int(
