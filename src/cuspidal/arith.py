@@ -3,7 +3,8 @@
 Integers are plain Python ints, rationals are ``fractions.Fraction``; both
 are exact at any size.  On top of those this module provides fractional
 parts, the second Bernoulli polynomial, Legendre/Jacobi symbols, a primality
-test with an explicit certainty level, and an integer factorizer.
+test with an explicit certainty level, the packed big-integer product that
+every convolution in the package goes through, and an integer factorizer.
 
 The factorizer runs trial division, then on each remaining composite a
 primality test, perfect-power extraction, a short Brent-rho stage (Pollard
@@ -29,6 +30,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from random import Random
+from typing import Sequence
 
 ONE_SIXTH = Fraction(1, 6)
 
@@ -196,6 +198,19 @@ def is_prime(n: int) -> Primality:
                 return Primality.COMPOSITE
         return Primality.PROVEN
     return Primality.PROBABLE if is_probable_prime(n) else Primality.COMPOSITE
+
+
+def packed_product(a: Sequence[int], b: Sequence[int], width: int) -> list[int]:
+    """The len(a) + len(b) coefficients (the last one 0) of the product of
+    the polynomials sum a_i x^i and sum b_j x^j with nonnegative integer
+    coefficients, by Kronecker substitution: each vector is packed into one
+    integer, ``width`` bytes a slot, and one big-integer product is cut back
+    into slots.  Every coefficient of the product must be below 256^width,
+    or it carries into the next slot."""
+    x = int.from_bytes(b"".join(c.to_bytes(width, "little") for c in a), "little")
+    y = int.from_bytes(b"".join(c.to_bytes(width, "little") for c in b), "little")
+    buf = (x * y).to_bytes((len(a) + len(b)) * width, "little")
+    return [int.from_bytes(buf[i : i + width], "little") for i in range(0, len(buf), width)]
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,13 @@ classes modulo {+-1} carry a canonical representative (CartanClass below):
 The quotient H = (Z/p^k Z)* / {+-1} is cyclic of order n = (p-1) p^(k-1) / 2;
 unit classes are partitioned into n buckets by the H-class of their norm
 a1^2 - eps * a2^2, each bucket holding (p+1) p^(k-1) classes.
+
+CartanContext.classes() and norm_class_partition() enumerate those
+(p^2 - 1) p^(2k-2) / 2 classes densely, quadratic in p^k in time and
+memory.  Only the checks that need the classes themselves use them: the
+algebraic suite of ``verify`` and the Siegel-function products of
+``siegel``.  The order, the table and the gcd harness take the bucket sums
+from stickelberger.compute_a, which never enumerates a class.
 """
 
 from __future__ import annotations

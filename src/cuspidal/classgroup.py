@@ -51,7 +51,14 @@ from types import MappingProxyType
 from typing import Sequence
 
 from ._version import __version__
-from .arith import DEFAULT_RHO_BUDGET, Factorization, Primality, factorize, is_prime
+from .arith import (
+    DEFAULT_RHO_BUDGET,
+    Factorization,
+    Primality,
+    factorize,
+    is_prime,
+    packed_product,
+)
 from .cartan import (
     CONTEXT_CACHE_SIZE,
     CartanContext,
@@ -119,11 +126,11 @@ def _values_mod(f: Sequence[int], ell: int, h: int) -> list[int]:
     for e in range(1, step):
         hp[e] = hp[e - 1] * h % ell
     w = (2 * ell.bit_length() + n.bit_length() + 7) // 8  # bytes per slot
-    a = b"".join((c * hp[j * j % step] % ell).to_bytes(w, "little") for j, c in enumerate(f))
-    b = b"".join(hp[-j * j % step].to_bytes(w, "little") for j in range(n))
-    prod = int.from_bytes(a, "little") * int.from_bytes(b, "little")
-    buf = prod.to_bytes(2 * n * w, "little")
-    coef = [int.from_bytes(buf[i * w : (i + 1) * w], "little") for i in range(2 * n)]
+    coef = packed_product(
+        [c * hp[j * j % step] % ell for j, c in enumerate(f)],
+        [hp[-j * j % step] for j in range(n)],
+        w,
+    )
     sign = -1 if n % 2 else 1
     return [(coef[i] + sign * coef[i + n]) * hp[i * i % step] % ell for i in range(n)]
 
@@ -745,6 +752,10 @@ def compute_class_group(
 ) -> ClassGroupResult:
     ctx = CartanContext.create(p, k)
     timings: dict[str, float] = {}
+
+    t0 = time.perf_counter()
+    compute_a(ctx)  # cached, so order_ms below is the rest of order()
+    timings["bucket_sums_ms"] = (time.perf_counter() - t0) * 1000
 
     t0 = time.perf_counter()
     value = order(ctx)

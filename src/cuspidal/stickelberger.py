@@ -5,6 +5,11 @@ stores ``coeffs[j]`` = coefficient of w^j for j in Z/nZ, with j = 0 the
 identity.  The vector ``a`` of bucket sums is indexed the same way
 (``a[j]`` belongs to the norm bucket of w^j), and theta places ``a[j]`` at
 w^(-j), i.e. ``theta.coeffs[m] = a[(-m) mod n]``.
+
+The bucket sums come from two cyclic convolutions over Z/p^k (compute_a),
+in O(p^k) integer operations and one packed big-integer product each; no
+unit class is enumerated.  The fiber identities (somme_identities_check)
+still read the classes of each norm fiber through cartan.norm_fiber.
 """
 
 from __future__ import annotations
@@ -15,7 +20,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping, Sequence
 
-from .cartan import CONTEXT_CACHE_SIZE, CartanContext, norm_class_partition, norm_fiber
+from .arith import packed_product
+from .cartan import CONTEXT_CACHE_SIZE, CartanContext, norm_fiber
 from .errors import InvariantViolation
 
 
@@ -115,21 +121,52 @@ def e_value(p: int, k: int) -> int:
     return e
 
 
+def _cyclic_product(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Cyclic convolution of two nonnegative integer vectors of one length:
+    one packed product, folded at the length.  Each coefficient before the
+    fold is at most max(a) * sum(b), which sets the slot width."""
+    width = ((max(a) * sum(b)).bit_length() + 7) // 8
+    coef = packed_product(a, b, width)
+    n = len(a)
+    return [x + y for x, y in zip(coef[:n], coef[n:])]
+
+
 @lru_cache(maxsize=CONTEXT_CACHE_SIZE)
 def compute_a(ctx: CartanContext) -> tuple[Fraction, ...]:
     """Bucket sums a[j] = (p^k / 2) * sum over the w^j norm bucket of
     B2(<a1 / p^k>); exact rationals, and their total is 0.
 
-    With m = p^k, 12 m * (m / 2) B2(a1 / m) = 6 a1^2 - 6 a1 m + m^2, so each
-    sum runs in integers and only the bucket total becomes a Fraction."""
-    part = norm_class_partition(ctx)
+    With m = p^k and a in [0, m), 12 m * (m / 2) B2(a / m) = f(a) =
+    m^2 - 6 a (m - a).  As f(a) = f(m - a), the units s and -s of a class
+    contribute alike, so 24 m a[j] = D(w^j) + D(-w^j), where D(r) sums
+    f(a1) over every pair (a1, a2) in (Z/m)^2 with a1^2 - eps a2^2 = r.
+    A pair that is not a unit has a norm that is not a unit, so only units
+    reach these r.  Over Z/m, D = m^2 N - 6 V with the cyclic convolutions
+
+        N = S * C,   V = U * C,
+        S[t] = #{a : a^2 = t},   U[t] = sum of a (m - a) over a^2 = t,
+        C[u] = #{b : -eps b^2 = u},
+
+    all nonnegative, each one packed big-integer product.  N[r] counts the
+    units of norm r; it must be (p+1) p^(k-1) for every unit r."""
     m = ctx.modulus
+    squares, weights, minus_eps = [0] * m, [0] * m, [0] * m
+    for a in range(m):
+        t = a * a % m
+        squares[t] += 1
+        weights[t] += a * (m - a)
+        minus_eps[-ctx.epsilon * t % m] += 1
+    count = _cyclic_product(squares, minus_eps)
+    weighted = _cyclic_product(weights, minus_eps)
+    fiber = ctx.bucket_size()
+    if any(count[r] != fiber for r in range(m) if r % ctx.p):
+        raise InvariantViolation(f"a unit norm fiber does not have {fiber} elements")
     out = []
-    for j in range(ctx.n):
-        bucket = part[j if j else ctx.n]
-        # canonical a1 already lies in [0, m), so <a1/m> is just a1/m
-        total = sum(6 * c.a1 * (c.a1 - m) for c in bucket) + len(bucket) * m * m
-        out.append(Fraction(total, 12 * m))
+    r = 1  # w^j
+    for _ in range(ctx.n):
+        total = sum(m * m * count[x] - 6 * weighted[x] for x in (r, m - r))
+        out.append(Fraction(total, 24 * m))
+        r = r * ctx.w % m
     if sum(out) != 0:
         raise InvariantViolation("bucket sums do not cancel: sum a_i != 0")
     return tuple(out)

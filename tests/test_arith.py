@@ -19,6 +19,7 @@ from cuspidal.arith import (
     is_prime,
     jacobi,
     legendre,
+    packed_product,
 )
 
 rationals = st.fractions(
@@ -297,3 +298,18 @@ def test_certainty_flags():
     assert flags[59] is Primality.PROVEN
     assert flags[big_probable] is Primality.PROBABLE
     assert f.is_complete
+
+
+@pytest.mark.parametrize("la,lb", [(1, 1), (3, 5), (40, 40)])
+def test_packed_product_is_the_polynomial_product(la, lb):
+    rng = random.Random(la * 100 + lb)
+    a = [rng.randrange(2**64) for _ in range(la)]
+    b = [rng.randrange(2**64) for _ in range(lb)]
+    b[-1] = 2**64 - 1  # a full top slot
+    want = [0] * (la + lb)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            want[i + j] += x * y
+    width = (max(want).bit_length() + 7) // 8
+    assert packed_product(a, b, width) == want
+    assert packed_product(a, b, width + 3) == want

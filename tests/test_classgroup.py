@@ -8,7 +8,9 @@ from cuspidal.arith import Primality, is_prime
 from cuspidal.cartan import CartanContext
 from cuspidal.classgroup import (
     ClassGroupResult,
+    _crt_primes,
     _norm_bound,
+    _values_mod,
     bernoulli_formula_k1,
     circulant_theta_prime,
     compute_class_group,
@@ -22,6 +24,7 @@ from cuspidal.classgroup import (
     structure,
 )
 from cuspidal.errors import InvariantViolation
+from cuspidal.reference import reference_order
 from cuspidal.stickelberger import d_value, stickelberger_data, theta
 from oracles import bareiss_det, block_norms
 
@@ -200,6 +203,18 @@ def test_orbit_norms_on_random_rows():
         rows.append(singular)
         for first in rows:
             assert orbit_norms(first) == block_norms(first), (n, first)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 12, 21])
+def test_values_mod_evaluates_at_every_nth_root(n):
+    rng = random.Random(n)
+    f = [rng.randrange(-(10**40), 10**40) for _ in range(n)]
+    ell, h = next(_crt_primes(n))
+    g = h * h % ell
+    want = [
+        sum(c * pow(g, i * j, ell) for j, c in enumerate(f)) % ell for i in range(n)
+    ]
+    assert _values_mod(f, ell, h) == want
 
 
 def test_orbit_norms_reject_a_norm_past_its_bound(monkeypatch):
@@ -627,3 +642,62 @@ def test_order_at_23_squared():
     "0398181570066983071"
     )
     assert order(CartanContext.create(23, 2)) == want
+
+
+def test_order_at_11_cubed():
+    # pinned from the order computed with the bucket sums of the dense norm
+    # partition (about 7 s there); n = 605, the largest level tested
+    want = int(
+        "257505223564551908187444898642886178994320027687038074675975073738519350"
+        "847480478061320467351268334276151555131780885411004463717279943648618793"
+        "797352497085721687237160739122779792522765301049474203493548445338997226"
+        "843709976006529270035321065378367569806567983157118176434814292906446720"
+        "271678942222800078960850028876008539918756965917332003438866674123689499"
+        "988187101965939493430639197078200848310665155951432353422436898212875321"
+        "982984945584751446077061294235914738343061202840642448514319954600449264"
+        "808130664400893686616082972508662274167852027770743342802486729425555268"
+        "014255409454830607418447382100264235403494752052642161893112096960635056"
+        "512998904813925228406452357528272840576438298296047570641622057403713894"
+        "670686308105126865236323463781782251456342706702370441229385834822243645"
+        "137602191776771352413736744611617232167311419027937654345730847729825317"
+        "625731759552540311357554597162383394551050090550685275071408803530847251"
+        "412097824008160973834714627853077906430616173419803947042206217098531246"
+        "658359924256425253778482934027509904153746830993146024172265247157010939"
+        "288575316874459763873541299758525780573129992608358478682526803589363218"
+        "086201476060450104367135458068395291954238386296799185368847404025251917"
+        "103693478299626707262460319221818472369918282359446731480916190881317812"
+        "343325913918956012499731003475065484469569440155320361880194385096547404"
+        "898684724199279291525715890863925730362722829339091113272212519753119074"
+        "694987414431759021522006884114278816148462225611843233845040358142581865"
+        "717578610105737472566647785747934157901360025949522476010088258710187982"
+        "291644952487133396526049049003568876984386803685610905876832495064394762"
+        "404240454894116156186262808875584310601027861845680807266065301132975631"
+        "695225093331765089169358263646338445558626155077136289885776238936790907"
+        "365256075517964959728250658299231787164660961622489912651019025136524709"
+        "404681611908785946097868952842407130830182117416595491818659907781201394"
+        "259015061524570601624871742601242621203921482142242478479583863591063503"
+        "681889881606815302816738914154684879097118577434503814332572192685045000"
+        "661739824987092132097079214756830915281064221355411045209802856033017539"
+        "894486017869987038996964995090487993722961540062294226397997217585997213"
+        "149620901126519110318512871909985207567779082272327126319164624832011589"
+        "006276135071548589247790819254717052072985720701757273714470499102199805"
+        "552152505277162590507950380272752933793798259346143994930480747093787885"
+        "384354918262211911001571332582479765305625625038246952102233076761088324"
+        "311585284739141138167035394962424319417851473427093544745711805480762010"
+        "969760118201272571490556864151849627670751175735103324443198038846369934"
+        "810695639624872135843538915587173199271025470418954086912604248340469629"
+        "98368310971"
+    )
+    assert order(CartanContext.create(11, 3)) == want
+
+
+ORDER_13_SQUARED = (
+    7 * 13**78 * 53**2 * 79**4 * 1249**2 * 7151**2 * 19199607103951**2
+    * 35772957575456089**2 * 292252642963019318269**2
+)
+
+
+@pytest.mark.parametrize("p,k", [(13, 2), (101, 1)])
+def test_order_enumerates_no_class(no_class_enumeration, p, k):
+    want = ORDER_13_SQUARED if k == 2 else reference_order(p)
+    assert order(CartanContext.create(p, k)) == want

@@ -63,6 +63,21 @@ def test_order_json_round_trip(capsys):
     assert res.to_json_dict() == data
 
 
+def test_order_json_times_the_bucket_sums(capsys):
+    code, out, _ = run(capsys, "order", "-p", "7", "-k", "2", "--json")
+    assert code == 0
+    timings = json.loads(out)["timings_ms"]
+    assert isinstance(timings["bucket_sums_ms"], float)
+    assert isinstance(timings["order_ms"], float)
+
+
+def test_order_table_and_crosscheck_enumerate_no_class(capsys, no_class_enumeration):
+    for argv in (("order", "-p", "5", "-k", "3"), ("table", "--pmax", "23"),
+                 ("crosscheck", "-p", "29")):
+        code, _, err = run(capsys, *argv)
+        assert code == 0, (argv, err)
+
+
 def test_usage_error_exit_code(capsys):
     assert main(["order"]) == 2  # missing -p
     assert main(["nonsense"]) == 2

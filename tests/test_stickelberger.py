@@ -5,6 +5,7 @@ import pytest
 
 from cuspidal.arith import bernoulli2
 from cuspidal.cartan import CartanContext, norm_class_partition
+from cuspidal.errors import InvariantViolation
 from cuspidal.stickelberger import (
     GroupRingElement,
     compute_a,
@@ -52,7 +53,9 @@ def test_compute_a_p5_worked_example():
     assert a == (Fraction(-1, 2), Fraction(1, 2))
 
 
-@pytest.mark.parametrize("p,k", [(5, 1), (13, 1), (5, 2), (7, 2)])
+@pytest.mark.parametrize(
+    "p,k", [(5, 1), (13, 1), (5, 2), (7, 2), (13, 2), (5, 3), (11, 2)]
+)
 def test_compute_a_matches_per_class_bernoulli(p, k):
     # the defining per-class Fraction sum is the oracle for the integer sums
     ctx = CartanContext.create(p, k)
@@ -63,6 +66,15 @@ def test_compute_a_matches_per_class_bernoulli(p, k):
         for j in range(ctx.n)
     )
     assert compute_a(ctx) == want
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_compute_a_rejects_a_residue_epsilon(k):
+    # eps = 3 = 4^2 is a square mod 13: the ring splits, and a unit norm
+    # fiber has (p - 1) p^(k-1) elements, not (p + 1) p^(k-1)
+    ctx = CartanContext(p=13, k=k, epsilon=3, w=2, modulus=13**k, n=6 * 13 ** (k - 1))
+    with pytest.raises(InvariantViolation, match="norm fiber"):
+        compute_a(ctx)
 
 
 def test_theta_prime_p5_worked_example():
