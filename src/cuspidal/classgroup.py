@@ -86,23 +86,11 @@ def _norm_bound(f: Sequence[int], d: int, phi: int) -> int:
     return math.isqrt(-(-num // den))
 
 
-def _prime_divisors(m: int) -> list[int]:
-    """The primes dividing m >= 1, by trial division (m is at most 2n here)."""
-    qs, q = [], 2
-    while q * q <= m:
-        if m % q == 0:
-            qs.append(q)
-            while m % q == 0:
-                m //= q
-        q += 1
-    return qs + [m] * (m > 1)
-
-
 def _crt_primes(n: int):
     """(l, h) for the proven primes l = 1 (mod 2n) below 2^62, walking down
     from the top; h has exact order 2n mod l."""
     step = 2 * n
-    qs = _prime_divisors(step)
+    qs = [e.prime for e in factorize(step).entries]
     for ell in range((_PRIME_TOP - 2) // step * step + 1, step, -step):
         if is_prime(ell) is not Primality.PROVEN:
             continue
@@ -548,7 +536,7 @@ def structure(ctx: CartanContext) -> tuple[int, ...]:
     det = _det_mod(rows[:-1], _CHECK_PRIME)
     if det not in (index % _CHECK_PRIME, -index % _CHECK_PRIME):
         raise InvariantViolation("lattice rows do not have determinant +-[I : theta I]")
-    primes = sorted({2, 3, ctx.p, *_prime_divisors(ctx.n)})
+    primes = sorted({2, 3, ctx.p, *(e.prime for e in factorize(ctx.n).entries)})
     index_prime_to_s = _prime_to(index, primes)
     joint = snf_mod(rows, index // index_prime_to_s, ctx.p)
 

@@ -12,6 +12,13 @@ constant in a classical discriminant normalization is dropped, because every
 check here is a modulus or a ratio carrying equally many eta2 factors, so a
 global constant cancels identically.
 
+Every product is truncated by one rule: N = required_terms(tau) factors,
+one past the smallest N with |q|^N <= TRUNCATION_TARGET = 1e-12, so no caller
+chooses a length.  The factors 1 - q^n / q_z are stepped by q from
+q / q_z = e^(2 pi i ((1 - a1) tau - a2)), formed as one exponential: for a1
+near 1 and large Im tau, q_z alone underflows to 0 while q / q_z is still
+far from 0.
+
 Identities that hold only up to a root of unity after index reduction are
 never tested pointwise: checks are formulated on moduli, or on ratios whose
 ambiguity is pinned to +-1.
@@ -34,34 +41,24 @@ from .cartan import (
 from .errors import InvariantViolation
 
 TRUNCATION_TARGET = 1e-12
-DEFAULT_TERMS = 200
+WEIGHT_TOL = 1e-6
 
 Matrix = Sequence[Sequence[int]]
 
 
-def required_terms(tau: complex, target: float = TRUNCATION_TARGET) -> int:
-    """Smallest truncation with |q|^terms < target at this tau."""
+def required_terms(tau: complex) -> int:
+    """Truncation length at tau: one past the smallest N with
+    |q|^N <= TRUNCATION_TARGET."""
     y = complex(tau).imag
     if y <= 0:
         raise ValueError("tau must lie in the upper half plane")
-    return max(1, math.ceil(-math.log(target) / (2 * math.pi * y)) + 1)
+    return math.ceil(-math.log(TRUNCATION_TARGET) / (2 * math.pi * y)) + 1
 
 
-def _require_convergent(tau: complex, terms: int, target: float = TRUNCATION_TARGET):
-    y = complex(tau).imag
-    if y <= 0:
-        raise ValueError("tau must lie in the upper half plane")
-    if math.exp(-2 * math.pi * y * terms) >= target:
-        raise ValueError(
-            f"Im tau = {y:.4f} too small for target {target} at {terms} terms; "
-            f"need at least {required_terms(tau, target)}"
-        )
-
-
-def eta_sq(tau: complex, terms: int = DEFAULT_TERMS) -> complex:
-    """q^(1/12) prod_{n<=terms} (1 - q^n)^2 (constant normalization dropped)."""
+def eta_sq(tau: complex) -> complex:
+    """q^(1/12) prod_{n<=N} (1 - q^n)^2 (constant normalization dropped)."""
     tau = complex(tau)
-    _require_convergent(tau, terms)
+    terms = required_terms(tau)
     q = cmath.exp(2j * math.pi * tau)
     out = cmath.exp(2j * math.pi * tau / 12)
     qn = 1.0 + 0j
@@ -72,23 +69,25 @@ def eta_sq(tau: complex, terms: int = DEFAULT_TERMS) -> complex:
     return out
 
 
-def _siegel_reduced(a1: Fraction, a2: Fraction, tau: complex, terms: int) -> complex:
+def _siegel_reduced(a1: Fraction, a2: Fraction, tau: complex) -> complex:
     if not 0 <= a1 < 1:
         raise ValueError("first index must already lie in [0, 1)")
-    _require_convergent(tau, terms)
+    terms = required_terms(tau)
     q = cmath.exp(2j * math.pi * tau)
     qz = cmath.exp(2j * math.pi * (float(a1) * tau + float(a2)))
     lead = -cmath.exp(1j * math.pi * tau * float(bernoulli2(a1)))
     lead *= cmath.exp(1j * math.pi * float(a2 * (a1 - 1)))
     out = lead * (1 - qz)
-    qn = 1.0 + 0j
+    qn_qz = qz
+    qn_over_qz = cmath.exp(2j * math.pi * (float(1 - a1) * tau - float(a2)))
     for _ in range(terms):
-        qn *= q
-        out *= (1 - qn * qz) * (1 - qn / qz)
+        qn_qz *= q
+        out *= (1 - qn_qz) * (1 - qn_over_qz)
+        qn_over_qz *= q
     return out
 
 
-def siegel_eval(a, tau: complex, terms: int = DEFAULT_TERMS) -> complex:
+def siegel_eval(a, tau: complex) -> complex:
     """Siegel q-product with the first index reduced into [0, 1).
 
     The reduction makes the value exact only up to a root of unity relative
@@ -97,7 +96,7 @@ def siegel_eval(a, tau: complex, terms: int = DEFAULT_TERMS) -> complex:
     r1 = frac_part(a1)
     if r1 == 0 and a2.denominator == 1:
         raise ValueError("index must not lie in Z^2")
-    return _siegel_reduced(r1, a2, complex(tau), terms)
+    return _siegel_reduced(r1, a2, complex(tau))
 
 
 def _translation_multiplier(r1: Fraction, r2: Fraction, b1: int, b2: int) -> complex:
@@ -108,7 +107,7 @@ def _translation_multiplier(r1: Fraction, r2: Fraction, b1: int, b2: int) -> com
     return sign * cmath.exp(-1j * math.pi * float(x))
 
 
-def klein_eval(a, tau: complex, terms: int = DEFAULT_TERMS) -> complex:
+def klein_eval(a, tau: complex) -> complex:
     """Klein form at any index outside Z^2, up to one global constant.
 
     The index is reduced into [0,1)^2 and the exact translation multiplier
@@ -120,7 +119,7 @@ def klein_eval(a, tau: complex, terms: int = DEFAULT_TERMS) -> complex:
         raise ValueError("index must not lie in Z^2")
     b1, b2 = int(a1 - r1), int(a2 - r2)
     tau = complex(tau)
-    value = _siegel_reduced(r1, r2, tau, terms) / eta_sq(tau, terms)
+    value = _siegel_reduced(r1, r2, tau) / eta_sq(tau)
     if (b1, b2) != (0, 0):
         value *= _translation_multiplier(r1, r2, b1, b2)
     return value
@@ -140,48 +139,32 @@ def _index_times_matrix(a, gamma: Matrix) -> tuple[Fraction, Fraction]:
     return (a1 * p + a2 * r, a1 * q + a2 * s)
 
 
-def klein_negation_residual(a, tau: complex, terms: int = DEFAULT_TERMS) -> float:
+def klein_negation_residual(a, tau: complex) -> float:
     """|k(-a) + k(a)| / |k(a)|: the negation law, exact complex form."""
-    k = klein_eval(a, tau, terms)
-    k_neg = klein_eval((-Fraction(a[0]), -Fraction(a[1])), tau, terms)
+    k = klein_eval(a, tau)
+    k_neg = klein_eval((-Fraction(a[0]), -Fraction(a[1])), tau)
     return abs(k_neg + k) / abs(k)
 
 
-def klein_translation_residual(
-    a, b: tuple[int, int], tau: complex, terms: int = DEFAULT_TERMS
-) -> float:
+def klein_translation_residual(a, b: tuple[int, int], tau: complex) -> float:
     """| |k(a+b)| - |k(a)| | / |k(a)| for integer b (multiplier has modulus 1)."""
-    k = klein_eval(a, tau, terms)
+    k = klein_eval(a, tau)
     shifted = (Fraction(a[0]) + b[0], Fraction(a[1]) + b[1])
-    return abs(abs(klein_eval(shifted, tau, terms)) - abs(k)) / abs(k)
+    return abs(abs(klein_eval(shifted, tau)) - abs(k)) / abs(k)
 
 
-def klein_modular_residual(
-    a,
-    gamma: Matrix,
-    tau: complex,
-    terms: int = DEFAULT_TERMS,
-    *,
-    complex_form: bool = False,
-) -> float:
-    """Modular law: k_a(gamma tau) (r tau + s) against k_(a gamma)(tau).
-
-    Default compares moduli (the contract); complex_form checks the full
-    identity, which the reduced evaluator also satisfies exactly."""
+def klein_modular_residual(a, gamma: Matrix, tau: complex) -> float:
+    """Modular law on moduli: |k_a(gamma tau) (r tau + s)| against
+    |k_(a gamma)(tau)|."""
     (p, q), (r, s) = gamma
     if p * s - q * r != 1:
         raise ValueError("gamma must have determinant 1")
-    gt = _moebius(gamma, tau)
-    lhs = klein_eval(a, gt, max(terms, required_terms(gt))) * (r * tau + s)
-    rhs = klein_eval(_index_times_matrix(a, gamma), tau, terms)
-    if complex_form:
-        return abs(lhs - rhs) / abs(rhs)
+    lhs = klein_eval(a, _moebius(gamma, tau)) * (r * tau + s)
+    rhs = klein_eval(_index_times_matrix(a, gamma), tau)
     return abs(abs(lhs) - abs(rhs)) / abs(rhs)
 
 
-def infinity_order_slope(
-    a, ys: Sequence[float] = (8.0, 10.0, 12.0), terms: int | None = None
-) -> float:
+def infinity_order_slope(a, ys: Sequence[float] = (8.0, 10.0, 12.0)) -> float:
     """Least-squares slope of log|g_a(iy)| against -2 pi y.
 
     Converges to B2(<a1>)/2 as the sample points grow; subleading factors
@@ -189,9 +172,7 @@ def infinity_order_slope(
     where the product is merely convergent."""
     xs, ls = [], []
     for y in ys:
-        tau = complex(0.0, y)
-        t = terms if terms is not None else required_terms(tau) + 8
-        ls.append(math.log(abs(siegel_eval(a, tau, t))))
+        ls.append(math.log(abs(siegel_eval(a, complex(0.0, y)))))
         xs.append(-2 * math.pi * y)
     n = len(xs)
     mean_x = sum(xs) / n
@@ -286,17 +267,13 @@ def dihedral_sign(p: int, in_cartan_part: bool) -> int:
     return -1 if (p % 4 == 1 and not in_cartan_part) else 1
 
 
-def t_plus_eval(
-    ctx: CartanContext, h_index: int, tau: complex, terms: int | None = None
-) -> complex:
+def t_plus_eval(ctx: CartanContext, h_index: int, tau: complex) -> complex:
     """Product of Klein forms over the norm bucket of w^h_index, at the
     canonical scaled indices (a1 / p^k, a2 / p^k)."""
-    tau = complex(tau)
-    t = terms if terms is not None else required_terms(tau) + 8
     m = ctx.modulus
     out = 1.0 + 0j
     for cls in norm_class_partition(ctx)[h_index]:
-        out *= klein_eval((Fraction(cls.a1, m), Fraction(cls.a2, m)), tau, t)
+        out *= klein_eval((Fraction(cls.a1, m), Fraction(cls.a2, m)), tau)
     return out
 
 
@@ -315,19 +292,15 @@ def dihedral_transformation_ratio(
 
 
 def check_Th_weight(
-    ctx: CartanContext,
-    h_index: int,
-    gamma: Matrix,
-    tau: complex,
-    tol: float = 1e-6,
+    ctx: CartanContext, h_index: int, gamma: Matrix, tau: complex
 ) -> bool:
     """Verify the weight law for the bucket product under gamma.
 
-    The ratio against the automorphy factor must be real up to tol with
-    modulus 1, and its sign must match the dihedral character prediction."""
+    The ratio against the automorphy factor must be real up to WEIGHT_TOL
+    with modulus 1, and its sign must match the dihedral character prediction."""
     in_cartan = classify_in_normalizer(ctx, gamma)
     ratio = dihedral_transformation_ratio(ctx, h_index, gamma, tau)
-    if abs(abs(ratio) - 1) > tol or abs(ratio.imag) > tol:
+    if abs(abs(ratio) - 1) > WEIGHT_TOL or abs(ratio.imag) > WEIGHT_TOL:
         return False
     sign = 1 if ratio.real > 0 else -1
     return sign == dihedral_sign(ctx.p, in_cartan)

@@ -146,6 +146,7 @@ def structure_checks(p: int, k: int = 1) -> list[Check]:
 
 
 ANALYTIC_TAUS = (1j, 0.3 + 1j, 2j)
+ANALYTIC_TOL = 1e-8
 ANALYTIC_MATRICES = (((1, 1), (0, 1)), ((0, -1), (1, 0)))
 
 
@@ -156,7 +157,7 @@ def _grid(den: int):
                 yield (Fraction(i, den), Fraction(j, den))
 
 
-def analytic_checks(p: int, tol: float = 1e-8) -> list[Check]:
+def analytic_checks(p: int) -> list[Check]:
     """Klein-form laws on the level-p index grid, the order-at-infinity
     slope, and (for p = 5, 7) the dihedral sign of the bucket products."""
     out = []
@@ -165,7 +166,7 @@ def analytic_checks(p: int, tol: float = 1e-8) -> list[Check]:
         worst = max(
             klein_negation_residual(a, tau) for a in _grid(p) for tau in ANALYTIC_TAUS
         )
-        return worst < tol, f"worst residual {worst:.2e}"
+        return worst < ANALYTIC_TOL, f"worst residual {worst:.2e}"
 
     def translation():
         worst = max(
@@ -174,7 +175,7 @@ def analytic_checks(p: int, tol: float = 1e-8) -> list[Check]:
             for b in ((1, 0), (0, 1), (1, 1))
             for tau in ANALYTIC_TAUS
         )
-        return worst < tol, f"worst residual {worst:.2e}"
+        return worst < ANALYTIC_TOL, f"worst residual {worst:.2e}"
 
     def modular():
         worst = max(
@@ -183,7 +184,7 @@ def analytic_checks(p: int, tol: float = 1e-8) -> list[Check]:
             for g in ANALYTIC_MATRICES
             for tau in ANALYTIC_TAUS
         )
-        return worst < tol, f"worst residual {worst:.2e}"
+        return worst < ANALYTIC_TOL, f"worst residual {worst:.2e}"
 
     def slope():
         # subleading terms decay like e^(-2 pi y / p): scale samples with p
@@ -207,7 +208,7 @@ def analytic_checks(p: int, tol: float = 1e-8) -> list[Check]:
             gr = cartan_group_lift(ctx)
             gc = normalizer_coset_lift(ctx)
             ok = all(
-                check_Th_weight(ctx, h, g, tau, tol=1e-6)
+                check_Th_weight(ctx, h, g, tau)
                 for h in range(1, ctx.n + 1)
                 for g in (gr, gc)
             )

@@ -166,7 +166,7 @@ def test_criterion_6_analytic_suite():
         ctx = CartanContext.create(p)
         for h in range(1, ctx.n + 1):
             for g in (cartan_group_lift(ctx), normalizer_coset_lift(ctx)):
-                assert check_Th_weight(ctx, h, g, tau, tol=1e-6), (p, h)
+                assert check_Th_weight(ctx, h, g, tau), (p, h)
     elapsed = time.perf_counter() - t0
     assert elapsed < 10.0
     report(6, "analytic q-series suite", elapsed)
