@@ -6,11 +6,13 @@ parts, the second Bernoulli polynomial, Legendre/Jacobi symbols, a primality
 test with an explicit certainty level, the packed big-integer product that
 every convolution in the package goes through, and an integer factorizer.
 
-The factorizer runs trial division, then on each remaining composite a
-primality test, perfect-power extraction, a short Brent-rho stage (Pollard
-rho with Brent's cycle finding, for factors up to about ten digits) and
-Lenstra's elliptic-curve method (ECM): Montgomery curves in x/z coordinates
-with Suyama's parametrisation, a Montgomery-ladder stage 1 and a
+The factorizer runs trial division in bulk (one gcd of the input with the
+product of each run of TRIAL_CHUNK consecutive primes; only a run that
+shares a factor is divided prime by prime), then on each remaining
+composite a primality test, perfect-power extraction, a short Brent-rho
+stage (Pollard rho with Brent's cycle finding, for factors up to about ten
+digits) and Lenstra's elliptic-curve method (ECM): Montgomery curves in x/z
+coordinates with Suyama's parametrisation, a Montgomery-ladder stage 1 and a
 baby-step/giant-step stage 2 with one batched gcd.  One step budget per
 call is shared by rho and ECM; it is counted in Brent-rho iterations, never
 in wall-clock time.  The default, DEFAULT_RHO_BUDGET = 10^7 steps, is about
@@ -29,6 +31,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
+from itertools import compress
 from random import Random
 from typing import Sequence
 
@@ -36,6 +39,7 @@ ONE_SIXTH = Fraction(1, 6)
 
 DEFAULT_RHO_BUDGET = 10**7  # steps per factorize call, rho and ECM together
 TRIAL_BOUND = 10**6  # trial division limit; also ECM's stage-2 prime sieve
+TRIAL_CHUNK = 256  # trial division takes one gcd per run of this many primes
 SEED = 1  # of the Random that draws rho constants and ECM curves
 
 # Brent rho runs first on each composite for at most this many steps: enough
@@ -258,12 +262,21 @@ def _perfect_power(n: int) -> tuple[int, int] | None:
 
 
 def _sieve(bound: int) -> tuple[int, ...]:
-    sieve = bytearray([1]) * (bound + 1)
-    sieve[0] = sieve[1] = 0
-    for i in range(2, math.isqrt(bound) + 1):
-        if sieve[i]:
-            sieve[i * i :: i] = bytearray((bound - i * i) // i + 1)
-    return tuple(i for i in range(2, bound + 1) if sieve[i])
+    """The primes up to bound, ascending.  Only the odd numbers are sieved:
+    slot i stands for 2i + 1."""
+    if bound < 2:
+        return ()
+    slots = (bound + 1) // 2
+    odd = bytearray([1]) * slots
+    odd[0] = 0  # 1 is not prime
+    for i in range(1, (math.isqrt(bound) + 1) // 2):
+        if odd[i]:
+            p = 2 * i + 1
+            start = p * p // 2
+            odd[start::p] = bytes((slots - 1 - start) // p + 1)
+    primes = [2, *compress(range(1, bound + 1, 2), odd)]
+    del odd  # freed before the copy into a tuple, which sets the peak memory
+    return tuple(primes)
 
 
 # Keyed by TRIAL_BOUND and the powers of two below it, which it can hold all
@@ -271,11 +284,21 @@ def _sieve(bound: int) -> tuple[int, ...]:
 _small_primes = lru_cache(maxsize=TRIAL_BOUND.bit_length() + 1)(_sieve)
 
 
-def _trial_primes(n: int) -> tuple[int, ...]:
-    """Primes for trial division of n: up to TRIAL_BOUND, or up to the next
-    power of two above isqrt(n) when that is smaller (no prime beyond
-    isqrt(n) can be the smallest factor of a composite n)."""
-    return _small_primes(min(1 << math.isqrt(n).bit_length(), TRIAL_BOUND))
+@lru_cache(maxsize=TRIAL_BOUND.bit_length() + 1)
+def _chunk_products(bound: int) -> tuple[int, ...]:
+    """The product of each run of TRIAL_CHUNK consecutive primes up to bound;
+    the same keys as _small_primes."""
+    primes = _small_primes(bound)
+    return tuple(
+        math.prod(primes[i : i + TRIAL_CHUNK]) for i in range(0, len(primes), TRIAL_CHUNK)
+    )
+
+
+def _trial_bound(n: int) -> int:
+    """Trial division of n runs up to TRIAL_BOUND, or up to the next power of
+    two above isqrt(n) when that is smaller (no prime beyond isqrt(n) can be
+    the smallest factor of a composite n)."""
+    return min(1 << math.isqrt(n).bit_length(), TRIAL_BOUND)
 
 
 def _brent_rho(n: int, rng: Random, limit: int) -> tuple[int | None, int]:
@@ -560,9 +583,12 @@ def factorize(
 ) -> Factorization:
     """Factor n >= 1.
 
-    Pipeline: trial division up to TRIAL_BOUND, then per remaining composite
-    a primality test, perfect-power extraction (run before rho: an exact
-    k-th root splits large squares instantly where rho would stall), at most
+    Pipeline: trial division up to TRIAL_BOUND by one gcd with the product of
+    each run of TRIAL_CHUNK primes, dividing prime by prime only inside a run
+    whose gcd exceeds 1 and stopping once a prime's square exceeds the
+    cofactor; then per remaining composite a primality test, perfect-power
+    extraction (run before rho: an exact k-th root splits large squares
+    instantly where rho would stall), at most
     RHO_STAGE_STEPS Brent-rho iterations, and ECM curves by ECM_SCHEDULE.
     ``rho_budget`` is one step budget for the whole call, shared by rho and
     ECM over every composite: a step is one rho iteration, and an ECM curve
@@ -582,12 +608,19 @@ def factorize(
         certainty[v] = cert
 
     m = n
-    for p in _trial_primes(n):
-        if p * p > m:
+    bound = _trial_bound(n)
+    primes = _small_primes(bound)
+    for lo, product in zip(range(0, len(primes), TRIAL_CHUNK), _chunk_products(bound)):
+        if primes[lo] ** 2 > m:
             break
-        while m % p == 0:
-            record(p, 1, Primality.PROVEN)
-            m //= p
+        if math.gcd(product, m) == 1:
+            continue
+        for p in primes[lo : lo + TRIAL_CHUNK]:
+            if p * p > m:
+                break
+            while m % p == 0:
+                record(p, 1, Primality.PROVEN)
+                m //= p
 
     rng = Random(SEED)
     budget = max(rho_budget, 0)

@@ -29,6 +29,7 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence
 
 from .arith import bernoulli2, frac_part
@@ -42,6 +43,7 @@ from .errors import InvariantViolation
 
 TRUNCATION_TARGET = 1e-12
 WEIGHT_TOL = 1e-6
+ETA_CACHE_SIZE = 64  # distinct tau per eta2 cache; an analytic suite uses about ten
 
 Matrix = Sequence[Sequence[int]]
 
@@ -55,8 +57,11 @@ def required_terms(tau: complex) -> int:
     return math.ceil(-math.log(TRUNCATION_TARGET) / (2 * math.pi * y)) + 1
 
 
+@lru_cache(maxsize=ETA_CACHE_SIZE)
 def eta_sq(tau: complex) -> complex:
-    """q^(1/12) prod_{n<=N} (1 - q^n)^2 (constant normalization dropped)."""
+    """q^(1/12) prod_{n<=N} (1 - q^n)^2 (constant normalization dropped).
+
+    Cached: every Klein value at one tau divides by the same eta2(tau)."""
     tau = complex(tau)
     terms = required_terms(tau)
     q = cmath.exp(2j * math.pi * tau)
@@ -69,14 +74,13 @@ def eta_sq(tau: complex) -> complex:
     return out
 
 
-def _siegel_reduced(a1: Fraction, a2: Fraction, tau: complex) -> complex:
+def _siegel_product(a1: Fraction, a2: Fraction, tau: complex, lead: complex) -> complex:
+    """lead (1 - q_z) prod_{n<=N} (1 - q^n q_z)(1 - q^n / q_z) for a1 in [0, 1)."""
     if not 0 <= a1 < 1:
         raise ValueError("first index must already lie in [0, 1)")
     terms = required_terms(tau)
     q = cmath.exp(2j * math.pi * tau)
     qz = cmath.exp(2j * math.pi * (float(a1) * tau + float(a2)))
-    lead = -cmath.exp(1j * math.pi * tau * float(bernoulli2(a1)))
-    lead *= cmath.exp(1j * math.pi * float(a2 * (a1 - 1)))
     out = lead * (1 - qz)
     qn_qz = qz
     qn_over_qz = cmath.exp(2j * math.pi * (float(1 - a1) * tau - float(a2)))
@@ -87,15 +91,27 @@ def _siegel_reduced(a1: Fraction, a2: Fraction, tau: complex) -> complex:
     return out
 
 
+def _siegel_reduced(a1: Fraction, a2: Fraction, tau: complex) -> complex:
+    lead = -cmath.exp(1j * math.pi * tau * float(bernoulli2(a1)))
+    lead *= cmath.exp(1j * math.pi * float(a2 * (a1 - 1)))
+    return _siegel_product(a1, a2, tau, lead)
+
+
+def _reduce_first(a) -> tuple[Fraction, Fraction]:
+    """(<a1>, a2) for an index a outside Z^2."""
+    a1, a2 = Fraction(a[0]), Fraction(a[1])
+    r1 = frac_part(a1)
+    if r1 == 0 and a2.denominator == 1:
+        raise ValueError("index must not lie in Z^2")
+    return r1, a2
+
+
 def siegel_eval(a, tau: complex) -> complex:
     """Siegel q-product with the first index reduced into [0, 1).
 
     The reduction makes the value exact only up to a root of unity relative
     to an unreduced index; downstream checks are modulus- or ratio-based."""
-    a1, a2 = Fraction(a[0]), Fraction(a[1])
-    r1 = frac_part(a1)
-    if r1 == 0 and a2.denominator == 1:
-        raise ValueError("index must not lie in Z^2")
+    r1, a2 = _reduce_first(a)
     return _siegel_reduced(r1, a2, complex(tau))
 
 
@@ -169,10 +185,17 @@ def infinity_order_slope(a, ys: Sequence[float] = (8.0, 10.0, 12.0)) -> float:
 
     Converges to B2(<a1>)/2 as the sample points grow; subleading factors
     decay like e^(-2 pi y <a1>), so small <a1> needs y well beyond the strip
-    where the product is merely convergent."""
+    where the product is merely convergent.  The leading factor's log
+    modulus, -pi y B2(<a1>), is taken in closed form and only the other
+    factors are multiplied out: at the y that large levels sample, the
+    leading factor alone leaves float range (it underflows at a1 = 0 and
+    overflows where B2(<a1>) < 0)."""
+    r1, a2 = _reduce_first(a)
+    b2 = float(bernoulli2(r1))
     xs, ls = [], []
     for y in ys:
-        ls.append(math.log(abs(siegel_eval(a, complex(0.0, y)))))
+        rest = _siegel_product(r1, a2, complex(0.0, y), 1.0)
+        ls.append(-math.pi * y * b2 + math.log(abs(rest)))
         xs.append(-2 * math.pi * y)
     n = len(xs)
     mean_x = sum(xs) / n

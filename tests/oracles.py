@@ -1,16 +1,27 @@
-"""Independent exact oracles for the determinant path.
+"""Independent exact oracles for the determinant path and for trial division.
 
 The orbit norms of classgroup.orbit_norms come from a multi-modular
 transform; here each N_d = Res(Phi_d, F) is instead the determinant of
 multiplication by F on Z[x]/Phi_d, the phi(d) x phi(d) integer block of
 classgroup.orbit_blocks (which orbit_norms never builds), taken by
 fraction-free (Bareiss) elimination.
+
+arith.factorize divides out the trial primes by one gcd per run of primes;
+factorize_prime_by_prime divides by each trial prime in turn instead.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
+from cuspidal.arith import (
+    FactorEntry,
+    Factorization,
+    Primality,
+    _small_primes,
+    _trial_bound,
+    factorize,
+)
 from cuspidal.classgroup import orbit_blocks
 
 
@@ -50,3 +61,26 @@ def block_norms(f: Sequence[int]) -> dict[int, int]:
     """{d: N_d} for every d | n = len(f), each the Bareiss determinant of
     multiplication by F = sum_j f_j x^j on Z[x]/Phi_d."""
     return {d: bareiss_det(rows) for d, rows in orbit_blocks(f).items()}
+
+
+def factorize_prime_by_prime(n: int, *, rho_budget: int) -> Factorization:
+    """arith.factorize with its trial stage run one prime at a time: every
+    prime up to the trial bound is divided out in turn until one's square
+    exceeds the cofactor.  The cofactor then goes to factorize, whose trial
+    stage can find nothing in it but itself, when it is a prime below the
+    bound; the rest of the pipeline is the one under test."""
+    entries = []
+    m = n
+    for p in _small_primes(_trial_bound(n)):
+        if p * p > m:
+            break
+        e = 0
+        while m % p == 0:
+            e += 1
+            m //= p
+        if e:
+            entries.append(FactorEntry(p, e, Primality.PROVEN))
+    rest = factorize(m, rho_budget=rho_budget)
+    return Factorization(
+        tuple(entries) + rest.entries, rest.steps_used, rest.budget_exhausted
+    )

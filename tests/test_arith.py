@@ -8,8 +8,13 @@ from hypothesis import strategies as st
 
 from cuspidal.arith import (
     _MR_PROVEN_BASES,
+    _chunk_products,
+    _sieve,
+    _small_primes,
     _strong_probable_prime,
     RHO_STAGE_STEPS,
+    TRIAL_BOUND,
+    TRIAL_CHUNK,
     Factorization,
     Primality,
     bernoulli2,
@@ -21,6 +26,7 @@ from cuspidal.arith import (
     legendre,
     packed_product,
 )
+from oracles import factorize_prime_by_prime
 
 rationals = st.fractions(
     min_value=-10**6, max_value=10**6, max_denominator=10**4
@@ -266,18 +272,106 @@ def test_factorize_short_sieve_boundaries():
 
 
 def test_factorize_small_inputs_keep_the_trial_bound_sieve():
-    from cuspidal.arith import TRIAL_BOUND, _small_primes
-
-    # the one cache also holds the short sieves, so their misses are counted
-    # too: after the small inputs, neither the TRIAL_BOUND lookup nor an input
-    # that needs the full sieve may miss
-    _small_primes(TRIAL_BOUND)
+    # the caches also hold the short sieves and their products, so their
+    # misses are counted too: after the small inputs, neither the
+    # TRIAL_BOUND lookups nor an input that needs the full sieve may miss
+    caches = (_small_primes, _chunk_products)
+    assert _chunk_products.cache_info().maxsize == _small_primes.cache_info().maxsize
+    for cache in caches:
+        cache(TRIAL_BOUND)
     for n in range(2, 3000):
         factorize(n)
-    misses = _small_primes.cache_info().misses
-    _small_primes(TRIAL_BOUND)
+    misses = [cache.cache_info().misses for cache in caches]
+    for cache in caches:
+        cache(TRIAL_BOUND)
     factorize(2**61 - 1)
-    assert _small_primes.cache_info().misses == misses
+    assert [cache.cache_info().misses for cache in caches] == misses
+
+
+def _naive_primes(bound):
+    """Eratosthenes over every integer up to bound."""
+    flags = bytearray([1]) * (bound + 1)
+    for i in range(2, math.isqrt(bound) + 1):
+        if flags[i]:
+            flags[i * i :: i] = bytes((bound - i * i) // i + 1)
+    return tuple(i for i in range(2, bound + 1) if flags[i])
+
+
+def test_sieve_matches_the_naive_sieve():
+    bounds = [*range(401), *(1 << j for j in range(21)), TRIAL_BOUND]
+    for bound in bounds:
+        assert _sieve(bound) == _naive_primes(bound), bound
+
+
+def _same_factorization(n, rho_budget):
+    got = factorize(n, rho_budget=rho_budget)
+    want = factorize_prime_by_prime(n, rho_budget=rho_budget)
+    assert got == want, n
+    assert got.value() == n
+    return got
+
+
+def test_factorize_matches_the_prime_by_prime_oracle():
+    # entries, certainty, steps_used and budget_exhausted all equal: the
+    # cofactor that reaches rho and ECM is the same, and so is the RNG stream
+    rng = random.Random(300)
+    primes = _small_primes(TRIAL_BOUND)
+    exhausted = 0
+    for _ in range(300):
+        bits = rng.randrange(1, 301)
+        n = 1
+        for _ in range(rng.randrange(4)):
+            n *= rng.choice(primes) ** rng.randrange(1, 3)
+        if n.bit_length() < bits:
+            n *= rng.getrandbits(bits - n.bit_length()) or 1
+        exhausted += _same_factorization(n, rho_budget=500).budget_exhausted
+    assert 0 < exhausted < 300  # both outcomes are exercised
+
+
+def test_factorize_trial_division_edge_cases():
+    primes = _small_primes(TRIAL_BOUND)
+    top = primes[-1]
+    assert top == 999983 and _sieve(1000003)[-1] == 1000003
+    # the first and last prime of some chunks, their squares and neighbours
+    edges = []
+    for c in (0, 1, 2, len(primes) // TRIAL_CHUNK // 2, len(primes) // TRIAL_CHUNK):
+        lo = c * TRIAL_CHUNK
+        hi = min(lo + TRIAL_CHUNK, len(primes)) - 1
+        edges += [primes[lo], primes[hi]]
+    cases = [*edges, *(q * q for q in edges)]
+    cases += [a * b for a, b in zip(edges, edges[1:])]
+    cases += [top * top, top * 1000003, 7 * top, 1000003 * 1000003]
+    cases += [2**j * 1000003 for j in range(1, 12)]
+    cases += [3**j * 1000003 for j in range(1, 8)]
+    cases += [2**j * 3**j * 1000003**2 for j in range(1, 5)]
+    for n in cases:
+        f = _same_factorization(n, rho_budget=10**5)
+        assert [(e.prime, e.exponent) for e in f.entries] == trial_division(n)
+        assert all(e.certainty is Primality.PROVEN for e in f.entries)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["order", "-p", "7", "-k", "3"], ["verify", "-p", "13", "-k", "2", "--structure"]],
+)
+def test_order_and_verify_never_request_the_trial_bound_sieve(argv, monkeypatch, capsys):
+    from cuspidal import arith
+    from cuspidal.cli import main
+
+    requested = set()
+
+    def spy(cache):
+        def lookup(bound):
+            requested.add(bound)
+            return cache(bound)
+
+        return lookup
+
+    monkeypatch.setattr(arith, "_small_primes", spy(arith._small_primes))
+    monkeypatch.setattr(arith, "_chunk_products", spy(arith._chunk_products))
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert requested and TRIAL_BOUND not in requested
 
 
 def test_factorize_formatting():

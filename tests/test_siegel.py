@@ -146,6 +146,25 @@ def test_infinity_order_slope_near_one(p):
     assert abs(infinity_order_slope(a, ys=ys) - target) <= 0.01 * abs(target)
 
 
+@pytest.mark.parametrize("p", [593, 601, 1129, 1151])
+def test_infinity_order_slope_at_large_levels(p):
+    # verify's samples reach y = 12p/5, where the leading factor alone
+    # underflows at a1 = 0 and overflows at a1 near 1/2 (B2 < 0)
+    ys = tuple(c * p / 5 for c in (8.0, 10.0, 12.0))
+    h = (p - 1) // 2
+    indices = [
+        (Fraction(0), Fraction(1, p)),
+        (Fraction(1, p), Fraction(0)),
+        (Fraction(h, p), Fraction(0)),
+        (Fraction(h + 1, p), Fraction(3, p)),
+        (Fraction(p - 1, p), Fraction(p - 1, p)),
+    ]
+    for a in indices:
+        target = float(bernoulli2(a[0])) / 2
+        got = infinity_order_slope(a, ys=ys)
+        assert abs(got - target) <= 0.01 * abs(target), (a, got, target)
+
+
 @pytest.mark.parametrize("den", [5, 7])
 def test_infinity_order_slope_grid(den):
     for a in grid(den):

@@ -43,6 +43,20 @@ def test_analytic_suite_dihedral_only_at_5_and_7():
     assert "dihedral sign of bucket products" not in names11
 
 
+def test_analytic_suite_computes_eta_once_per_tau():
+    from cuspidal import siegel
+
+    siegel.eta_sq.cache_clear()
+    checks = analytic_checks(7)
+    assert all(c.passed for c in checks)
+    info = siegel.eta_sq.cache_info()
+    # the 1824 Klein values at p = 7 share 10 points: the three
+    # ANALYTIC_TAUS, their images under T (3 more) and S (2 more: S fixes i),
+    # and the dihedral check's images of 0.3 + i under the two lifts
+    assert info.hits + info.misses == 1824
+    assert info.misses == 10
+
+
 def test_observed_denominator_reported():
     checks = {c.name: c for c in algebraic_checks(5)}
     assert "denominator lcm = 2" in checks["d * a_i integral"].detail
