@@ -27,13 +27,12 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from itertools import compress
 from random import Random
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 ONE_SIXTH = Fraction(1, 6)
 
@@ -392,8 +391,7 @@ def _ladder(k: int, X: int, Z: int, a24: int, n: int) -> tuple[int, int]:
     return X0, Z0
 
 
-@dataclass(frozen=True)
-class _EcmPlan:
+class _EcmPlan(NamedTuple):
     """Everything about one B1 level that does not depend on n."""
 
     scalar: int  # product of the largest prime powers <= B1
@@ -531,8 +529,7 @@ def _split(n: int, rng: Random, budget: int) -> tuple[int | None, int]:
     return None, used
 
 
-@dataclass(frozen=True)
-class FactorEntry:
+class FactorEntry(NamedTuple):
     prime: int
     exponent: int
     certainty: Primality
@@ -547,8 +544,7 @@ class FactorEntry:
         return f"{base}^{self.exponent}" if self.exponent > 1 else base
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(NamedTuple):
     """Factor list sorted ascending; unsplit composites stay flagged, never silent.
 
     ``steps_used`` is what the call spent of its step budget (Brent-rho

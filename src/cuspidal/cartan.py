@@ -22,7 +22,6 @@ from stickelberger.compute_a, which never enumerates a class.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, NamedTuple
 
@@ -125,8 +124,7 @@ def order_in_H(p: int, k: int, g: int) -> int:
     return t
 
 
-@dataclass(frozen=True)
-class CartanContext:
+class CartanContext(NamedTuple):
     """Immutable bundle: p, k, the ring constant eps, and a generator w of H."""
 
     p: int

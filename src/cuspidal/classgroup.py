@@ -45,10 +45,9 @@ from __future__ import annotations
 import cmath
 import math
 import time
-from dataclasses import dataclass, field
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from ._version import __version__
 from .arith import (
@@ -656,8 +655,7 @@ def _field_generator(ctx: CartanContext) -> CartanElement:
 # ---------------------------------------------------------------------------
 # bundled result
 
-@dataclass
-class ClassGroupResult:
+class ClassGroupResult(NamedTuple):
     """One full computation: order, factorization, structure, provenance."""
 
     p: int
@@ -669,7 +667,7 @@ class ClassGroupResult:
     genus: int | None = None
     factorization: Factorization | None = None
     invariant_factors: tuple[int, ...] | None = None
-    timings_ms: dict[str, float] = field(default_factory=dict)
+    timings_ms: Mapping[str, float] = MappingProxyType({})  # read-only default
     tool_version: str = __version__
 
     def factored_str(self) -> str:

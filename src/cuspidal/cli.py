@@ -229,6 +229,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # orders from 43^2 on have more digits than the int <-> str conversion
+    # limit (4300 by default since Python 3.10.7) lets through
+    set_digit_limit = getattr(sys, "set_int_max_str_digits", None)
+    if set_digit_limit is not None:
+        set_digit_limit(0)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -17,11 +17,10 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .arith import Primality, is_prime
 
@@ -43,18 +42,16 @@ def parse_value(text: str) -> int:
     return out
 
 
-@dataclass(frozen=True)
-class CrosscheckRecord:
+class CrosscheckRecord(NamedTuple):
     p: int
     q: int
     label: str
     value: int
 
 
-@dataclass
-class LoadReport:
-    records: list[CrosscheckRecord] = field(default_factory=list)
-    errors: list[str] = field(default_factory=list)
+class LoadReport(NamedTuple):
+    records: list[CrosscheckRecord]
+    errors: list[str]
 
     @property
     def ok(self) -> bool:
@@ -74,7 +71,7 @@ def bundled_fixture_path() -> Path:
 def load_records(path) -> LoadReport:
     """Parse a CSV counts file; malformed rows are reported with their line
     number and skipped, the rest of the load continues."""
-    report = LoadReport()
+    report = LoadReport([], [])
     text = Path(path).read_text(encoding="utf-8")
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -112,14 +109,12 @@ def load_records(path) -> LoadReport:
     return report
 
 
-@dataclass(frozen=True)
-class RecordCheck:
+class RecordCheck(NamedTuple):
     record: CrosscheckRecord
     divisible: bool
 
 
-@dataclass
-class HarnessReport:
+class HarnessReport(NamedTuple):
     p: int
     order: int
     j_gcd: int | None

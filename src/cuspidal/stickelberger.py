@@ -15,10 +15,9 @@ still read the classes of each norm fiber through cartan.norm_fiber.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .arith import packed_product
 from .cartan import CONTEXT_CACHE_SIZE, CartanContext, norm_fiber
@@ -195,8 +194,7 @@ def theta_prime(ctx: CartanContext) -> GroupRingElement:
     return out
 
 
-@dataclass(frozen=True)
-class StickelbergerData:
+class StickelbergerData(NamedTuple):
     a: tuple[Fraction, ...]
     theta: GroupRingElement
     theta_prime: GroupRingElement

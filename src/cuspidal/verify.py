@@ -9,8 +9,8 @@ desk-scale q-series verification.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .arith import bernoulli2
 from .cartan import CartanContext, norm_class_partition, valid_epsilons
@@ -23,20 +23,10 @@ from .classgroup import (
     structure,
 )
 from .errors import InvariantViolation
-from .siegel import (
-    cartan_group_lift,
-    check_Th_weight,
-    infinity_order_slope,
-    klein_modular_residual,
-    klein_negation_residual,
-    klein_translation_residual,
-    normalizer_coset_lift,
-)
 from .stickelberger import somme_identities_check, stickelberger_data, theta
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     name: str
     passed: bool
     detail: str = ""
@@ -160,6 +150,17 @@ def _grid(den: int):
 def analytic_checks(p: int) -> list[Check]:
     """Klein-form laws on the level-p index grid, the order-at-infinity
     slope, and (for p = 5, 7) the dihedral sign of the bucket products."""
+    # only this suite needs the q-series layer: other commands skip loading it
+    from .siegel import (
+        cartan_group_lift,
+        check_Th_weight,
+        infinity_order_slope,
+        klein_modular_residual,
+        klein_negation_residual,
+        klein_translation_residual,
+        normalizer_coset_lift,
+    )
+
     out = []
 
     def negation():

@@ -1,5 +1,8 @@
 import json
+import sys
 from pathlib import Path
+
+import pytest
 
 from cuspidal.arith import DEFAULT_RHO_BUDGET
 from cuspidal.classgroup import ClassGroupResult
@@ -253,3 +256,49 @@ def test_internal_violation_maps_to_exit_3(capsys, monkeypatch):
     monkeypatch.setattr(cli, "compute_class_group", boom)
     code, _, err = run(capsys, "order", "-p", "5")
     assert code == 3 and "invariant violation" in err
+
+
+@pytest.fixture
+def default_digit_limit():
+    """Run with Python's default 4300-digit int <-> str limit in force (an
+    earlier ``main`` call in this process has lifted it), restored after."""
+    get = getattr(sys, "get_int_max_str_digits", None)
+    if get is None:  # no limit before Python 3.10.7
+        yield
+        return
+    before = get()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(before)
+
+
+def test_order_43_squared_prints_all_4419_digits(capsys, default_digit_limit):
+    code, out, err = run(capsys, "order", "-p", "43", "-k", "2")
+    assert code == 0 and err == ""
+    digits = out.strip()
+    assert len(digits) == 4419 and digits.isdigit()
+    order_43 = int(digits)
+    # factoring the unsplit 2900-digit cofactor is left to a budget of 0
+    code, out, _ = run(capsys, "order", "-p", "43", "-k", "2", "--factor", "--rho-budget", "0")
+    assert code == 0
+    product = 1
+    for term in out.strip().split(" * "):
+        base, _, exp = term.partition("^")
+        product *= int(base.strip("[]")) ** int(exp or 1)
+    assert product == order_43
+    code, out, _ = run(capsys, "order", "-p", "43", "-k", "2", "--json", "--rho-budget", "0")
+    assert code == 0
+    data = json.loads(out)
+    assert data["order"] == digits and data["factor_budget_exhausted"] is True
+
+
+def test_structure_detail_past_the_digit_limit_passes(capsys, monkeypatch, default_digit_limit):
+    from cuspidal import verify
+
+    big = 10**4400 + 1
+    monkeypatch.setattr(verify, "order", lambda ctx: big)
+    monkeypatch.setattr(verify, "structure", lambda ctx: (1, big))
+    code, out, _ = run(capsys, "verify", "-p", "5", "-k", "2", "--structure")
+    assert code == 0
+    line = next(s for s in out.splitlines() if "product of invariant factors" in s)
+    assert line.startswith("PASS") and str(big) in line
