@@ -35,8 +35,6 @@ from .errors import InvariantViolation
 from .stickelberger import (
     GroupRingElement,
     compute_a,
-    divisor_of_unit,
-    kl_unit_check,
     somme_identities_check,
     stickelberger_data,
     theta,
@@ -59,14 +57,12 @@ __all__ = [
     "compute_a",
     "compute_class_group",
     "cusp_count_plus",
-    "divisor_of_unit",
     "factorize",
     "find_generator_H",
     "float_crosscheck",
     "frac_part",
     "genus_plus",
     "is_prime",
-    "kl_unit_check",
     "legendre",
     "norm_class_partition",
     "order",

@@ -15,12 +15,14 @@ digits) and Lenstra's elliptic-curve method (ECM): Montgomery curves in x/z
 coordinates with Suyama's parametrisation, a Montgomery-ladder stage 1 and a
 baby-step/giant-step stage 2 with one batched gcd.  One step budget per
 call is shared by rho and ECM; it is counted in Brent-rho iterations, never
-in wall-clock time.  The default, DEFAULT_RHO_BUDGET = 10^7 steps, is about
-ten seconds of work on a 2-vCPU x86-64 VM: enough for every order of the
-reference table and for 13^2 (under 10^6 steps), while a cofactor ECM cannot
-split (the 62-digit one at 11^2) is given up after that long rather than
-after minutes.  Whatever the budget leaves unsplit is reported as a flagged
-composite, never silently.
+in wall-clock time.  The default, DEFAULT_RHO_BUDGET = 10^7 steps, is enough
+for every order of the reference table and for 13^2 (under 10^6 steps), and
+gives up a cofactor ECM cannot split (the 62-digit one at 11^2) after about
+ten seconds on a 2-vCPU x86-64 VM rather than after minutes.  A step is a
+multiplication modulo the cofactor, so its cost grows with the cofactor's
+size: at 43^2 trial division leaves a 9600-bit cofactor, and the default
+budget there runs for more than ten minutes.  Whatever the budget leaves
+unsplit is reported as a flagged composite, never silently.
 """
 
 from __future__ import annotations

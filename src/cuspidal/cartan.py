@@ -95,7 +95,7 @@ def choose_epsilon(p: int) -> int:
     return next(valid_epsilons(p))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CONTEXT_CACHE_SIZE)
 def find_generator_H(p: int, k: int = 1) -> int:
     """Smallest positive integer whose class generates H = (Z/p^k Z)*/{+-1}."""
     _validate_pk(p, k)
@@ -111,19 +111,6 @@ def find_generator_H(p: int, k: int = 1) -> int:
         g += 1
 
 
-def order_in_H(p: int, k: int, g: int) -> int:
-    """Multiplicative order of the class of g in H (smallest t, g^t = +-1)."""
-    m = p**k
-    if math.gcd(g, p) != 1:
-        raise ValueError("g must be a unit")
-    t = 1
-    x = g % m
-    while x not in (1, m - 1):
-        x = x * g % m
-        t += 1
-    return t
-
-
 class CartanContext(NamedTuple):
     """Immutable bundle: p, k, the ring constant eps, and a generator w of H."""
 
@@ -135,13 +122,7 @@ class CartanContext(NamedTuple):
     n: int
 
     @classmethod
-    def create(
-        cls,
-        p: int,
-        k: int = 1,
-        epsilon: int | None = None,
-        w: int | None = None,
-    ) -> "CartanContext":
+    def create(cls, p: int, k: int = 1, epsilon: int | None = None) -> "CartanContext":
         _validate_pk(p, k)
         if epsilon is None:
             epsilon = choose_epsilon(p)
@@ -149,13 +130,8 @@ class CartanContext(NamedTuple):
             raise ValueError(
                 f"epsilon = {epsilon} is not squarefree, = 3 mod 4, and a non-residue mod {p}"
             )
-        m = p**k
         n = (p - 1) * p ** (k - 1) // 2
-        if w is None:
-            w = find_generator_H(p, k)
-        elif order_in_H(p, k, w) != n:
-            raise ValueError(f"w = {w} does not generate H (order != {n})")
-        return cls(p=p, k=k, epsilon=epsilon, w=w, modulus=m, n=n)
+        return cls(p=p, k=k, epsilon=epsilon, w=find_generator_H(p, k), modulus=p**k, n=n)
 
     # -- ring operations ----------------------------------------------------
 
@@ -196,28 +172,6 @@ class CartanContext(NamedTuple):
     def is_invertible(self, s) -> bool:
         return s[0] % self.p != 0 or s[1] % self.p != 0
 
-    def element_order(self, s) -> int:
-        if not self.is_invertible(s):
-            raise ValueError("not a unit")
-        t = 1
-        x = self.reduce(s)
-        one = CartanElement(1, 0)
-        while x != one:
-            x = self.mul(x, s)
-            t += 1
-        return t
-
-    def canonical_class(self, s) -> CartanClass:
-        """The representative of {s, -s} satisfying the class invariants."""
-        s = self.reduce(s)
-        if not self.is_invertible(s):
-            raise ValueError(f"{s} is not invertible mod {self.p}^{self.k}")
-        half = (self.modulus - 1) // 2
-        a1, a2 = s
-        if a1 > half or (a1 == 0 and a2 > half):
-            a1, a2 = -a1 % self.modulus, -a2 % self.modulus
-        return CartanClass(a1, a2)
-
     def classes(self) -> Iterator[CartanClass]:
         """All canonical unit classes, (p^2 - 1) p^(2k-2) / 2 of them."""
         m, p = self.modulus, self.p
@@ -233,9 +187,6 @@ class CartanContext(NamedTuple):
                 for a2 in range(m):
                     if a2 % p:
                         yield CartanClass(a1, a2)
-
-    def class_count(self) -> int:
-        return (self.p * self.p - 1) * self.p ** (2 * self.k - 2) // 2
 
     def bucket_size(self) -> int:
         return (self.p + 1) * self.p ** (self.k - 1)

@@ -50,9 +50,12 @@ def _require_level(p: int, k: int = 1) -> None:
 
 
 def _require_size(p: int, k: int, force: bool) -> None:
-    if p**k > SIZE_GUARD and not force:
+    # p >= 5 > 2, so p^k > SIZE_GUARD once 2^k is: a huge k is refused
+    # without forming p^k, and the message never prints it
+    if not force and (k >= SIZE_GUARD.bit_length() or p**k > SIZE_GUARD):
         raise UsageError(
-            f"p^k = {p**k} exceeds the size guard {SIZE_GUARD}; pass --force to override"
+            f"p = {p}, k = {k}: p^k exceeds the size guard {SIZE_GUARD}; "
+            "pass --force to override"
         )
 
 
@@ -132,7 +135,7 @@ def cmd_crosscheck(args) -> int:
     path = bundled_fixture_path() if bundled else args.path
     try:
         report = load_records(path)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
     for err in report.errors:
         print(f"rejected row: {err}", file=sys.stderr)

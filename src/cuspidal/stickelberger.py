@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Mapping, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .arith import packed_product
 from .cartan import CONTEXT_CACHE_SIZE, CartanContext, norm_fiber
@@ -211,47 +211,6 @@ def stickelberger_data(ctx: CartanContext) -> StickelbergerData:
         d=d_value(ctx.p),
         e=e_value(ctx.p, ctx.k),
     )
-
-
-def divisor_of_unit(ctx: CartanContext, exponents: Sequence[int]) -> GroupRingElement:
-    """Divisor of the power product with exponent n_h on the bucket unit of
-    h = w^j, i.e. (sum_h n_h w^h) * theta, as an integral degree-zero element.
-
-    The exponent sum must be divisible by d, otherwise the product is not a
-    modular unit on the plus-curve and there is no divisor to return.
-    """
-    if len(exponents) != ctx.n:
-        raise ValueError(f"need {ctx.n} exponents, got {len(exponents)}")
-    d = d_value(ctx.p)
-    total = sum(exponents)
-    if total % d:
-        raise ValueError(
-            f"exponent sum {total} is not divisible by d = {d}: "
-            "not a modular unit on the plus-curve"
-        )
-    u = GroupRingElement(ctx, exponents)
-    div = u * theta(ctx)
-    if not div.is_integral() or div.degree() != 0:
-        raise InvariantViolation("unit divisor must be integral of degree zero")
-    return div
-
-
-def kl_unit_check(p: int, k: int, family: Mapping[tuple[int, int], int]) -> bool:
-    """Power-product unit criterion at level n = p^k.
-
-    For exponents m_a on classes a = (a1, a2) (integer coordinates of the
-    scaled index), all four congruences must hold:
-        sum m_a a1^2 = sum m_a a2^2 = sum m_a a1 a2 = 0  (mod p^k)
-        sum m_a = 0  (mod 12).
-    """
-    n = p**k
-    s11 = s22 = s12 = sm = 0
-    for (a1, a2), mult in family.items():
-        s11 += mult * a1 * a1
-        s22 += mult * a2 * a2
-        s12 += mult * a1 * a2
-        sm += mult
-    return s11 % n == 0 and s22 % n == 0 and s12 % n == 0 and sm % 12 == 0
 
 
 def somme_identities_check(ctx: CartanContext, h: int) -> bool:

@@ -1,4 +1,4 @@
-"""Independent exact oracles for the determinant path and for trial division.
+"""Independent exact oracles, and the test-only helpers that no command runs.
 
 The orbit norms of classgroup.orbit_norms come from a multi-modular
 transform; here each N_d = Res(Phi_d, F) is instead the determinant of
@@ -8,11 +8,21 @@ fraction-free (Bareiss) elimination.
 
 arith.factorize divides out the trial primes by one gcd per run of primes;
 factorize_prime_by_prime divides by each trial prime in turn instead.
+
+divisor_of_unit re-derives the lattice rows of classgroup.generator_matrix
+as Fraction products in the group ring; kl_unit_check is the power-product
+unit criterion on class coordinates.  The remaining helpers read the bundled
+reference table, brute-force orders in H and in the Cartan ring, and build a
+context over a chosen generator w of H.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+import math
+from functools import lru_cache
+from importlib import resources
+from pathlib import Path
+from typing import Mapping, Sequence
 
 from cuspidal.arith import (
     FactorEntry,
@@ -22,7 +32,11 @@ from cuspidal.arith import (
     _trial_bound,
     factorize,
 )
+from cuspidal.cartan import CartanClass, CartanContext, CartanElement
 from cuspidal.classgroup import orbit_blocks
+from cuspidal.crosscheck import parse_value
+from cuspidal.errors import InvariantViolation
+from cuspidal.stickelberger import GroupRingElement, d_value, theta
 
 
 def bareiss_det(rows: Sequence[Sequence[int]]) -> int:
@@ -84,3 +98,116 @@ def factorize_prime_by_prime(n: int, *, rho_budget: int) -> Factorization:
     return Factorization(
         tuple(entries) + rest.entries, rest.steps_used, rest.budget_exhausted
     )
+
+
+def reference_table_path() -> Path:
+    return Path(resources.files("cuspidal").joinpath("data/table1.csv"))
+
+
+@lru_cache(maxsize=1)
+def reference_table() -> dict[int, str]:
+    """p -> canonical factored order string for the bundled reference rows."""
+    out: dict[int, str] = {}
+    for raw in reference_table_path().read_text(encoding="utf-8").splitlines():
+        line = raw.strip()
+        if not line or line.startswith("#") or line == "p,factorization":
+            continue
+        p_str, factored = line.split(",", 1)
+        out[int(p_str)] = factored.strip()
+    return out
+
+
+def reference_order(p: int) -> int:
+    return parse_value(reference_table()[p])
+
+
+def divisor_of_unit(ctx: CartanContext, exponents: Sequence[int]) -> GroupRingElement:
+    """Divisor of the power product with exponent n_h on the bucket unit of
+    h = w^j, i.e. (sum_h n_h w^h) * theta, as an integral degree-zero element.
+
+    The exponent sum must be divisible by d, otherwise the product is not a
+    modular unit on the plus-curve and there is no divisor to return.
+    """
+    if len(exponents) != ctx.n:
+        raise ValueError(f"need {ctx.n} exponents, got {len(exponents)}")
+    d = d_value(ctx.p)
+    total = sum(exponents)
+    if total % d:
+        raise ValueError(
+            f"exponent sum {total} is not divisible by d = {d}: "
+            "not a modular unit on the plus-curve"
+        )
+    div = GroupRingElement(ctx, exponents) * theta(ctx)
+    if not div.is_integral() or div.degree() != 0:
+        raise InvariantViolation("unit divisor must be integral of degree zero")
+    return div
+
+
+def kl_unit_check(p: int, k: int, family: Mapping[tuple[int, int], int]) -> bool:
+    """Power-product unit criterion at level n = p^k.
+
+    For exponents m_a on classes a = (a1, a2) (integer coordinates of the
+    scaled index), all four congruences must hold:
+        sum m_a a1^2 = sum m_a a2^2 = sum m_a a1 a2 = 0  (mod p^k)
+        sum m_a = 0  (mod 12).
+    """
+    n = p**k
+    s11 = s22 = s12 = sm = 0
+    for (a1, a2), mult in family.items():
+        s11 += mult * a1 * a1
+        s22 += mult * a2 * a2
+        s12 += mult * a1 * a2
+        sm += mult
+    return s11 % n == 0 and s22 % n == 0 and s12 % n == 0 and sm % 12 == 0
+
+
+def class_count(ctx: CartanContext) -> int:
+    """Number of unit classes, (p^2 - 1) p^(2k-2) / 2."""
+    return (ctx.p * ctx.p - 1) * ctx.p ** (2 * ctx.k - 2) // 2
+
+
+def canonical_class(ctx: CartanContext, s) -> CartanClass:
+    """The representative of {s, -s} satisfying the class invariants."""
+    s = ctx.reduce(s)
+    if not ctx.is_invertible(s):
+        raise ValueError(f"{s} is not invertible mod {ctx.p}^{ctx.k}")
+    half = (ctx.modulus - 1) // 2
+    a1, a2 = s
+    if a1 > half or (a1 == 0 and a2 > half):
+        a1, a2 = -a1 % ctx.modulus, -a2 % ctx.modulus
+    return CartanClass(a1, a2)
+
+
+def element_order(ctx: CartanContext, s) -> int:
+    """Multiplicative order of the unit s, by repeated multiplication."""
+    if not ctx.is_invertible(s):
+        raise ValueError("not a unit")
+    t = 1
+    x = ctx.reduce(s)
+    one = CartanElement(1, 0)
+    while x != one:
+        x = ctx.mul(x, s)
+        t += 1
+    return t
+
+
+def order_in_H(p: int, k: int, g: int) -> int:
+    """Multiplicative order of the class of g in H (smallest t, g^t = +-1)."""
+    m = p**k
+    if math.gcd(g, p) != 1:
+        raise ValueError("g must be a unit")
+    t = 1
+    x = g % m
+    while x not in (1, m - 1):
+        x = x * g % m
+        t += 1
+    return t
+
+
+def context_with_generator(p: int, k: int, w: int) -> CartanContext:
+    """CartanContext.create(p, k) with w in place of its generator of H;
+    a w of the wrong order in H is a ValueError."""
+    ctx = CartanContext.create(p, k)
+    if order_in_H(p, k, w) != ctx.n:
+        raise ValueError(f"w = {w} does not generate H (order != {ctx.n})")
+    return ctx._replace(w=w)

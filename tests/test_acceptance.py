@@ -28,7 +28,6 @@ from cuspidal.crosscheck import (
     gcd_harness,
     load_records,
 )
-from cuspidal.reference import reference_table
 from cuspidal.siegel import (
     cartan_group_lift,
     check_Th_weight,
@@ -46,6 +45,7 @@ from cuspidal.stickelberger import (
     theta,
     theta_prime,
 )
+from oracles import reference_table
 
 SMALL_PRIMES = (5, 7, 11, 13, 17, 19, 23, 29, 31)
 

@@ -24,9 +24,8 @@ from cuspidal.classgroup import (
     structure,
 )
 from cuspidal.errors import InvariantViolation
-from cuspidal.reference import reference_order
 from cuspidal.stickelberger import d_value, stickelberger_data, theta
-from oracles import bareiss_det, block_norms
+from oracles import bareiss_det, block_norms, context_with_generator, reference_order
 
 TABLE_SMALL = {5: 1, 7: 1, 11: 11, 13: 7 * 13**2, 17: 2**4 * 3 * 17**3}
 
@@ -321,7 +320,7 @@ def test_order_and_structure_invariant_under_choices():
             CartanContext.create(p, epsilon=eps2)
         )
     for p, w2 in ((7, 3), (11, 3)):
-        base, alt = CartanContext.create(p), CartanContext.create(p, w=w2)
+        base, alt = CartanContext.create(p), context_with_generator(p, 1, w2)
         assert order(base) == order(alt)
         assert structure(base) == structure(alt)
 
