@@ -28,7 +28,6 @@ from .classgroup import (
     compute_class_group,
     float_crosscheck,
     order,
-    snf,
     structure,
 )
 from .errors import InvariantViolation
@@ -66,7 +65,6 @@ __all__ = [
     "legendre",
     "norm_class_partition",
     "order",
-    "snf",
     "somme_identities_check",
     "stickelberger_data",
     "structure",

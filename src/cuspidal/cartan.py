@@ -26,7 +26,7 @@ from functools import lru_cache
 from typing import Iterator, NamedTuple
 
 from .arith import Primality, factorize, is_prime, legendre
-from .errors import InvariantViolation
+from .errors import InvariantViolation, brief_int
 
 
 class CartanElement(NamedTuple):
@@ -64,7 +64,7 @@ def _validate_pk(p: int, k: int) -> None:
     if k < 1:
         raise ValueError("k must be a positive integer")
     if p < 5 or is_prime(p) is Primality.COMPOSITE:
-        raise ValueError(f"p must be a prime >= 5, got {p}")
+        raise ValueError(f"p must be a prime >= 5, got {brief_int(p)}")
 
 
 def _is_squarefree(n: int) -> bool:

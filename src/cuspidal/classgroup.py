@@ -18,13 +18,14 @@ Two independent exact routes plus a floating cross-check:
     the full abelian group, and their product must equal order().  L holds
     theta I, of index T = |prod_{d > 1} N_d| / (12 p^k)^(n-1) in I.  The
     parts at the primes S dividing 6pn come from the whole lattice modulo
-    T_S, the part of T made of S (over Z/p^s for the p-parts, modulo the
+    T_S, the part of T made of S (modulo p^s for the p-parts, modulo the
     rest of T_S for the others); for a prime outside S the group ring
     splits into the fields Z[x]/Phi_d, so the rest comes from the
     phi(d) x phi(d) orbit blocks of the scaled theta' row (orbit_blocks),
-    each modulo M_d, the part of N_d prime to S.  Every elimination pivots
-    on units and keeps each entry below its modulus; snf() is the kernel
-    for the small block left over, and the dense test oracle.
+    each modulo M_d, the part of N_d prime to S.  One kernel, snf_mod(),
+    serves every modulus: it pivots on units, keeps each entry below its
+    modulus, and where no unit is left divides out a common factor or
+    splits the modulus into coprime parts by a gcd.
   * bernoulli_formula_k1(): for k = 1, the same order through an explicit
     determinant over F_{p^2} powers of an independent generator.
   * float_crosscheck(): eigenvalues of the circulant are finite Fourier
@@ -258,55 +259,6 @@ def order(ctx: CartanContext) -> int:
 # ---------------------------------------------------------------------------
 # Smith normal form
 
-def snf(matrix: Sequence[Sequence[int]]) -> tuple[int, ...]:
-    """Invariant factors d1 | d2 | ... (the nonzero Smith diagonal) of an
-    arbitrary rectangular integer matrix.
-
-    Pivots are chosen of minimal nonzero magnitude, which keeps coefficient
-    growth in check; the divisibility chain is enforced afterwards through
-    gcd/lcm exchanges on the diagonal (diag(a, b) ~ diag(gcd, lcm))."""
-    a = [list(map(int, row)) for row in matrix]
-    nr = len(a)
-    nc = len(a[0]) if nr else 0
-    if any(len(row) != nc for row in a):
-        raise ValueError("ragged matrix")
-    t = 0
-    while t < min(nr, nc):
-        best = None
-        for i in range(t, nr):
-            for j in range(t, nc):
-                v = a[i][j]
-                if v and (best is None or abs(v) < best[0]):
-                    best = (abs(v), i, j)
-        if best is None:
-            break
-        _, bi, bj = best
-        if bi != t:
-            a[t], a[bi] = a[bi], a[t]
-        if bj != t:
-            for row in a:
-                row[t], row[bj] = row[bj], row[t]
-        pivot = a[t][t]
-        if any(a[i][t] for i in range(t + 1, nr)):
-            for i in range(t + 1, nr):
-                if a[i][t]:
-                    q = a[i][t] // pivot
-                    if q:
-                        a[i] = [x - q * y for x, y in zip(a[i], a[t])]
-            continue  # remainders may be smaller than the pivot: re-pick
-        if any(a[t][j] for j in range(t + 1, nc)):
-            for j in range(t + 1, nc):
-                if a[t][j]:
-                    q = a[t][j] // pivot
-                    if q:
-                        for row in a:
-                            row[j] -= q * row[t]
-            continue
-        t += 1
-
-    return _divisibility_chain([abs(a[i][i]) for i in range(min(nr, nc)) if a[i][i]])
-
-
 def _divisibility_chain(diag: Sequence[int]) -> tuple[int, ...]:
     """The invariant factors of the diagonal matrix diag, sorted: gcd/lcm
     exchanges (diag(a, b) ~ diag(gcd, lcm)) until each divides the next."""
@@ -396,7 +348,7 @@ def _det_mod(rows: Sequence[Sequence[int]], q: int) -> int:
     return det % q
 
 
-def _pivot_out_units(rows: list[list[int]], mod: int, is_unit) -> int:
+def _pivot_out_units(rows: list[list[int]], mod: int) -> int:
     """Pivot on entries that are units mod ``mod`` until none is left.
 
     Each pivot clears its column from the other rows (row operations mod
@@ -408,7 +360,12 @@ def _pivot_out_units(rows: list[list[int]], mod: int, is_unit) -> int:
     while True:
         rows[:] = [row for row in rows if any(row)]
         hit = next(
-            ((i, j) for i, row in enumerate(rows) for j, x in enumerate(row) if is_unit(x)),
+            (
+                (i, j)
+                for i, row in enumerate(rows)
+                for j, x in enumerate(row)
+                if math.gcd(x, mod) == 1
+            ),
             None,
         )
         if hit is None:
@@ -430,74 +387,51 @@ def _pivot_out_units(rows: list[list[int]], mod: int, is_unit) -> int:
         pivots += 1
 
 
-def _p_exponents_mod(rows: Sequence[Sequence[int]], p: int, s: int, ncols: int) -> list[int]:
-    """min(v, s) for the exponents v with p^v the invariant factors of
-    Z^ncols modulo the rows, by elimination over Z/p^s with unit pivots.
-
-    When no unit is left, every entry is divisible by p: the remaining
-    factors each gain one p and the modulus drops to p^(s - shift).  A
-    column no row reaches any more has the full exponent s."""
-    mod = p**s
-    block = [[x % mod for x in row] for row in rows]
-    exps: list[int] = []
-    shift = 0
-    while True:
-        exps += [shift] * _pivot_out_units(block, mod, lambda x: x % p)
-        if not block:
-            return exps + [s] * (ncols - len(exps))
-        shift += 1
-        mod //= p
-        for row in block:
-            row[:] = [x // p for x in row]
+def _part_with_primes_of(m: int, x: int) -> int:
+    """The largest divisor of m made of the primes of gcd(x, m)."""
+    g = math.gcd(x, m)
+    rest = m
+    while (h := math.gcd(rest, g)) > 1:
+        rest //= h
+    return m // rest
 
 
-def _p_exponents(rows: Sequence[Sequence[int]], p: int, e: int, ncols: int) -> list[int]:
-    """The p-adic exponents of the invariant factors, given that p^e Z^ncols
-    lies in the row span.
-
-    They are taken modulo p^s for s = 2, 4, 8, ... up to e: once every
-    exponent found is below s, none was cut off by the modulus.  The
-    exponents stay far below e (at most 4 at every tested level, where e
-    reaches 79), so the entries stay small."""
-    s = min(2, e)
-    while True:
-        exps = _p_exponents_mod(rows, p, s, ncols)
-        if s == e or max(exps, default=0) < s:
-            return exps
-        s = min(2 * s, e)
-
-
-def _coprime_factors(rows: Sequence[Sequence[int]], m: int, ncols: int) -> list[int]:
-    """Invariant factors of Z^ncols modulo the rows and m Z^ncols: units
-    mod m are pivoted out, and the small block left over, with m I
-    appended, goes to snf()."""
-    if m == 1:
-        return [1] * ncols
-    block = [[x % m for x in row] for row in rows]
-    ones = _pivot_out_units(block, m, lambda x: math.gcd(x, m) == 1)
-    c = ncols - ones
-    block += [[m if i == j else 0 for j in range(c)] for i in range(c)]
-    return [1] * ones + list(snf(block))
-
-
-def snf_mod(matrix: Sequence[Sequence[int]], modulus: int, p: int) -> tuple[int, ...]:
+def snf_mod(matrix: Sequence[Sequence[int]], modulus: int) -> tuple[int, ...]:
     """Invariant factors d1 | ... | dc of Z^c modulo the rows of an integer
-    matrix with c columns and modulus * Z^c, the 1s included; p is a prime
-    to split off the modulus.  When the row span contains modulus * Z^c,
-    they are the row span's own; otherwise they are its parts at the primes
-    of the modulus, cut at the modulus.
+    matrix with c columns and modulus * Z^c, the 1s included.  When the row
+    span contains modulus * Z^c, they are the row span's own; otherwise they
+    are its parts at the primes of the modulus, cut at the modulus.
 
-    With modulus = p^e M and p not dividing M, the p-parts come from
-    elimination over Z/p^s, s <= e, and the rest from elimination mod M,
-    every entry below its modulus."""
+    Elimination over Z/m, every entry below m, with no factorization of m
+    (dynamic evaluation): units mod m are pivoted out.  If the entries left
+    share a factor g > 1 with m, each remaining factor gains g, the block
+    is divided by g in place, and m drops to m/g.  Otherwise an entry whose
+    gcd with m misses a prime of m splits m into coprime parts m1 m2; the
+    quotient is the sum of its reductions mod m1 and mod m2, whose factors
+    multiply position by position."""
     ncols = len(matrix[0])
-    e, m = 0, modulus
-    while m % p == 0:
-        m //= p
-        e += 1
-    exps = _p_exponents(matrix, p, e, ncols)
-    rest = _coprime_factors(matrix, m, ncols)
-    return tuple(p**v * r for v, r in zip(sorted(exps), sorted(rest)))
+    block = [[x % modulus for x in row] for row in matrix]
+    factors: list[int] = []
+    scale, m = 1, modulus
+    while True:
+        factors += [scale] * _pivot_out_units(block, m)
+        if not block:  # the columns no row reaches take the full modulus
+            return tuple(factors + [scale * m] * (ncols - len(factors)))
+        g = m
+        for row in block:
+            g = math.gcd(g, *row)
+        if g == 1:
+            break
+        scale *= g
+        m //= g
+        for row in block:
+            row[:] = [x // g for x in row]
+    # no unit and no common factor: some entry misses a prime of m
+    m1 = next(
+        d for row in block for x in row if (d := _part_with_primes_of(m, x)) < m
+    )
+    chains = zip(snf_mod(block, m1), snf_mod(block, m // m1))
+    return tuple(factors + [scale * a * b for a, b in chains])
 
 
 def _prime_to(x: int, primes: Sequence[int]) -> int:
@@ -518,7 +452,8 @@ def structure(ctx: CartanContext) -> tuple[int, ...]:
     With S the primes dividing 6pn, T = T_S T' where T_S is made of S:
 
       * the S-parts are those of L + T_S Z^(n-1), from snf_mod() on the
-        joint lattice;
+        joint lattice: the p-part modulo p^s, s doubling from 2 until no
+        factor reaches p^s, and the rest of T_S in one call;
       * for a prime l outside S, Z_l[H] = prod_{d | n} Z_l[x]/Phi_d; 12 p^k
         and d_value(p) are l-units, theta has degree 0, and theta' - theta
         is a multiple of the norm element, which is 0 in every factor with
@@ -537,7 +472,19 @@ def structure(ctx: CartanContext) -> tuple[int, ...]:
         raise InvariantViolation("lattice rows do not have determinant +-[I : theta I]")
     primes = sorted({2, 3, ctx.p, *(e.prime for e in factorize(ctx.n).entries)})
     index_prime_to_s = _prime_to(index, primes)
-    joint = snf_mod(rows, index // index_prime_to_s, ctx.p)
+    index_s = index // index_prime_to_s
+    rest_s = _prime_to(index_s, [ctx.p])
+    p_top = index_s // rest_s
+    # the p-part modulo p^s, s = 2, 4, 8, ...: once every factor is below
+    # p^s, none was cut off.  They stay far below p_top (at most p^4 at every
+    # tested level, where p_top reaches p^79), so the entries stay small.
+    q = min(ctx.p**2, p_top)
+    while True:
+        p_part = snf_mod(rows, q)
+        if q == p_top or p_part[-1] < q:
+            break
+        q = min(q * q, p_top)
+    joint = [a * b for a, b in zip(p_part, snf_mod(rows, rest_s))]
 
     norms = theta_prime_norms(ctx)
     pieces: list[int] = []
@@ -548,7 +495,7 @@ def structure(ctx: CartanContext) -> tuple[int, ...]:
         if _det_mod(block, _CHECK_PRIME) != norms[d] % _CHECK_PRIME:
             raise InvariantViolation(f"orbit block {d} does not have determinant N_{d}")
         m = _prime_to(abs(norms[d]), primes)
-        factors = _coprime_factors(block, m, len(block))
+        factors = snf_mod(block, m)
         if math.prod(factors) != m:
             raise InvariantViolation(f"orbit block {d} factors do not multiply to M_{d}")
         pieces += factors

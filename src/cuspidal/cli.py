@@ -25,7 +25,7 @@ from .crosscheck import (
     gcd_harness,
     load_records,
 )
-from .errors import InvariantViolation
+from .errors import InvariantViolation, brief_int
 from .verify import (
     algebraic_checks,
     analytic_checks,
@@ -49,9 +49,16 @@ def _require_level(p: int, k: int = 1) -> None:
         raise UsageError(str(exc)) from exc
 
 
-def _require_size(p: int, k: int, force: bool) -> None:
-    # p >= 5 > 2, so p^k > SIZE_GUARD once 2^k is: a huge k is refused
-    # without forming p^k, and the message never prints it
+def _require_guarded_level(p: int, k: int, force: bool) -> None:
+    """A valid level p^k within the size guard, unless forced.  A p above
+    the guard is refused before its primality test; p >= 5 > 2, so p^k >
+    SIZE_GUARD once 2^k is: a huge k is refused without forming p^k."""
+    if not force and p > SIZE_GUARD:
+        raise UsageError(
+            f"p = {brief_int(p)} exceeds the size guard {SIZE_GUARD}; "
+            "pass --force to override"
+        )
+    _require_level(p, k)
     if not force and (k >= SIZE_GUARD.bit_length() or p**k > SIZE_GUARD):
         raise UsageError(
             f"p = {p}, k = {k}: p^k exceeds the size guard {SIZE_GUARD}; "
@@ -76,8 +83,7 @@ def _primes_in(lo: int, hi: int) -> list[int]:
 
 
 def cmd_order(args) -> int:
-    _require_level(args.p, args.k)
-    _require_size(args.p, args.k, args.force)
+    _require_guarded_level(args.p, args.k, args.force)
     res = compute_class_group(
         args.p, args.k, factor=args.factor or args.json, rho_budget=_rho_budget(args)
     )
@@ -107,10 +113,15 @@ def cmd_table(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    _require_level(args.p, args.k)
-    _require_size(args.p, args.k, args.force)
+    _require_guarded_level(args.p, args.k, args.force)
     if args.analytic and args.k != 1:
         raise UsageError("--analytic runs at k = 1 only")
+    # the Klein-law grid has p^2 points: the table guard bounds it too
+    if args.analytic and args.p > TABLE_GUARD and not args.force:
+        raise UsageError(
+            f"--analytic at p = {args.p} exceeds the guard {TABLE_GUARD}; "
+            "pass --force to override"
+        )
 
     checks = algebraic_checks(args.p, args.k)
     if args.structure:
@@ -142,7 +153,7 @@ def cmd_crosscheck(args) -> int:
     levels = report.levels()
     if args.p is not None:
         if args.p not in levels:
-            raise UsageError(f"no records for p = {args.p} in {path}")
+            raise UsageError(f"no records for p = {brief_int(args.p)} in {path}")
         levels = [args.p]
     if not levels:
         raise UsageError(f"no usable records in {path}")

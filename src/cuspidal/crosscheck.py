@@ -23,6 +23,7 @@ from pathlib import Path
 from typing import NamedTuple, Sequence
 
 from .arith import Primality, is_prime
+from .errors import brief_int
 
 J_LABEL = "J"
 
@@ -94,13 +95,13 @@ def load_records(path) -> LoadReport:
             report.errors.append(f"line {lineno}: empty label")
             continue
         if is_prime(p) is Primality.COMPOSITE:
-            report.errors.append(f"line {lineno}: p = {p} is not prime")
+            report.errors.append(f"line {lineno}: p = {brief_int(p)} is not prime")
             continue
         if is_prime(q) is Primality.COMPOSITE:
             report.errors.append(f"line {lineno}: q = {q} is not prime")
             continue
         if q % p not in (1, p - 1):
-            report.errors.append(f"line {lineno}: q = {q} is not +-1 mod {p}")
+            report.errors.append(f"line {lineno}: q = {q} is not +-1 mod {brief_int(p)}")
             continue
         if value < 1:
             report.errors.append(f"line {lineno}: value must be >= 1")

@@ -1,4 +1,12 @@
-"""Error types shared across the package."""
+"""Error types shared across the package, and how an error names a number."""
+
+
+def brief_int(x: int) -> str:
+    """x as an error message names it: in full up to 20 digits, otherwise
+    as its digit count, so a huge input gives a short line."""
+    text = str(x)
+    digits = len(text.lstrip("-"))
+    return text if digits <= 20 else f"<{digits} digits>"
 
 
 class InvariantViolation(RuntimeError):

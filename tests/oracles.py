@@ -6,6 +6,9 @@ multiplication by F on Z[x]/Phi_d, the phi(d) x phi(d) integer block of
 classgroup.orbit_blocks (which orbit_norms never builds), taken by
 fraction-free (Bareiss) elimination.
 
+classgroup.snf_mod eliminates modulo a multiple of the lattice index; snf
+is the dense Smith form over Z with minimal pivots, which no command runs.
+
 arith.factorize divides out the trial primes by one gcd per run of primes;
 factorize_prime_by_prime divides by each trial prime in turn instead.
 
@@ -33,7 +36,7 @@ from cuspidal.arith import (
     factorize,
 )
 from cuspidal.cartan import CartanClass, CartanContext, CartanElement
-from cuspidal.classgroup import orbit_blocks
+from cuspidal.classgroup import _divisibility_chain, orbit_blocks
 from cuspidal.crosscheck import parse_value
 from cuspidal.errors import InvariantViolation
 from cuspidal.stickelberger import GroupRingElement, d_value, theta
@@ -75,6 +78,55 @@ def block_norms(f: Sequence[int]) -> dict[int, int]:
     """{d: N_d} for every d | n = len(f), each the Bareiss determinant of
     multiplication by F = sum_j f_j x^j on Z[x]/Phi_d."""
     return {d: bareiss_det(rows) for d, rows in orbit_blocks(f).items()}
+
+
+def snf(matrix: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """Invariant factors d1 | d2 | ... (the nonzero Smith diagonal) of an
+    arbitrary rectangular integer matrix.
+
+    Pivots are chosen of minimal nonzero magnitude, which keeps coefficient
+    growth in check; the divisibility chain is enforced afterwards through
+    gcd/lcm exchanges on the diagonal (diag(a, b) ~ diag(gcd, lcm))."""
+    a = [list(map(int, row)) for row in matrix]
+    nr = len(a)
+    nc = len(a[0]) if nr else 0
+    if any(len(row) != nc for row in a):
+        raise ValueError("ragged matrix")
+    t = 0
+    while t < min(nr, nc):
+        best = None
+        for i in range(t, nr):
+            for j in range(t, nc):
+                v = a[i][j]
+                if v and (best is None or abs(v) < best[0]):
+                    best = (abs(v), i, j)
+        if best is None:
+            break
+        _, bi, bj = best
+        if bi != t:
+            a[t], a[bi] = a[bi], a[t]
+        if bj != t:
+            for row in a:
+                row[t], row[bj] = row[bj], row[t]
+        pivot = a[t][t]
+        if any(a[i][t] for i in range(t + 1, nr)):
+            for i in range(t + 1, nr):
+                if a[i][t]:
+                    q = a[i][t] // pivot
+                    if q:
+                        a[i] = [x - q * y for x, y in zip(a[i], a[t])]
+            continue  # remainders may be smaller than the pivot: re-pick
+        if any(a[t][j] for j in range(t + 1, nc)):
+            for j in range(t + 1, nc):
+                if a[t][j]:
+                    q = a[t][j] // pivot
+                    if q:
+                        for row in a:
+                            row[j] -= q * row[t]
+            continue
+        t += 1
+
+    return _divisibility_chain([abs(a[i][i]) for i in range(min(nr, nc)) if a[i][i]])
 
 
 def factorize_prime_by_prime(n: int, *, rho_budget: int) -> Factorization:

@@ -19,13 +19,12 @@ from cuspidal.classgroup import (
     lattice_index,
     orbit_norms,
     order,
-    snf,
     snf_mod,
     structure,
 )
 from cuspidal.errors import InvariantViolation
 from cuspidal.stickelberger import d_value, stickelberger_data, theta
-from oracles import bareiss_det, block_norms, context_with_generator, reference_order
+from oracles import bareiss_det, block_norms, context_with_generator, reference_order, snf
 
 TABLE_SMALL = {5: 1, 7: 1, 11: 11, 13: 7 * 13**2, 17: 2**4 * 3 * 17**3}
 
@@ -445,29 +444,59 @@ def test_lattice_index_is_the_determinant_of_the_shift_rows(p, k):
     assert lattice_index(ctx) == abs(bareiss_det(shift_rows))
 
 
-def test_snf_mod_matches_snf_on_random_lattices():
+def test_snf_mod_matches_snf_on_random_lattices(monkeypatch):
+    import cuspidal.classgroup as cg
+
+    # count the two ways the kernel goes on when no unit is left: a
+    # recursive call is a coprime split of the modulus, and a pivot search
+    # below the call's own modulus follows a division by a common factor
+    real_snf_mod, real_pivot = cg.snf_mod, cg._pivot_out_units
+    moduli, paths = [], {"split": 0, "scale": 0}
+
+    def snf_mod_spy(rows, m):
+        paths["split"] += bool(moduli)
+        moduli.append(m)
+        try:
+            return real_snf_mod(rows, m)
+        finally:
+            moduli.pop()
+
+    def pivot_spy(rows, m):
+        paths["scale"] += m != moduli[-1]
+        return real_pivot(rows, m)
+
+    monkeypatch.setattr(cg, "snf_mod", snf_mod_spy)
+    monkeypatch.setattr(cg, "_pivot_out_units", pivot_spy)
     rng = random.Random(5)
     cases = 0
-    while cases < 30:
+    while cases < 60:
         n = rng.randrange(2, 7)
         p = rng.choice([2, 3, 5, 7])
-        # p-parts with exponents up to 6, so the modulus p^s is raised past 2
-        diag = [rng.choice([1, 1, 2, 3, p, p**2, p**3, p**6, 6 * p**2]) for _ in range(n)]
+        q = rng.choice([999983, 1000003])  # primes above 10^6
+        # p-parts with exponents up to 6, so the modulus p^s is raised past
+        # 2, and squares of q, so one modulus holds q^2 next to other primes
+        diag = [
+            rng.choice([1, 1, 2, 3, p, p**2, p**3, p**6, 6 * p**2, q, q * q, 6 * q * q])
+            for _ in range(n)
+        ]
         core = [[diag[i] if i == j else 0 for j in range(n)] for i in range(n)]
         rows = matmul(matmul(unimodular(n, rng), core), unimodular(n, rng))
         rows.append([rng.randrange(-50, 51) for _ in range(n)])  # one more row
         det = abs(bareiss_det(rows[:-1]))
         want = snf(rows)
-        assert snf_mod(rows, det, p) == want
-        # any multiple of the index also lies in the row span
-        assert snf_mod(rows, det * p**3 * 35, p) == want
+        assert cg.snf_mod(rows, det) == want
+        # any multiple of the index also lies in the row span, among them
+        # products of coprime parts and squares of a prime above 10^6
+        for extra in (p**3 * 35, q * q, 999983**2 * 1000003**2 * 6):
+            assert cg.snf_mod(rows, det * extra) == want
         cases += 1
+    assert paths["split"] > 0 and paths["scale"] > 0, paths
 
 
 def test_snf_mod_column_reached_by_no_row_takes_the_full_exponent():
     # the second column is 0 in every row: its factor is the modulus p^e M
-    assert snf_mod([[1, 0], [0, 0]], 11**3 * 6, 11) == (1, 11**3 * 6)
-    assert snf_mod([[11, 0], [0, 11**3]], 11**3, 11) == (11, 11**3)
+    assert snf_mod([[1, 0], [0, 0]], 11**3 * 6) == (1, 11**3 * 6)
+    assert snf_mod([[11, 0], [0, 11**3]], 11**3) == (11, 11**3)
 
 
 def test_structure_rejects_a_doubled_lattice_row(monkeypatch):
@@ -545,6 +574,23 @@ def test_structure_at_19_squared():
     assert math.prod(got) == order(ctx)
 
 
+def test_structure_at_5_to_the_4th():
+    # pinned from the p-local and dense-fallback Smith forms before the one
+    # kernel over Z/m (about 7 s); n = 250
+    ctx = CartanContext.create(5, 4)
+    big = int(
+    "105952963073810165596344441674648456372066877662061295468330407524880661"
+    "561804651962296637699868416820420616622345357896714089018798587516594207"
+    "415716270745022548983509597460383911850616855350771878120475010293999611"
+    "767877618017720592017155423163437758847208854253893967207255022518186005"
+    "633815625"
+    )
+    want = (5,) * 48 + (25,) * 152 + (125,) * 28 + (625,) * 12 + (3125,) * 6 + (big, big)
+    got = structure(ctx)
+    assert got == want
+    assert math.prod(got) == order(ctx)
+
+
 BLOCK_LEVELS = [(13, 1), (101, 1), (7, 2), (13, 2)]
 
 
@@ -605,15 +651,15 @@ def test_structure_takes_the_full_lattice_only_modulo_primes_of_6pn(monkeypatch,
 
     ctx = CartanContext.create(p, k)
     bad = _primes_of_6pn(ctx)
-    real = cg._coprime_factors
+    real = cg.snf_mod
     seen = []
 
-    def spy(rows, m, ncols):
+    def spy(rows, m):
         if len(rows) == ctx.n:  # a block has phi(d) < n rows
             seen.append(m)
-        return real(rows, m, ncols)
+        return real(rows, m)
 
-    monkeypatch.setattr(cg, "_coprime_factors", spy)
+    monkeypatch.setattr(cg, "snf_mod", spy)
     structure(ctx)
     for m in seen:
         for q in bad:

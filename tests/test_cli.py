@@ -51,15 +51,35 @@ def test_order_factor_13_squared_completes(capsys):
     assert 0 < data["factor_steps_used"] <= DEFAULT_RHO_BUDGET
 
 
-def test_size_guard_and_force(capsys):
+def test_size_guard_and_force(capsys, monkeypatch):
+    from cuspidal import cartan, cli
+
     code, _, err = run(capsys, "order", "-p", "101", "-k", "2")
     assert code == 2 and "--force" in err
     # forcing is possible but would be slow; just check the guard message
+    # --analytic above the table guard: its Klein-law grid has p^2 points
+    # (27 s at p = 103)
+    code, _, err = run(capsys, "verify", "-p", "103", "--analytic")
+    assert code == 2 and "--force" in err
     # a huge k is refused without forming p^k (5^(10^6) has 698 971 digits)
     for command in ("order", "verify"):
         code, _, err = run(capsys, command, "-p", "5", "-k", "1000000")
         assert code == 2 and "--force" in err
         assert len(err.encode()) < 200, len(err)
+    # a huge p is refused before its primality test (about 3 s at 10^3000),
+    # and the message gives its digit count, not its 3001 digits
+    huge = 10**3000 + 7
+    tested = []
+    for module in (cartan, cli):
+        real = module.is_prime
+        monkeypatch.setattr(module, "is_prime", lambda n, real=real: tested.append(n) or real(n))
+    for command in ("order", "verify"):
+        code, _, err = run(capsys, command, "-p", str(huge))
+        assert code == 2 and "--force" in err
+        assert len(err.encode()) < 200, len(err)
+    assert huge not in tested
+    code, _, err = run(capsys, "genus", "-p", str(huge))  # no size guard
+    assert code == 2 and len(err.encode()) < 200, len(err)
 
 
 def test_order_json_round_trip(capsys):
