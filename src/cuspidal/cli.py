@@ -157,10 +157,15 @@ def cmd_crosscheck(args) -> int:
         levels = [args.p]
     if not levels:
         raise UsageError(f"no usable records in {path}")
+    # crosscheck has no --force: a level above the size guard is refused
+    # outright, before its primality test and before any order is computed
+    for p in levels:
+        if p > SIZE_GUARD:
+            raise UsageError(f"p = {brief_int(p)} exceeds the size guard {SIZE_GUARD}")
+        _require_level(p)
 
     all_ok = True
     for p in levels:
-        _require_level(p)
         order_p = compute_class_group(p, 1, factor=False).order
         harness = gcd_harness(p, report.for_p(p), order_p)
         print(f"p={p}: order {order_p}")

@@ -1,6 +1,10 @@
 """Numerical q-series layer: Siegel functions, Klein forms, their
 transformation behaviour, and the sign character of the bucket products.
 
+Every index is an integer pair a = (x1, x2) over a denominator den >= 1,
+standing for a / den, and must lie outside Z^2.  The arithmetic stays in
+integers, and each float is one correctly rounded division of two of them.
+
 Siegel values come from the classical q-product: for 0 <= a1 < 1,
 
     g_a(tau) = -q^(B2(a1)/2) e^(pi i a2 (a1 - 1)) (1 - q_z)
@@ -28,11 +32,9 @@ from __future__ import annotations
 
 import cmath
 import math
-from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from .arith import bernoulli2, frac_part
 from .cartan import (
     CartanContext,
     find_norm_minus_one_element,
@@ -46,6 +48,7 @@ WEIGHT_TOL = 1e-6
 ETA_CACHE_SIZE = 64  # distinct tau per eta2 cache; an analytic suite uses about ten
 
 Matrix = Sequence[Sequence[int]]
+Index = Sequence[int]
 
 
 def required_terms(tau: complex) -> int:
@@ -74,16 +77,32 @@ def eta_sq(tau: complex) -> complex:
     return out
 
 
-def _siegel_product(a1: Fraction, a2: Fraction, tau: complex, lead: complex) -> complex:
-    """lead (1 - q_z) prod_{n<=N} (1 - q^n q_z)(1 - q^n / q_z) for a1 in [0, 1)."""
-    if not 0 <= a1 < 1:
+def _checked(a: Index, den: int) -> tuple[int, int]:
+    """(x1, x2) for an index a / den outside Z^2."""
+    x1, x2 = a
+    if den < 1:
+        raise ValueError("denominator must be positive")
+    if x1 % den == 0 and x2 % den == 0:
+        raise ValueError("index must not lie in Z^2")
+    return x1, x2
+
+
+def _b2(x: int, den: int) -> float:
+    """B2(x / den) = (6x^2 - 6x den + den^2) / (6 den^2)."""
+    return (6 * x * x - 6 * x * den + den * den) / (6 * den * den)
+
+
+def _siegel_product(x1: int, x2: int, den: int, tau: complex, lead: complex) -> complex:
+    """lead (1 - q_z) prod_{n<=N} (1 - q^n q_z)(1 - q^n / q_z) at the index
+    (x1, x2) / den, for 0 <= x1 < den."""
+    if not 0 <= x1 < den:
         raise ValueError("first index must already lie in [0, 1)")
     terms = required_terms(tau)
     q = cmath.exp(2j * math.pi * tau)
-    qz = cmath.exp(2j * math.pi * (float(a1) * tau + float(a2)))
+    qz = cmath.exp(2j * math.pi * (x1 / den * tau + x2 / den))
     out = lead * (1 - qz)
     qn_qz = qz
-    qn_over_qz = cmath.exp(2j * math.pi * (float(1 - a1) * tau - float(a2)))
+    qn_over_qz = cmath.exp(2j * math.pi * ((den - x1) / den * tau - x2 / den))
     for _ in range(terms):
         qn_qz *= q
         out *= (1 - qn_qz) * (1 - qn_over_qz)
@@ -91,53 +110,38 @@ def _siegel_product(a1: Fraction, a2: Fraction, tau: complex, lead: complex) -> 
     return out
 
 
-def _siegel_reduced(a1: Fraction, a2: Fraction, tau: complex) -> complex:
-    lead = -cmath.exp(1j * math.pi * tau * float(bernoulli2(a1)))
-    lead *= cmath.exp(1j * math.pi * float(a2 * (a1 - 1)))
-    return _siegel_product(a1, a2, tau, lead)
+def _siegel_reduced(x1: int, x2: int, den: int, tau: complex) -> complex:
+    lead = -cmath.exp(1j * math.pi * tau * _b2(x1, den))
+    lead *= cmath.exp(1j * math.pi * (x2 * (x1 - den) / (den * den)))
+    return _siegel_product(x1, x2, den, tau, lead)
 
 
-def _reduce_first(a) -> tuple[Fraction, Fraction]:
-    """(<a1>, a2) for an index a outside Z^2."""
-    a1, a2 = Fraction(a[0]), Fraction(a[1])
-    r1 = frac_part(a1)
-    if r1 == 0 and a2.denominator == 1:
-        raise ValueError("index must not lie in Z^2")
-    return r1, a2
-
-
-def siegel_eval(a, tau: complex) -> complex:
-    """Siegel q-product with the first index reduced into [0, 1).
+def siegel_eval(a: Index, den: int, tau: complex) -> complex:
+    """Siegel q-product at a / den with the first index reduced into [0, 1).
 
     The reduction makes the value exact only up to a root of unity relative
     to an unreduced index; downstream checks are modulus- or ratio-based."""
-    r1, a2 = _reduce_first(a)
-    return _siegel_reduced(r1, a2, complex(tau))
+    x1, x2 = _checked(a, den)
+    return _siegel_reduced(x1 % den, x2, den, complex(tau))
 
 
-def _translation_multiplier(r1: Fraction, r2: Fraction, b1: int, b2: int) -> complex:
-    """epsilon((r1, r2), (b1, b2)) = (-1)^(b1 b2 + b1 + b2) e^(-pi i (b1 r2 - b2 r1))."""
-    sign = -1.0 if (b1 * b2 + b1 + b2) % 2 else 1.0
-    # reduce the rational phase mod 2 before going to floats
-    x = 2 * frac_part((Fraction(b1) * r2 - Fraction(b2) * r1) / 2)
-    return sign * cmath.exp(-1j * math.pi * float(x))
-
-
-def klein_eval(a, tau: complex) -> complex:
-    """Klein form at any index outside Z^2, up to one global constant.
+def klein_eval(a: Index, den: int, tau: complex) -> complex:
+    """Klein form at any index a / den outside Z^2, up to one global constant.
 
     The index is reduced into [0,1)^2 and the exact translation multiplier
     is applied, so integer translation and the modular law hold as written
     (the single unknown constant divides out of every ratio)."""
-    a1, a2 = Fraction(a[0]), Fraction(a[1])
-    r1, r2 = frac_part(a1), frac_part(a2)
-    if r1 == 0 and r2 == 0:
-        raise ValueError("index must not lie in Z^2")
-    b1, b2 = int(a1 - r1), int(a2 - r2)
+    x1, x2 = _checked(a, den)
+    b1, r1 = divmod(x1, den)
+    b2, r2 = divmod(x2, den)
     tau = complex(tau)
-    value = _siegel_reduced(r1, r2, tau) / eta_sq(tau)
+    value = _siegel_reduced(r1, r2, den, tau) / eta_sq(tau)
     if (b1, b2) != (0, 0):
-        value *= _translation_multiplier(r1, r2, b1, b2)
+        # epsilon(r / den, b) = (-1)^(b1 b2 + b1 + b2) e^(-pi i phase), where
+        # phase = (b1 r2 - b2 r1) / den is reduced mod 2 before going to floats
+        sign = -1.0 if (b1 * b2 + b1 + b2) % 2 else 1.0
+        phase = ((b1 * r2 - b2 * r1) % (2 * den)) / den
+        value *= sign * cmath.exp(-1j * math.pi * phase)
     return value
 
 
@@ -149,39 +153,35 @@ def _moebius(gamma: Matrix, tau: complex) -> complex:
     return (a * tau + b) / (c * tau + d)
 
 
-def _index_times_matrix(a, gamma: Matrix) -> tuple[Fraction, Fraction]:
-    (p, q), (r, s) = gamma
-    a1, a2 = Fraction(a[0]), Fraction(a[1])
-    return (a1 * p + a2 * r, a1 * q + a2 * s)
-
-
-def klein_negation_residual(a, tau: complex) -> float:
+def klein_negation_residual(a: Index, den: int, tau: complex) -> float:
     """|k(-a) + k(a)| / |k(a)|: the negation law, exact complex form."""
-    k = klein_eval(a, tau)
-    k_neg = klein_eval((-Fraction(a[0]), -Fraction(a[1])), tau)
+    k = klein_eval(a, den, tau)
+    k_neg = klein_eval((-a[0], -a[1]), den, tau)
     return abs(k_neg + k) / abs(k)
 
 
-def klein_translation_residual(a, b: tuple[int, int], tau: complex) -> float:
+def klein_translation_residual(a: Index, den: int, b: Index, tau: complex) -> float:
     """| |k(a+b)| - |k(a)| | / |k(a)| for integer b (multiplier has modulus 1)."""
-    k = klein_eval(a, tau)
-    shifted = (Fraction(a[0]) + b[0], Fraction(a[1]) + b[1])
-    return abs(abs(klein_eval(shifted, tau)) - abs(k)) / abs(k)
+    k = klein_eval(a, den, tau)
+    shifted = (a[0] + b[0] * den, a[1] + b[1] * den)
+    return abs(abs(klein_eval(shifted, den, tau)) - abs(k)) / abs(k)
 
 
-def klein_modular_residual(a, gamma: Matrix, tau: complex) -> float:
+def klein_modular_residual(a: Index, den: int, gamma: Matrix, tau: complex) -> float:
     """Modular law on moduli: |k_a(gamma tau) (r tau + s)| against
     |k_(a gamma)(tau)|."""
     (p, q), (r, s) = gamma
     if p * s - q * r != 1:
         raise ValueError("gamma must have determinant 1")
-    lhs = klein_eval(a, _moebius(gamma, tau)) * (r * tau + s)
-    rhs = klein_eval(_index_times_matrix(a, gamma), tau)
+    lhs = klein_eval(a, den, _moebius(gamma, tau)) * (r * tau + s)
+    rhs = klein_eval((a[0] * p + a[1] * r, a[0] * q + a[1] * s), den, tau)
     return abs(abs(lhs) - abs(rhs)) / abs(rhs)
 
 
-def infinity_order_slope(a, ys: Sequence[float] = (8.0, 10.0, 12.0)) -> float:
-    """Least-squares slope of log|g_a(iy)| against -2 pi y.
+def infinity_order_slope(
+    a: Index, den: int, ys: Sequence[float] = (8.0, 10.0, 12.0)
+) -> float:
+    """Least-squares slope of log|g_(a/den)(iy)| against -2 pi y.
 
     Converges to B2(<a1>)/2 as the sample points grow; subleading factors
     decay like e^(-2 pi y <a1>), so small <a1> needs y well beyond the strip
@@ -190,19 +190,19 @@ def infinity_order_slope(a, ys: Sequence[float] = (8.0, 10.0, 12.0)) -> float:
     factors are multiplied out: at the y that large levels sample, the
     leading factor alone leaves float range (it underflows at a1 = 0 and
     overflows where B2(<a1>) < 0)."""
-    r1, a2 = _reduce_first(a)
-    b2 = float(bernoulli2(r1))
+    x1, x2 = _checked(a, den)
+    r1 = x1 % den
     xs, ls = [], []
     for y in ys:
-        rest = _siegel_product(r1, a2, complex(0.0, y), 1.0)
-        ls.append(-math.pi * y * b2 + math.log(abs(rest)))
+        rest = _siegel_product(r1, x2, den, complex(0.0, y), 1.0)
+        ls.append(-math.pi * y * _b2(r1, den) + math.log(abs(rest)))
         xs.append(-2 * math.pi * y)
     n = len(xs)
     mean_x = sum(xs) / n
     mean_l = sum(ls) / n
     num = sum((x - mean_x) * (l - mean_l) for x, l in zip(xs, ls))
-    den = sum((x - mean_x) ** 2 for x in xs)
-    return num / den
+    var = sum((x - mean_x) ** 2 for x in xs)
+    return num / var
 
 
 # ---------------------------------------------------------------------------
@@ -293,10 +293,9 @@ def dihedral_sign(p: int, in_cartan_part: bool) -> int:
 def t_plus_eval(ctx: CartanContext, h_index: int, tau: complex) -> complex:
     """Product of Klein forms over the norm bucket of w^h_index, at the
     canonical scaled indices (a1 / p^k, a2 / p^k)."""
-    m = ctx.modulus
     out = 1.0 + 0j
     for cls in norm_class_partition(ctx)[h_index]:
-        out *= klein_eval((Fraction(cls.a1, m), Fraction(cls.a2, m)), tau)
+        out *= klein_eval((cls.a1, cls.a2), ctx.modulus, tau)
     return out
 
 

@@ -140,11 +140,8 @@ ANALYTIC_TOL = 1e-8
 ANALYTIC_MATRICES = (((1, 1), (0, 1)), ((0, -1), (1, 0)))
 
 
-def _grid(den: int):
-    for i in range(den):
-        for j in range(den):
-            if i or j:
-                yield (Fraction(i, den), Fraction(j, den))
+def _grid(den: int) -> list[tuple[int, int]]:
+    return [(i, j) for i in range(den) for j in range(den) if i or j]
 
 
 def analytic_checks(p: int) -> list[Check]:
@@ -162,17 +159,18 @@ def analytic_checks(p: int) -> list[Check]:
     )
 
     out = []
+    grid = _grid(p)
 
     def negation():
         worst = max(
-            klein_negation_residual(a, tau) for a in _grid(p) for tau in ANALYTIC_TAUS
+            klein_negation_residual(a, p, tau) for a in grid for tau in ANALYTIC_TAUS
         )
         return worst < ANALYTIC_TOL, f"worst residual {worst:.2e}"
 
     def translation():
         worst = max(
-            klein_translation_residual(a, b, tau)
-            for a in _grid(p)
+            klein_translation_residual(a, p, b, tau)
+            for a in grid
             for b in ((1, 0), (0, 1), (1, 1))
             for tau in ANALYTIC_TAUS
         )
@@ -180,8 +178,8 @@ def analytic_checks(p: int) -> list[Check]:
 
     def modular():
         worst = max(
-            klein_modular_residual(a, g, tau)
-            for a in _grid(p)
+            klein_modular_residual(a, p, g, tau)
+            for a in grid
             for g in ANALYTIC_MATRICES
             for tau in ANALYTIC_TAUS
         )
@@ -191,9 +189,9 @@ def analytic_checks(p: int) -> list[Check]:
         # subleading terms decay like e^(-2 pi y / p): scale samples with p
         ys = tuple(c * p / 5 for c in (8.0, 10.0, 12.0))
         worst = 0.0
-        for a in _grid(p):
-            target = float(bernoulli2(Fraction(a[0]))) / 2
-            got = infinity_order_slope(a, ys=ys)
+        for a in grid:
+            target = float(bernoulli2(Fraction(a[0], p))) / 2
+            got = infinity_order_slope(a, p, ys=ys)
             worst = max(worst, abs(got - target) / abs(target))
         return worst <= 0.01, f"worst relative error {worst:.2%}"
 

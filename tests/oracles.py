@@ -12,6 +12,11 @@ is the dense Smith form over Z with minimal pivots, which no command runs.
 arith.factorize divides out the trial primes by one gcd per run of primes;
 factorize_prime_by_prime divides by each trial prime in turn instead.
 
+klein_eval_fraction and infinity_order_slope_fraction are the q-series
+evaluators with every index a pair of Fractions, reduced and converted to
+floats one Fraction at a time; siegel takes integer pairs over one
+denominator and must agree with them bit for bit.
+
 divisor_of_unit re-derives the lattice rows of classgroup.generator_matrix
 as Fraction products in the group ring; kl_unit_check is the power-product
 unit criterion on class coordinates.  The remaining helpers read the bundled
@@ -21,7 +26,9 @@ context over a chosen generator w of H.
 
 from __future__ import annotations
 
+import cmath
 import math
+from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
 from pathlib import Path
@@ -33,12 +40,15 @@ from cuspidal.arith import (
     Primality,
     _small_primes,
     _trial_bound,
+    bernoulli2,
     factorize,
+    frac_part,
 )
 from cuspidal.cartan import CartanClass, CartanContext, CartanElement
 from cuspidal.classgroup import _divisibility_chain, orbit_blocks
 from cuspidal.crosscheck import parse_value
 from cuspidal.errors import InvariantViolation
+from cuspidal.siegel import eta_sq, required_terms
 from cuspidal.stickelberger import GroupRingElement, d_value, theta
 
 
@@ -150,6 +160,65 @@ def factorize_prime_by_prime(n: int, *, rho_budget: int) -> Factorization:
     return Factorization(
         tuple(entries) + rest.entries, rest.steps_used, rest.budget_exhausted
     )
+
+
+def _siegel_product_fraction(
+    a1: Fraction, a2: Fraction, tau: complex, lead: complex
+) -> complex:
+    terms = required_terms(tau)
+    q = cmath.exp(2j * math.pi * tau)
+    qz = cmath.exp(2j * math.pi * (float(a1) * tau + float(a2)))
+    out = lead * (1 - qz)
+    qn_qz = qz
+    qn_over_qz = cmath.exp(2j * math.pi * (float(1 - a1) * tau - float(a2)))
+    for _ in range(terms):
+        qn_qz *= q
+        out *= (1 - qn_qz) * (1 - qn_over_qz)
+        qn_over_qz *= q
+    return out
+
+
+def _siegel_reduced_fraction(a1: Fraction, a2: Fraction, tau: complex) -> complex:
+    lead = -cmath.exp(1j * math.pi * tau * float(bernoulli2(a1)))
+    lead *= cmath.exp(1j * math.pi * float(a2 * (a1 - 1)))
+    return _siegel_product_fraction(a1, a2, tau, lead)
+
+
+def klein_eval_fraction(a: Sequence[Fraction], tau: complex) -> complex:
+    """siegel.klein_eval at the index a = (a1, a2) given as two Fractions."""
+    a1, a2 = Fraction(a[0]), Fraction(a[1])
+    r1, r2 = frac_part(a1), frac_part(a2)
+    if r1 == 0 and r2 == 0:
+        raise ValueError("index must not lie in Z^2")
+    b1, b2 = int(a1 - r1), int(a2 - r2)
+    tau = complex(tau)
+    value = _siegel_reduced_fraction(r1, r2, tau) / eta_sq(tau)
+    if (b1, b2) != (0, 0):
+        sign = -1.0 if (b1 * b2 + b1 + b2) % 2 else 1.0
+        x = 2 * frac_part((Fraction(b1) * r2 - Fraction(b2) * r1) / 2)
+        value *= sign * cmath.exp(-1j * math.pi * float(x))
+    return value
+
+
+def infinity_order_slope_fraction(
+    a: Sequence[Fraction], ys: Sequence[float] = (8.0, 10.0, 12.0)
+) -> float:
+    """siegel.infinity_order_slope at the index a given as two Fractions."""
+    r1, a2 = frac_part(a[0]), Fraction(a[1])
+    if r1 == 0 and a2.denominator == 1:
+        raise ValueError("index must not lie in Z^2")
+    b2 = float(bernoulli2(r1))
+    xs, ls = [], []
+    for y in ys:
+        rest = _siegel_product_fraction(r1, a2, complex(0.0, y), 1.0)
+        ls.append(-math.pi * y * b2 + math.log(abs(rest)))
+        xs.append(-2 * math.pi * y)
+    n = len(xs)
+    mean_x = sum(xs) / n
+    mean_l = sum(ls) / n
+    num = sum((x - mean_x) * (l - mean_l) for x, l in zip(xs, ls))
+    var = sum((x - mean_x) ** 2 for x in xs)
+    return num / var
 
 
 def reference_table_path() -> Path:

@@ -58,7 +58,7 @@ def test_size_guard_and_force(capsys, monkeypatch):
     assert code == 2 and "--force" in err
     # forcing is possible but would be slow; just check the guard message
     # --analytic above the table guard: its Klein-law grid has p^2 points
-    # (27 s at p = 103)
+    # (about 4 s at p = 103 with --force on a 2-vCPU VM)
     code, _, err = run(capsys, "verify", "-p", "103", "--analytic")
     assert code == 2 and "--force" in err
     # a huge k is refused without forming p^k (5^(10^6) has 698 971 digits)
@@ -250,6 +250,22 @@ def test_crosscheck_user_file_reports_bad_rows(capsys, tmp_path):
     assert code == 0  # user data is reported, not judged
     assert "rejected row" in err
     assert "p=11" in out
+
+
+def test_crosscheck_refuses_a_level_above_the_size_guard(capsys, monkeypatch, tmp_path):
+    from cuspidal import cli
+
+    calls = []
+    monkeypatch.setattr(cli, "compute_class_group", lambda *a, **kw: calls.append(a))
+    # 240169 = 24 * 10007 + 1 is prime, so the row itself is well formed
+    f = tmp_path / "big.csv"
+    f.write_text("10007,240169,J,12\n")
+    for extra in ((), ("-p", "10007")):
+        code, out, err = run(capsys, "crosscheck", str(f), *extra)
+        assert code == 2 and not out
+        assert "10007" in err and "size guard 10000" in err and "--force" not in err
+        assert len(err.encode()) < 200, err
+    assert calls == []
 
 
 def test_rho_budget_env(capsys, monkeypatch):

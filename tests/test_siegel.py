@@ -24,6 +24,8 @@ from cuspidal.siegel import (
     siegel_eval,
     t_plus_eval,
 )
+from cuspidal.verify import ANALYTIC_MATRICES, ANALYTIC_TAUS
+from oracles import infinity_order_slope_fraction, klein_eval_fraction
 
 TAUS = (1j, 0.3 + 1j, 2j)
 MATRICES = (((1, 1), (0, 1)), ((0, -1), (1, 0)))
@@ -33,14 +35,14 @@ def grid(den):
     for i in range(den):
         for j in range(den):
             if i or j:
-                yield (Fraction(i, den), Fraction(j, den))
+                yield (i, j)
 
 
 def test_convergence_guard():
     # the length is derived from tau alone: only the half plane is guarded
     for tau in (0j, 0.3 - 1j):
         with pytest.raises(ValueError):
-            siegel_eval((Fraction(1, 5), Fraction(0)), tau)
+            siegel_eval((1, 0), 5, tau)
         with pytest.raises(ValueError):
             eta_sq(tau)
         with pytest.raises(ValueError):
@@ -52,21 +54,29 @@ def test_convergence_guard():
 
 def test_index_validation():
     with pytest.raises(ValueError):
-        siegel_eval((Fraction(2), Fraction(-1)), 1j)
+        siegel_eval((2, -1), 1, 1j)
     with pytest.raises(ValueError):
-        klein_eval((Fraction(0), Fraction(3)), 1j)
+        klein_eval((0, 3), 1, 1j)
+    # a denominator must be positive
+    for den in (0, -5):
+        with pytest.raises(ValueError):
+            siegel_eval((1, 0), den, 1j)
+        with pytest.raises(ValueError):
+            klein_eval((1, 0), den, 1j)
+        with pytest.raises(ValueError):
+            infinity_order_slope((1, 0), den)
 
 
 def test_siegel_moduli_negation():
-    v1 = siegel_eval((Fraction(1, 5), Fraction(0)), 1j)
-    v2 = siegel_eval((Fraction(4, 5), Fraction(0)), 1j)
+    v1 = siegel_eval((1, 0), 5, 1j)
+    v2 = siegel_eval((4, 0), 5, 1j)
     assert abs(abs(v1) - abs(v2)) < 1e-12
 
 
-def _product_400(a, tau):
+def _product_400(a, den, tau):
     """Siegel and eta2 q-products at a fixed 400 factors, written out
     independently of the module (a1 in [0, 1))."""
-    a1, a2 = float(a[0]), float(a[1])
+    a1, a2 = a[0] / den, a[1] / den
     q = cmath.exp(2j * math.pi * tau)
     qz = cmath.exp(2j * math.pi * (a1 * tau + a2))
     g = -cmath.exp(1j * math.pi * tau * (a1 * a1 - a1 + 1 / 6))
@@ -80,32 +90,32 @@ def _product_400(a, tau):
 
 def test_truncation_is_converged():
     assert required_terms(0.3 + 0.05j) == 89
-    for a in ((Fraction(1, 5), Fraction(0)), (Fraction(2, 7), Fraction(3, 7))):
+    for a, den in (((1, 0), 5), ((2, 3), 7)):
         for tau in TAUS + (0.3 + 0.05j,):
-            g, eta = _product_400(a, tau)
-            assert abs(siegel_eval(a, tau) - g) <= 1e-11 * abs(g)
+            g, eta = _product_400(a, den, tau)
+            assert abs(siegel_eval(a, den, tau) - g) <= 1e-11 * abs(g)
             assert abs(eta_sq(tau) - eta) <= 1e-11 * abs(eta)
-            assert abs(klein_eval(a, tau) - g / eta) <= 1e-11 * abs(g / eta)
+            assert abs(klein_eval(a, den, tau) - g / eta) <= 1e-11 * abs(g / eta)
 
 
 def test_klein_negation_grid():
     for a in grid(5):
         for tau in TAUS:
-            assert klein_negation_residual(a, tau) < 1e-10
+            assert klein_negation_residual(a, 5, tau) < 1e-10
 
 
 def test_klein_translation_grid():
     for a in grid(5):
         for b in ((1, 0), (0, 1), (1, 1), (-1, 2)):
             for tau in TAUS:
-                assert klein_translation_residual(a, b, tau) < 1e-8
+                assert klein_translation_residual(a, 5, b, tau) < 1e-8
 
 
 def test_klein_modular_grid():
     for a in grid(5):
         for gamma in MATRICES:
             for tau in TAUS:
-                assert klein_modular_residual(a, gamma, tau) < 1e-8
+                assert klein_modular_residual(a, 5, gamma, tau) < 1e-8
 
 
 def test_klein_modular_complex_form():
@@ -113,17 +123,17 @@ def test_klein_modular_complex_form():
     # the transformation law k_a(gamma tau) (r tau + s) = k_(a gamma)(tau)
     # exactly as a complex identity
     tau = 0.3 + 1j
-    for a in ((Fraction(1, 5), Fraction(0)), (Fraction(2, 5), Fraction(3, 5))):
+    for a in ((1, 0), (2, 3)):
         for gamma in MATRICES:
             (p, q), (r, s) = gamma
-            lhs = klein_eval(a, (p * tau + q) / (r * tau + s)) * (r * tau + s)
-            rhs = klein_eval((a[0] * p + a[1] * r, a[0] * q + a[1] * s), tau)
+            lhs = klein_eval(a, 5, (p * tau + q) / (r * tau + s)) * (r * tau + s)
+            rhs = klein_eval((a[0] * p + a[1] * r, a[0] * q + a[1] * s), 5, tau)
             assert abs(lhs - rhs) / abs(rhs) < 1e-10
 
 
 def test_klein_modular_rejects_non_unimodular():
     with pytest.raises(ValueError):
-        klein_modular_residual((Fraction(1, 5), Fraction(0)), ((2, 0), (0, 2)), 1j)
+        klein_modular_residual((1, 0), 5, ((2, 0), (0, 2)), 1j)
 
 
 def test_eta_sq_value():
@@ -141,9 +151,9 @@ def test_eta_sq_value():
 def test_infinity_order_slope_near_one(p):
     # at a1 = (p-1)/p and verify's samples y <= 12p/5, q_z underflows to 0
     ys = tuple(c * p / 5 for c in (8.0, 10.0, 12.0))
-    a = (Fraction(p - 1, p), Fraction(0))
-    target = float(bernoulli2(a[0])) / 2
-    assert abs(infinity_order_slope(a, ys=ys) - target) <= 0.01 * abs(target)
+    a = (p - 1, 0)
+    target = float(bernoulli2(Fraction(p - 1, p))) / 2
+    assert abs(infinity_order_slope(a, p, ys=ys) - target) <= 0.01 * abs(target)
 
 
 @pytest.mark.parametrize("p", [593, 601, 1129, 1151])
@@ -152,25 +162,48 @@ def test_infinity_order_slope_at_large_levels(p):
     # underflows at a1 = 0 and overflows at a1 near 1/2 (B2 < 0)
     ys = tuple(c * p / 5 for c in (8.0, 10.0, 12.0))
     h = (p - 1) // 2
-    indices = [
-        (Fraction(0), Fraction(1, p)),
-        (Fraction(1, p), Fraction(0)),
-        (Fraction(h, p), Fraction(0)),
-        (Fraction(h + 1, p), Fraction(3, p)),
-        (Fraction(p - 1, p), Fraction(p - 1, p)),
-    ]
+    indices = [(0, 1), (1, 0), (h, 0), (h + 1, 3), (p - 1, p - 1)]
     for a in indices:
-        target = float(bernoulli2(a[0])) / 2
-        got = infinity_order_slope(a, ys=ys)
+        target = float(bernoulli2(Fraction(a[0], p))) / 2
+        got = infinity_order_slope(a, p, ys=ys)
         assert abs(got - target) <= 0.01 * abs(target), (a, got, target)
 
 
 @pytest.mark.parametrize("den", [5, 7])
 def test_infinity_order_slope_grid(den):
     for a in grid(den):
-        target = float(bernoulli2(Fraction(a[0]))) / 2
-        got = infinity_order_slope(a)
+        target = float(bernoulli2(Fraction(a[0], den))) / 2
+        got = infinity_order_slope(a, den)
         assert abs(got - target) <= 0.01 * abs(target), (a, got, target)
+
+
+def _as_fractions(a, den):
+    return (Fraction(a[0], den), Fraction(a[1], den))
+
+
+@pytest.mark.parametrize("den", [5, 7, 12])
+def test_integer_indices_match_the_fraction_reference(den):
+    # every Klein value the residuals take, and every slope, is bit-identical
+    # to the evaluator that carried the index as two Fractions
+    for a in grid(den):
+        images = [
+            (a[0] + b1 * den, a[1] + b2 * den)
+            for b1, b2 in ((0, 0), (1, 0), (0, 1), (1, 1), (-1, 2))
+        ]
+        images.append((-a[0], -a[1]))
+        for (p, q), (r, s) in ANALYTIC_MATRICES:
+            images.append((a[0] * p + a[1] * r, a[0] * q + a[1] * s))
+        for tau in ANALYTIC_TAUS:
+            points = [(x, tau) for x in images]
+            for (p, q), (r, s) in ANALYTIC_MATRICES:
+                points.append((a, (p * tau + q) / (r * tau + s)))
+            for x, t in points:
+                assert klein_eval(x, den, t) == klein_eval_fraction(
+                    _as_fractions(x, den), t
+                ), (x, den, t)
+        for ys in ((8.0, 10.0, 12.0), tuple(c * den / 5 for c in (8.0, 10.0, 12.0))):
+            got = infinity_order_slope(a, den, ys=ys)
+            assert got == infinity_order_slope_fraction(_as_fractions(a, den), ys=ys)
 
 
 def test_lift_to_sl2_properties():
