@@ -16,16 +16,17 @@ Two independent exact routes plus a floating cross-check:
   * structure(): Smith normal form of the lattice L of unit divisors inside
     the degree-zero part I of the group ring; the invariant factors describe
     the full abelian group, and their product must equal order().  L holds
-    theta I, of index T = |prod_{d > 1} N_d| / (12 p^k)^(n-1) in I.  The
-    parts at the primes S dividing 6pn come from the whole lattice modulo
-    T_S, the part of T made of S (modulo p^s for the p-parts, modulo the
-    rest of T_S for the others); for a prime outside S the group ring
-    splits into the fields Z[x]/Phi_d, so the rest comes from the
-    phi(d) x phi(d) orbit blocks of the scaled theta' row (orbit_blocks),
-    each modulo M_d, the part of N_d prime to S.  One kernel, snf_mod(),
-    serves every modulus: it pivots on units, keeps each entry below its
-    modulus, and where no unit is left divides out a common factor or
-    splits the modulus into coprime parts by a gcd.
+    theta I, of index T = |prod_{d > 1} N_d| / (12 p^k)^(n-1) in I.  With S
+    the primes dividing 6pn and T_S the part of T made of S, the p-part
+    comes from a split of Z_p[H] by the characters of the prime-to-p part
+    of H, and the rest of T_S from the whole lattice.  For a prime outside
+    S the group ring splits into the fields Z[x]/Phi_d, so the rest comes
+    from the orbit blocks of the scaled theta' row (orbit_blocks), each
+    modulo M_d, the part of N_d prime to S, by polynomial Euclid over
+    Z/M_d (components.py).  One kernel, snf_mod(), takes every matrix
+    modulo m: it pivots on units, keeps each entry below its modulus, and
+    where no unit is left divides out a common factor or splits the
+    modulus into coprime parts by a gcd.
   * bernoulli_formula_k1(): for k = 1, the same order through an explicit
     determinant over F_{p^2} powers of an independent generator.
   * float_crosscheck(): eigenvalues of the circulant are finite Fourier
@@ -176,17 +177,10 @@ def _divmod_monic(num: Sequence[int], den: Sequence[int]) -> tuple[list[int], li
     return quot, rem[:deg]
 
 
-def orbit_blocks(f: Sequence[int]) -> dict[int, list[list[int]]]:
-    """{d: B_d} for every d | n = len(f), where B_d is the phi(d) x phi(d)
-    integer matrix of multiplication by F = sum_j f_j x^j on Z[x]/Phi_d:
-    row i holds the coefficients of x^i F mod Phi_d.  det B_d = N_d, and
-    coker B_d = Z[x]/(Phi_d, F).
-
-    Phi_d comes from x^d - 1 = prod_{e | d} Phi_e by exact division, and
-    F mod Phi_d from F mod (x^d - 1), which Phi_d divides."""
-    n = len(f)
+def cyclotomic_polynomials(n: int) -> dict[int, list[int]]:
+    """{d: Phi_d} for every d | n, from x^d - 1 = prod_{e | d} Phi_e by
+    exact division."""
     phis: dict[int, list[int]] = {}
-    blocks = {}
     for d in range(1, n + 1):
         if n % d:
             continue
@@ -197,6 +191,17 @@ def orbit_blocks(f: Sequence[int]) -> dict[int, list[list[int]]]:
                 if any(rem):
                     raise InvariantViolation(f"Phi_{e} does not divide x^{d} - 1")
         phis[d] = phi
+    return phis
+
+
+def orbit_blocks(f: Sequence[int]) -> dict[int, list[list[int]]]:
+    """{d: B_d} for every d | n = len(f), where B_d is the phi(d) x phi(d)
+    integer matrix of multiplication by F = sum_j f_j x^j on Z[x]/Phi_d:
+    row i holds the coefficients of x^i F mod Phi_d.  det B_d = N_d, and
+    coker B_d = Z[x]/(Phi_d, F).  F mod Phi_d comes from F mod (x^d - 1),
+    which Phi_d divides."""
+    blocks = {}
+    for d, phi in cyclotomic_polynomials(len(f)).items():
         folded = [0] * d
         for j, c in enumerate(f):
             folded[j % d] += c
@@ -451,20 +456,24 @@ def structure(ctx: CartanContext) -> tuple[int, ...]:
     first, which ties the rows to the orbit norms that T is taken from.
     With S the primes dividing 6pn, T = T_S T' where T_S is made of S:
 
-      * the S-parts are those of L + T_S Z^(n-1), from snf_mod() on the
-        joint lattice: the p-part modulo p^s, s doubling from 2 until no
-        factor reaches p^s, and the rest of T_S in one call;
+      * the p-part modulo p^s, s doubling from 2 until no factor reaches
+        p^s: L = Z[H] d theta over Z_p, d = d_value(p) being a p-unit, so
+        p_part_mod() splits it by characters of the prime-to-p part of H;
+      * the rest of T_S from snf_mod() on the joint lattice L + T_S Z^(n-1);
       * for a prime l outside S, Z_l[H] = prod_{d | n} Z_l[x]/Phi_d; 12 p^k
         and d_value(p) are l-units, theta has degree 0, and theta' - theta
         is a multiple of the norm element, which is 0 in every factor with
         d > 1.  So the l-part of the group is that of the sum over d > 1 of
-        coker B_d, the orbit blocks of the scaled theta' row, each taken
-        modulo M_d, the part of N_d prime to S.
+        coker B_d = Z[x]/(Phi_d, F), the orbit blocks of the scaled theta'
+        row F, each taken modulo M_d, the part of N_d prime to S, by
+        euclid_mod().
 
     Each block must have determinant N_d modulo the check prime and factors
     whose product is M_d, and the M_d must multiply to T'.  The block
     factors are merged into one chain and multiplied into the S-parts
     position by position, the two being coprime."""
+    from .components import euclid_mod, p_part_mod
+
     rows = generator_matrix(ctx)
     index = lattice_index(ctx)
     det = _det_mod(rows[:-1], _CHECK_PRIME)
@@ -476,17 +485,19 @@ def structure(ctx: CartanContext) -> tuple[int, ...]:
     rest_s = _prime_to(index_s, [ctx.p])
     p_top = index_s // rest_s
     # the p-part modulo p^s, s = 2, 4, 8, ...: once every factor is below
-    # p^s, none was cut off.  They stay far below p_top (at most p^4 at every
+    # p^s, none was cut off.  They stay far below p_top (at most p^5 at every
     # tested level, where p_top reaches p^79), so the entries stay small.
+    d_theta = [-sum(rows[-1])] + rows[-1]  # the degree-zero row d theta
     q = min(ctx.p**2, p_top)
     while True:
-        p_part = snf_mod(rows, q)
+        p_part = p_part_mod(d_theta, ctx.p, q)
         if q == p_top or p_part[-1] < q:
             break
         q = min(q * q, p_top)
     joint = [a * b for a, b in zip(p_part, snf_mod(rows, rest_s))]
 
     norms = theta_prime_norms(ctx)
+    phis = cyclotomic_polynomials(ctx.n)
     pieces: list[int] = []
     m_product = 1
     for d, block in orbit_blocks(circulant_theta_prime(ctx)).items():
@@ -495,7 +506,7 @@ def structure(ctx: CartanContext) -> tuple[int, ...]:
         if _det_mod(block, _CHECK_PRIME) != norms[d] % _CHECK_PRIME:
             raise InvariantViolation(f"orbit block {d} does not have determinant N_{d}")
         m = _prime_to(abs(norms[d]), primes)
-        factors = snf_mod(block, m)
+        factors = euclid_mod(phis[d], block[0], block, m)
         if math.prod(factors) != m:
             raise InvariantViolation(f"orbit block {d} factors do not multiply to M_{d}")
         pieces += factors

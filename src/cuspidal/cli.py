@@ -145,7 +145,9 @@ def cmd_crosscheck(args) -> int:
     bundled = args.path is None
     path = bundled_fixture_path() if bundled else args.path
     try:
-        report = load_records(path)
+        # crosscheck has no --force: a row above the size guard is rejected
+        # outright, before its primality test and before any order is computed
+        report = load_records(path, max_p=SIZE_GUARD)
     except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
     for err in report.errors:
@@ -157,11 +159,7 @@ def cmd_crosscheck(args) -> int:
         levels = [args.p]
     if not levels:
         raise UsageError(f"no usable records in {path}")
-    # crosscheck has no --force: a level above the size guard is refused
-    # outright, before its primality test and before any order is computed
     for p in levels:
-        if p > SIZE_GUARD:
-            raise UsageError(f"p = {brief_int(p)} exceeds the size guard {SIZE_GUARD}")
         _require_level(p)
 
     all_ok = True

@@ -69,9 +69,10 @@ def bundled_fixture_path() -> Path:
     return Path(resources.files("cuspidal").joinpath("data/jacobian_counts.csv"))
 
 
-def load_records(path) -> LoadReport:
+def load_records(path, *, max_p: int | None = None) -> LoadReport:
     """Parse a CSV counts file; malformed rows are reported with their line
-    number and skipped, the rest of the load continues."""
+    number and skipped, the rest of the load continues.  A row whose p
+    exceeds max_p is rejected before its primality test."""
     report = LoadReport([], [])
     text = Path(path).read_text(encoding="utf-8")
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -93,6 +94,11 @@ def load_records(path) -> LoadReport:
         label = parts[2]
         if not label:
             report.errors.append(f"line {lineno}: empty label")
+            continue
+        if max_p is not None and p > max_p:
+            report.errors.append(
+                f"line {lineno}: p = {brief_int(p)} exceeds the size guard {max_p}"
+            )
             continue
         if is_prime(p) is Primality.COMPOSITE:
             report.errors.append(f"line {lineno}: p = {brief_int(p)} is not prime")

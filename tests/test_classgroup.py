@@ -499,6 +499,109 @@ def test_snf_mod_column_reached_by_no_row_takes_the_full_exponent():
     assert snf_mod([[11, 0], [0, 11**3]], 11**3) == (11, 11**3)
 
 
+def test_euclid_mod_matches_snf_mod_on_random_rows(monkeypatch):
+    import cuspidal.classgroup as cg
+    import cuspidal.components as co
+
+    # count the ways Euclid goes on at a non-unit leading coefficient: a
+    # recursive call is a coprime split, and snf_mod is the no-split path
+    real_euclid, real_snf_mod = co.euclid_mod, co.snf_mod
+    depth, paths = [0], {"split": 0, "no split": 0}
+
+    def euclid_spy(a, b, block, m):
+        paths["split"] += depth[0] > 0
+        depth[0] += 1
+        try:
+            return real_euclid(a, b, block, m)
+        finally:
+            depth[0] -= 1
+
+    def snf_mod_spy(block, m):
+        paths["no split"] += 1
+        return real_snf_mod(block, m)
+
+    monkeypatch.setattr(co, "euclid_mod", euclid_spy)
+    monkeypatch.setattr(co, "snf_mod", snf_mod_spy)
+    rng = random.Random(15)
+    for case in range(40):
+        n = rng.choice([6, 8, 9, 10, 12, 15])
+        f = [rng.randrange(-30, 31) for _ in range(n)]
+        d = rng.choice([d for d in range(3, n + 1) if n % d == 0])
+        phi = cg.cyclotomic_polynomials(n)[d]
+        q = rng.choice([999983, 1000003])  # primes above 10^6
+        if case % 2:
+            # F of degree below phi(d) is its own remainder; its leading
+            # coefficient is divisible by q once, and q^2 divides the modulus
+            f = [rng.randrange(-30, 31) for _ in range(len(phi) - 2)]
+            f += [q * rng.randrange(1, 30)] + [0] * (n - len(f) - 1)
+        block = cg.orbit_blocks(f)[d]
+        det = abs(bareiss_det(block))
+        for m in (det, det * 35, det * q * q, q * q * 6, q * q, 2**5 * 3**4):
+            want = real_snf_mod(block, m)
+            assert co.euclid_mod(phi, block[0], block, m) == want, (f, d, m)
+    assert paths["split"] > 0 and paths["no split"] > 0, paths
+
+
+def degree_zero_lattice(v):
+    """Rows (w^j - 1) v, j = 1..n-1, and v, in the basis {w^i - 1} of I."""
+    n = len(v)
+    rows = [[v[i - j] - v[i] for i in range(1, n)] for j in range(1, n)]
+    return rows + [v[1:]]
+
+
+def cyclic_mul(a, b):
+    n = len(a)
+    out = [0] * n
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[(i + j) % n] += x * y
+    return out
+
+
+# n = 605 at 11^3 and 1014 at 13^3 take the whole-lattice oracle minutes
+P_PART_LEVELS = [(5, 1), (7, 1), (11, 1), (13, 1), (5, 2), (7, 2), (11, 2), (13, 2), (5, 3), (7, 3)]
+
+
+@pytest.mark.parametrize("p,k", P_PART_LEVELS)
+def test_p_part_mod_matches_the_whole_lattice_p_part(p, k):
+    # the character split against snf_mod on the n x (n-1) lattice of a
+    # random degree-zero v: products of w^g - 1, of (w^m - 1)^b (y - 1 in
+    # every component, so p-torsion past p), of w^q - 1 (0 in component 0)
+    # and of powers of p, plus a random degree-zero tail
+    from cuspidal.components import p_part_mod
+
+    n = (p - 1) * p ** (k - 1) // 2
+    m = (p - 1) // 2
+    rng = random.Random(p * 10 + k)
+
+    def shift_minus_one(g):
+        e = [0] * n
+        e[0] -= 1
+        e[g % n] += 1
+        return e
+
+    for case in range(3):
+        v = [rng.randrange(-5, 6) for _ in range(n)]
+        factors = [shift_minus_one(rng.randrange(1, n))]
+        if k > 1:  # w^m = 1 at k = 1
+            factors += [shift_minus_one(m)] * rng.randrange(1, 3)
+        if case == 2:
+            factors.append(shift_minus_one(n // m))
+        for e in factors:
+            v = cyclic_mul(v, e)
+        c = p ** rng.randrange(2)
+        v = [c * x for x in v]
+        if case == 1:
+            tail = [rng.randrange(-2, 3) * p**2 for _ in range(n)]
+            tail[0] -= sum(tail)
+            v = [x + y for x, y in zip(v, tail)]
+        assert sum(v) == 0
+        rows = degree_zero_lattice(v)
+        for s in (1, 2, 5):
+            assert p_part_mod(v, p, p**s) == snf_mod(rows, p**s), (case, s)
+
+
 def test_structure_rejects_a_doubled_lattice_row(monkeypatch):
     # a doubled row leaves L + T Z^(n-1) unchanged wherever T is odd, so only
     # the determinant check can see it; structure must not return the order
@@ -591,6 +694,28 @@ def test_structure_at_5_to_the_4th():
     assert math.prod(got) == order(ctx)
 
 
+def test_structure_at_23_squared():
+    # pinned from the whole-lattice p-part and the Smith forms of the orbit
+    # blocks modulo M_d, before the Euclid and character routes (about 60 s
+    # there); n = 253
+    ctx = CartanContext.create(23, 2)
+    big = int(
+    "203987632826430894532395000758625311780742374989519461390061349941638534"
+    "359389270284731047737949552304154423370687504314358004329982413072676269"
+    "053421811553110209771863016435136678735849479192389082753762867187221726"
+    "798259744153380365384153118833832432567757581596214496081577374321100155"
+    "931911117249776469794266704197817882595373634337246420697008447864036688"
+    "157764602495842641600502550783115626917272798325947570298932114811139043"
+    "343624865214899644763294886011468597148922631017077825245103713829243091"
+    "892323966099979256368105605520665761099599097166333607823157325223607838"
+    "7088665363463184639160128015275988073"
+    )
+    want = (23,) * 230 + (529,) * 6 + (12167,) * 3 + (big,)
+    got = structure(ctx)
+    assert got == want
+    assert math.prod(got) == ORDER_23_SQUARED
+
+
 BLOCK_LEVELS = [(13, 1), (101, 1), (7, 2), (13, 2)]
 
 
@@ -668,9 +793,8 @@ def test_structure_takes_the_full_lattice_only_modulo_primes_of_6pn(monkeypatch,
         assert m == 1
 
 
-def test_order_at_23_squared():
-    # pinned from the Bareiss-block orbit norms (about 60 s there); n = 253
-    want = int(
+# pinned from the Bareiss-block orbit norms (about 60 s there); n = 253
+ORDER_23_SQUARED = int(
     "126850060483915077087990263992859861684383541038616309410930077827097584"
     "596206181897175163024296654174570264744725817639789411810642747327818664"
     "626444427648276351600781272973118152552158567305635712121734017131770405"
@@ -685,8 +809,11 @@ def test_order_at_23_squared():
     "919062459222082712011232378674384830813802852014922374011899121189846924"
     "434760795269491352662907940100079561626856555662756908380742354088438014"
     "0398181570066983071"
-    )
-    assert order(CartanContext.create(23, 2)) == want
+)
+
+
+def test_order_at_23_squared():
+    assert order(CartanContext.create(23, 2)) == ORDER_23_SQUARED
 
 
 def test_order_at_11_cubed():

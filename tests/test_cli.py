@@ -268,6 +268,25 @@ def test_crosscheck_refuses_a_level_above_the_size_guard(capsys, monkeypatch, tm
     assert calls == []
 
 
+def test_crosscheck_rejects_a_huge_p_before_its_primality_test(capsys, monkeypatch, tmp_path):
+    from cuspidal import cartan, crosscheck
+
+    # a row with p = 10^3000 + 7 is a rejected row at once, not after a
+    # primality test of about 3 s, and the message gives its digit count
+    huge = 10**3000 + 7
+    tested = []
+    for module in (cartan, crosscheck):
+        real = module.is_prime
+        monkeypatch.setattr(module, "is_prime", lambda n, real=real: tested.append(n) or real(n))
+    f = tmp_path / "huge.csv"
+    f.write_text(f"p,q,label,value\n{huge},29,J,12\n")
+    code, out, err = run(capsys, "crosscheck", str(f))
+    assert code == 2 and not out
+    assert "rejected row: line 2:" in err and "size guard 10000" in err
+    assert len(err.encode()) < 300, err
+    assert huge not in tested
+
+
 def test_rho_budget_env(capsys, monkeypatch):
     monkeypatch.setenv("CUSPIDAL_RHO_BUDGET", "not-a-number")
     code, _, err = run(capsys, "order", "-p", "5")

@@ -1,6 +1,7 @@
 """What a command-line process loads: no ``dataclasses`` (which pulls in
-``inspect``, ``ast``, ``dis`` and ``tokenize``) in any command, and the
-q-series layer ``cuspidal.siegel`` only for ``verify --analytic``."""
+``inspect``, ``ast``, ``dis`` and ``tokenize``) in any command, the
+q-series layer ``cuspidal.siegel`` only for ``verify --analytic``, and the
+Smith-form components ``cuspidal.components`` only for ``--structure``."""
 
 import json
 import os
@@ -51,3 +52,9 @@ def test_analytic_suite_loads_siegel():
     modules = loaded_modules("verify", "-p", "7", "--analytic")
     assert "cuspidal.siegel" in modules
     assert not modules & {"dataclasses", "inspect"}
+
+
+def test_only_the_structure_loads_its_components():
+    assert "cuspidal.components" not in loaded_modules("order", "-p", "13")
+    assert "cuspidal.components" not in loaded_modules("table", "--pmax", "13")
+    assert "cuspidal.components" in loaded_modules("verify", "-p", "13", "--structure")
