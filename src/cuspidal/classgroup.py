@@ -177,10 +177,17 @@ def _divmod_monic(num: Sequence[int], den: Sequence[int]) -> tuple[list[int], li
     return quot, rem[:deg]
 
 
-def cyclotomic_polynomials(n: int) -> dict[int, list[int]]:
-    """{d: Phi_d} for every d | n, from x^d - 1 = prod_{e | d} Phi_e by
-    exact division."""
+def orbit_blocks(f: Sequence[int]) -> dict[int, tuple[list[int], list[list[int]]]]:
+    """{d: (Phi_d, B_d)} for every d | n = len(f), where B_d is the
+    phi(d) x phi(d) integer matrix of multiplication by F = sum_j f_j x^j on
+    Z[x]/Phi_d: row i holds the coefficients of x^i F mod Phi_d.  det B_d =
+    N_d, and coker B_d = Z[x]/(Phi_d, F).
+
+    Phi_d comes from x^d - 1 = prod_{e | d} Phi_e by exact division, and
+    F mod Phi_d from F mod (x^d - 1), which Phi_d divides."""
+    n = len(f)
     phis: dict[int, list[int]] = {}
+    blocks = {}
     for d in range(1, n + 1):
         if n % d:
             continue
@@ -191,17 +198,6 @@ def cyclotomic_polynomials(n: int) -> dict[int, list[int]]:
                 if any(rem):
                     raise InvariantViolation(f"Phi_{e} does not divide x^{d} - 1")
         phis[d] = phi
-    return phis
-
-
-def orbit_blocks(f: Sequence[int]) -> dict[int, list[list[int]]]:
-    """{d: B_d} for every d | n = len(f), where B_d is the phi(d) x phi(d)
-    integer matrix of multiplication by F = sum_j f_j x^j on Z[x]/Phi_d:
-    row i holds the coefficients of x^i F mod Phi_d.  det B_d = N_d, and
-    coker B_d = Z[x]/(Phi_d, F).  F mod Phi_d comes from F mod (x^d - 1),
-    which Phi_d divides."""
-    blocks = {}
-    for d, phi in cyclotomic_polynomials(len(f)).items():
         folded = [0] * d
         for j, c in enumerate(f):
             folded[j % d] += c
@@ -211,7 +207,7 @@ def orbit_blocks(f: Sequence[int]) -> dict[int, list[list[int]]]:
             rows.append(r)
             top = r[-1]  # r <- x * r mod Phi_d
             r = [lo - top * c for lo, c in zip([0] + r[:-1], phi)]
-        blocks[d] = rows
+        blocks[d] = phi, rows
     return blocks
 
 
@@ -490,23 +486,22 @@ def structure(ctx: CartanContext) -> tuple[int, ...]:
     d_theta = [-sum(rows[-1])] + rows[-1]  # the degree-zero row d theta
     q = min(ctx.p**2, p_top)
     while True:
-        p_part = p_part_mod(d_theta, ctx.p, q)
+        p_part = p_part_mod(d_theta, ctx.p, ctx.w, q)
         if q == p_top or p_part[-1] < q:
             break
         q = min(q * q, p_top)
     joint = [a * b for a, b in zip(p_part, snf_mod(rows, rest_s))]
 
     norms = theta_prime_norms(ctx)
-    phis = cyclotomic_polynomials(ctx.n)
     pieces: list[int] = []
     m_product = 1
-    for d, block in orbit_blocks(circulant_theta_prime(ctx)).items():
+    for d, (phi, block) in orbit_blocks(circulant_theta_prime(ctx)).items():
         if d == 1:
             continue
         if _det_mod(block, _CHECK_PRIME) != norms[d] % _CHECK_PRIME:
             raise InvariantViolation(f"orbit block {d} does not have determinant N_{d}")
         m = _prime_to(abs(norms[d]), primes)
-        factors = euclid_mod(phis[d], block[0], block, m)
+        factors = euclid_mod(phi, block, m)
         if math.prod(factors) != m:
             raise InvariantViolation(f"orbit block {d} factors do not multiply to M_{d}")
         pieces += factors

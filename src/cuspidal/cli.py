@@ -25,7 +25,7 @@ from .crosscheck import (
     gcd_harness,
     load_records,
 )
-from .errors import InvariantViolation, brief_int
+from .errors import SIZE_GUARD, InvariantViolation, brief_int
 from .verify import (
     algebraic_checks,
     analytic_checks,
@@ -33,7 +33,6 @@ from .verify import (
     structure_checks,
 )
 
-SIZE_GUARD = 10**4  # largest p^k accepted without --force
 TABLE_GUARD = 101
 RHO_BUDGET_ENV = "CUSPIDAL_RHO_BUDGET"
 
@@ -147,7 +146,7 @@ def cmd_crosscheck(args) -> int:
     try:
         # crosscheck has no --force: a row above the size guard is rejected
         # outright, before its primality test and before any order is computed
-        report = load_records(path, max_p=SIZE_GUARD)
+        report = load_records(path)
     except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
     for err in report.errors:

@@ -16,52 +16,53 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from .cartan import find_generator_H
 from .classgroup import _part_with_primes_of, snf_mod
 
 
-def euclid_mod(
-    a: Sequence[int], b: Sequence[int], block: Sequence[Sequence[int]], m: int
-) -> tuple[int, ...]:
-    """Invariant factors of (Z/m)[x]/(a, b), the 1s included, as many as
-    block has columns: a is monic, b of lower degree, and block the matrix
-    of multiplication by b on Z[x]/(a), so the module is coker(block)
-    modulo m (orbit blocks: a = Phi_d, b = block[0]).
+def euclid_mod(phi: Sequence[int], block: Sequence[Sequence[int]], m: int) -> tuple[int, ...]:
+    """Invariant factors, the 1s included, of coker(block) modulo m for an
+    orbit block: block is the matrix of multiplication by F = block[0] on
+    Z[x]/(phi), phi monic, so the module is (Z/m)[x]/(phi, F).
 
-    Polynomial Euclid over Z/m, in O(deg a ^ 2) ring operations: a unit
-    leading coefficient of b is divided out; a non-unit one splits m into
-    coprime parts m1 m2, m1 made of the primes it shares with m, each part
-    going on alone and their chains multiplying position by position.  A
-    monic g of degree e with remainder 0 leaves (Z/m)^e.  A part with no
-    such split, such as m = l^2 with the leading coefficient divisible by l
-    once, goes to snf_mod(block, m)."""
+    Polynomial Euclid over Z/m, in O(deg phi ^ 2) ring operations: a unit
+    leading coefficient is divided out; a non-unit one splits the modulus
+    into coprime parts, the one made of the primes it shares with the
+    modulus and the rest, each part going on alone and their chains
+    multiplying position by position.  A monic g of degree e with
+    remainder 0 leaves (Z/part)^e.  A part with no such split, such as
+    l^2 with the leading coefficient divisible by l once, goes to
+    snf_mod(block, part)."""
     c = len(block)
-    if m == 1:
-        return (1,) * c
-    a, b = [x % m for x in a], [x % m for x in b]
-    while True:
-        while b and not b[-1]:
-            b.pop()
+    chain = [1] * c
+    parts = [(phi, block[0], m)]
+    while parts:
+        a, b, m = parts.pop()
+        a, b = [x % m for x in a], [x % m for x in b]
+        while True:
+            while b and not b[-1]:
+                b.pop()
+            if not b or math.gcd(b[-1], m) > 1:
+                break
+            inv = pow(b[-1], -1, m)
+            b = [x * inv % m for x in b]
+            deg = len(b) - 1
+            for i in range(len(a) - 1 - deg, -1, -1):  # a <- a mod b
+                f = a[i + deg]
+                if f:
+                    a[i : i + deg + 1] = [(x - f * y) % m for x, y in zip(a[i : i + deg + 1], b)]
+            a, b = b, a[:deg]
         if not b:
-            return (1,) * (c + 1 - len(a)) + (m,) * (len(a) - 1)
-        if math.gcd(b[-1], m) > 1:
-            break
-        inv = pow(b[-1], -1, m)
-        b = [x * inv % m for x in b]
-        deg = len(b) - 1
-        for i in range(len(a) - 1 - deg, -1, -1):  # a <- a mod b
-            f = a[i + deg]
-            if f:
-                a[i : i + deg + 1] = [(x - f * y) % m for x, y in zip(a[i : i + deg + 1], b)]
-        a, b = b, a[:deg]
-    m1 = _part_with_primes_of(m, b[-1])
-    if m1 == m:  # every prime of m divides the leading coefficient
-        return snf_mod(block, m)
-    chains = zip(euclid_mod(a, b, block, m1), euclid_mod(a, b, block, m // m1))
-    return tuple(x * y for x, y in chains)
+            factors = (1,) * (c + 1 - len(a)) + (m,) * (len(a) - 1)
+        elif (m1 := _part_with_primes_of(m, b[-1])) < m:
+            parts += [(a, b, m1), (a, b, m // m1)]
+            continue
+        else:  # every prime of m divides the leading coefficient
+            factors = snf_mod(block, m)
+        chain = [x * y for x, y in zip(chain, factors)]
+    return tuple(chain)
 
 
-def p_part_mod(v: Sequence[int], p: int, modulus: int) -> tuple[int, ...]:
+def p_part_mod(v: Sequence[int], p: int, w: int, modulus: int) -> tuple[int, ...]:
     """Invariant factors, the 1s included, of I / Z[C_n] v modulo a power
     of the odd prime p, for an integer v of degree 0 in Z[C_n] (coefficient
     j of w^j), I the augmentation ideal and n = m q with m = (p-1)/2 and q
@@ -69,15 +70,16 @@ def p_part_mod(v: Sequence[int], p: int, modulus: int) -> tuple[int, ...]:
     (w^j - 1) v and v.
 
     Character split: Z_p[C_n] = prod_i Z_p[C_q] by w -> zeta^i y, zeta a
-    Teichmuller m-th root of unity, w^(2 p^(s-1)) modulo p^s for w
-    generating (Z/p)*/+-1.  Component i != 0 is Z_p[C_q]/(v_i), a q x q
-    cyclic matrix; component 0 takes I to the augmentation ideal of
-    Z_p[C_q], which v_0 lies in: q rows y^r v_0 in the basis {y^c - 1}."""
+    Teichmuller m-th root of unity, w^(2 p^(s-1)) modulo p^s for w given
+    as an integer whose class generates (Z/p)*/+-1 (ctx.w does).
+    Component i != 0 is Z_p[C_q]/(v_i), a q x q cyclic matrix; component 0
+    takes I to the augmentation ideal of Z_p[C_q], which v_0 lies in: q
+    rows y^r v_0 in the basis {y^c - 1}."""
     n = len(v)
     q = 1
     while n % (q * p) == 0:
         q *= p
-    zeta = pow(find_generator_H(p), 2 * (modulus // p), modulus)
+    zeta = pow(w, 2 * (modulus // p), modulus)
     factors: list[int] = []
     for i in range(n // q):
         z, zj = pow(zeta, i, modulus), 1

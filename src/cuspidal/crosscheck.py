@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import NamedTuple, Sequence
 
 from .arith import Primality, is_prime
-from .errors import brief_int
+from .errors import SIZE_GUARD, brief_int
 
 J_LABEL = "J"
 
@@ -69,10 +69,10 @@ def bundled_fixture_path() -> Path:
     return Path(resources.files("cuspidal").joinpath("data/jacobian_counts.csv"))
 
 
-def load_records(path, *, max_p: int | None = None) -> LoadReport:
+def load_records(path) -> LoadReport:
     """Parse a CSV counts file; malformed rows are reported with their line
     number and skipped, the rest of the load continues.  A row whose p
-    exceeds max_p is rejected before its primality test."""
+    exceeds SIZE_GUARD is rejected before its primality test."""
     report = LoadReport([], [])
     text = Path(path).read_text(encoding="utf-8")
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -95,9 +95,9 @@ def load_records(path, *, max_p: int | None = None) -> LoadReport:
         if not label:
             report.errors.append(f"line {lineno}: empty label")
             continue
-        if max_p is not None and p > max_p:
+        if p > SIZE_GUARD:
             report.errors.append(
-                f"line {lineno}: p = {brief_int(p)} exceeds the size guard {max_p}"
+                f"line {lineno}: p = {brief_int(p)} exceeds the size guard {SIZE_GUARD}"
             )
             continue
         if is_prime(p) is Primality.COMPOSITE:

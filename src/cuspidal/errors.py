@@ -1,4 +1,7 @@
-"""Error types shared across the package, and how an error names a number."""
+"""Error types shared across the package, how an error names a number,
+and the size guard on the inputs."""
+
+SIZE_GUARD = 10**4  # largest p^k accepted without --force
 
 
 def brief_int(x: int) -> str:

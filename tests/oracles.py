@@ -87,7 +87,7 @@ def bareiss_det(rows: Sequence[Sequence[int]]) -> int:
 def block_norms(f: Sequence[int]) -> dict[int, int]:
     """{d: N_d} for every d | n = len(f), each the Bareiss determinant of
     multiplication by F = sum_j f_j x^j on Z[x]/Phi_d."""
-    return {d: bareiss_det(rows) for d, rows in orbit_blocks(f).items()}
+    return {d: bareiss_det(rows) for d, (_, rows) in orbit_blocks(f).items()}
 
 
 def snf(matrix: Sequence[Sequence[int]]) -> tuple[int, ...]:

@@ -504,41 +504,39 @@ def test_euclid_mod_matches_snf_mod_on_random_rows(monkeypatch):
     import cuspidal.components as co
 
     # count the ways Euclid goes on at a non-unit leading coefficient: a
-    # recursive call is a coprime split, and snf_mod is the no-split path
-    real_euclid, real_snf_mod = co.euclid_mod, co.snf_mod
-    depth, paths = [0], {"split": 0, "no split": 0}
+    # part below the modulus is a coprime split, and snf_mod is the no-split
+    # path
+    real_part, real_snf_mod = co._part_with_primes_of, co.snf_mod
+    paths = {"split": 0, "no split": 0}
 
-    def euclid_spy(a, b, block, m):
-        paths["split"] += depth[0] > 0
-        depth[0] += 1
-        try:
-            return real_euclid(a, b, block, m)
-        finally:
-            depth[0] -= 1
+    def part_spy(m, x):
+        part = real_part(m, x)
+        paths["split"] += part < m
+        return part
 
     def snf_mod_spy(block, m):
         paths["no split"] += 1
         return real_snf_mod(block, m)
 
-    monkeypatch.setattr(co, "euclid_mod", euclid_spy)
+    monkeypatch.setattr(co, "_part_with_primes_of", part_spy)
     monkeypatch.setattr(co, "snf_mod", snf_mod_spy)
     rng = random.Random(15)
     for case in range(40):
         n = rng.choice([6, 8, 9, 10, 12, 15])
         f = [rng.randrange(-30, 31) for _ in range(n)]
         d = rng.choice([d for d in range(3, n + 1) if n % d == 0])
-        phi = cg.cyclotomic_polynomials(n)[d]
+        deg = sum(math.gcd(i, d) == 1 for i in range(d))  # of Phi_d
         q = rng.choice([999983, 1000003])  # primes above 10^6
         if case % 2:
             # F of degree below phi(d) is its own remainder; its leading
             # coefficient is divisible by q once, and q^2 divides the modulus
-            f = [rng.randrange(-30, 31) for _ in range(len(phi) - 2)]
+            f = [rng.randrange(-30, 31) for _ in range(deg - 1)]
             f += [q * rng.randrange(1, 30)] + [0] * (n - len(f) - 1)
-        block = cg.orbit_blocks(f)[d]
+        phi, block = cg.orbit_blocks(f)[d]
         det = abs(bareiss_det(block))
         for m in (det, det * 35, det * q * q, q * q * 6, q * q, 2**5 * 3**4):
             want = real_snf_mod(block, m)
-            assert co.euclid_mod(phi, block[0], block, m) == want, (f, d, m)
+            assert co.euclid_mod(phi, block, m) == want, (f, d, m)
     assert paths["split"] > 0 and paths["no split"] > 0, paths
 
 
@@ -571,8 +569,8 @@ def test_p_part_mod_matches_the_whole_lattice_p_part(p, k):
     # and of powers of p, plus a random degree-zero tail
     from cuspidal.components import p_part_mod
 
-    n = (p - 1) * p ** (k - 1) // 2
-    m = (p - 1) // 2
+    ctx = CartanContext.create(p, k)
+    n, m = ctx.n, (p - 1) // 2
     rng = random.Random(p * 10 + k)
 
     def shift_minus_one(g):
@@ -599,7 +597,7 @@ def test_p_part_mod_matches_the_whole_lattice_p_part(p, k):
         assert sum(v) == 0
         rows = degree_zero_lattice(v)
         for s in (1, 2, 5):
-            assert p_part_mod(v, p, p**s) == snf_mod(rows, p**s), (case, s)
+            assert p_part_mod(v, p, ctx.w, p**s) == snf_mod(rows, p**s), (case, s)
 
 
 def test_structure_rejects_a_doubled_lattice_row(monkeypatch):
@@ -741,7 +739,8 @@ def test_structure_rejects_a_scaled_orbit_block_row(monkeypatch, p, k):
 
     def scaled(f):
         blocks = real(f)
-        blocks[d][0] = [ell * x for x in blocks[d][0]]
+        rows = blocks[d][1]
+        rows[0] = [ell * x for x in rows[0]]
         return blocks
 
     monkeypatch.setattr(cg, "orbit_blocks", scaled)
