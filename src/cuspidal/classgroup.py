@@ -13,20 +13,17 @@ Two independent exact routes plus a floating cross-check:
     modulo proven primes l = 1 (mod 2n), where one Bluestein transform
     evaluates F at every n-th root of unity, and recovered by CRT past a
     Parseval bound on |N_d|.
-  * structure(): Smith normal form of the lattice L of unit divisors inside
-    the degree-zero part I of the group ring; the invariant factors describe
-    the full abelian group, and their product must equal order().  L holds
-    theta I, of index T = |prod_{d > 1} N_d| / (12 p^k)^(n-1) in I.  With S
-    the primes dividing 6pn and T_S the part of T made of S, the p-part
-    comes from a split of Z_p[H] by the characters of the prime-to-p part
-    of H, and the rest of T_S from the whole lattice.  For a prime outside
-    S the group ring splits into the fields Z[x]/Phi_d, so the rest comes
-    from the orbit blocks of the scaled theta' row (orbit_blocks), each
-    modulo M_d, the part of N_d prime to S, by polynomial Euclid over
-    Z/M_d (components.py).  One kernel, snf_mod(), takes every matrix
-    modulo m: it pivots on units, keeps each entry below its modulus, and
-    where no unit is left divides out a common factor or splits the
-    modulus into coprime parts by a gcd.
+  * structure(): the invariant factors of the lattice L of unit divisors
+    inside the degree-zero part I of the group ring, whose product must
+    equal order().  L holds theta I, of index T = |prod_{d > 1} N_d| /
+    (12 p^k)^(n-1) in I.  Above k = 1 no n-row matrix is built: with S the
+    primes dividing 6pn, the p-part comes from a split of Z_p[H] by the
+    characters of the prime-to-p part of H, the rest of T_S from the C_m
+    quotient, m = (p-1)/2, and each prime outside S from the orbit blocks
+    of the scaled theta' row (orbit_blocks), all in components.py.  One kernel,
+    snf_mod(), takes every matrix modulo m: it pivots on units, keeps each
+    entry below its modulus, and where no unit is left divides out a common
+    factor or splits the modulus into coprime parts by a gcd.
   * bernoulli_formula_k1(): for k = 1, the same order through an explicit
     determinant over F_{p^2} powers of an independent generator.
   * float_crosscheck(): eigenvalues of the circulant are finite Fourier
@@ -68,7 +65,7 @@ from .cartan import (
     genus_plus,
 )
 from .errors import InvariantViolation
-from .stickelberger import compute_a, d_value, stickelberger_data
+from .stickelberger import compute_a, stickelberger_data
 
 _SCALE_NUM = 12  # denominators of theta' coefficients divide 12 p^k
 FLOAT_TOL = 1e-9  # relative tolerance of float_crosscheck
@@ -280,31 +277,11 @@ def _divisibility_chain(diag: Sequence[int]) -> tuple[int, ...]:
 
 
 def generator_matrix(ctx: CartanContext) -> list[list[int]]:
-    """Integer generators of the unit-divisor lattice inside the degree-zero
-    part, in the basis {w^i - 1 : i = 1..n-1}.
+    """The unit-divisor lattice rows (w^j - 1) theta, j = 1..n-1, and
+    d * theta: components.lattice_rows at size n, for verify and the tests."""
+    from .components import lattice_rows
 
-    Rows are (w^j - 1) theta for j = 1..n-1 plus d * theta; an element of
-    degree zero with coefficients c has coordinates (c_1, ..., c_{n-1}).
-    Each row is built from the integer vector 12 p^k theta and divided back
-    exactly."""
-    scale = _SCALE_NUM * ctx.modulus
-    n = ctx.n
-    a = _scaled_a(ctx)
-    t = [a[-i % n] for i in range(n)]  # 12 p^k theta, coefficient of w^i
-    if sum(t):
-        raise InvariantViolation("lattice generator does not have degree zero")
-
-    def exact(x: int) -> int:
-        q, r = divmod(x, scale)
-        if r:
-            raise InvariantViolation("lattice generator is not integral")
-        return q
-
-    # coefficient i of w^j theta is theta_(i-j); a negative index wraps mod n
-    rows = [[exact(t[i - j] - t[i]) for i in range(1, n)] for j in range(1, n)]
-    d = d_value(ctx.p)
-    rows.append([exact(d * t[i]) for i in range(1, n)])
-    return rows
+    return lattice_rows(ctx, ctx.n)
 
 
 def lattice_index(ctx: CartanContext) -> int:
@@ -444,37 +421,31 @@ def _prime_to(x: int, primes: Sequence[int]) -> int:
 
 
 def structure(ctx: CartanContext) -> tuple[int, ...]:
-    """Invariant factors (> 1) of the cuspidal class group, via the Smith
-    form of the unit-divisor lattice L; the product equals order().
-
-    The n-1 rows (w^j - 1) theta have determinant +-T = [I : theta I], so
-    T Z^(n-1) lies in L.  The determinant is checked modulo a 30-bit prime
-    first, which ties the rows to the orbit norms that T is taken from.
-    With S the primes dividing 6pn, T = T_S T' where T_S is made of S:
+    """Invariant factors (> 1) of the cuspidal class group I/L, one
+    component of the group ring at a time (components.py); the product
+    equals order().  T = [I : theta I] comes from the orbit norms, and
+    T Z^(n-1) lies in L.  With S the primes dividing 6pn, T = T_S T':
 
       * the p-part modulo p^s, s doubling from 2 until no factor reaches
-        p^s: L = Z[H] d theta over Z_p, d = d_value(p) being a p-unit, so
-        p_part_mod() splits it by characters of the prime-to-p part of H;
-      * the rest of T_S from snf_mod() on the joint lattice L + T_S Z^(n-1);
+        p^s: over Z_p, L = Z[H] d theta, d = d_value(p) being a p-unit, so
+        p_part_mod() splits the O(n) row d theta (d_theta_row) by the
+        characters of the prime-to-p part of H;
+      * the rest of T_S from the C_m quotient, m = (p-1)/2, by quotient_mod();
       * for a prime l outside S, Z_l[H] = prod_{d | n} Z_l[x]/Phi_d; 12 p^k
-        and d_value(p) are l-units, theta has degree 0, and theta' - theta
-        is a multiple of the norm element, which is 0 in every factor with
-        d > 1.  So the l-part of the group is that of the sum over d > 1 of
-        coker B_d = Z[x]/(Phi_d, F), the orbit blocks of the scaled theta'
-        row F, each taken modulo M_d, the part of N_d prime to S, by
-        euclid_mod().
+        and d are l-units, theta has degree 0, and theta' - theta is a
+        multiple of the norm element, 0 in every factor with d > 1.  So the
+        l-part is that of the sum over d > 1 of the orbit blocks
+        coker B_d = Z[x]/(Phi_d, F) of the scaled theta' row F, each
+        modulo M_d, the part of N_d prime to S, by euclid_mod().
 
     Each block must have determinant N_d modulo the check prime and factors
-    whose product is M_d, and the M_d must multiply to T'.  The block
-    factors are merged into one chain and multiplied into the S-parts
-    position by position, the two being coprime."""
-    from .components import euclid_mod, p_part_mod
+    multiplying to M_d, and the M_d must multiply to T'.  The block factors
+    are merged into one chain and multiplied into the S-parts position by
+    position, the two being coprime."""
+    from .components import d_theta_row, euclid_mod, p_part_mod, quotient_mod
 
-    rows = generator_matrix(ctx)
     index = lattice_index(ctx)
-    det = _det_mod(rows[:-1], _CHECK_PRIME)
-    if det not in (index % _CHECK_PRIME, -index % _CHECK_PRIME):
-        raise InvariantViolation("lattice rows do not have determinant +-[I : theta I]")
+    norms = theta_prime_norms(ctx)
     primes = sorted({2, 3, ctx.p, *(e.prime for e in factorize(ctx.n).entries)})
     index_prime_to_s = _prime_to(index, primes)
     index_s = index // index_prime_to_s
@@ -483,16 +454,15 @@ def structure(ctx: CartanContext) -> tuple[int, ...]:
     # the p-part modulo p^s, s = 2, 4, 8, ...: once every factor is below
     # p^s, none was cut off.  They stay far below p_top (at most p^5 at every
     # tested level, where p_top reaches p^79), so the entries stay small.
-    d_theta = [-sum(rows[-1])] + rows[-1]  # the degree-zero row d theta
+    d_theta = d_theta_row(ctx, ctx.n)
     q = min(ctx.p**2, p_top)
     while True:
         p_part = p_part_mod(d_theta, ctx.p, ctx.w, q)
         if q == p_top or p_part[-1] < q:
             break
         q = min(q * q, p_top)
-    joint = [a * b for a, b in zip(p_part, snf_mod(rows, rest_s))]
+    joint = [a * b for a, b in zip(p_part, quotient_mod(ctx, norms, index, rest_s))]
 
-    norms = theta_prime_norms(ctx)
     pieces: list[int] = []
     m_product = 1
     for d, (phi, block) in orbit_blocks(circulant_theta_prime(ctx)).items():

@@ -1,4 +1,5 @@
-"""Smith forms of the structure() components that avoid the whole lattice.
+"""Smith forms of the structure() components, none of them on the whole
+lattice.
 
   * euclid_mod(): coker B_d modulo M_d for an orbit block, as
     (Z/M_d)[x]/(Phi_d, F), by polynomial Euclid over Z/M_d with dynamic
@@ -6,17 +7,32 @@
   * p_part_mod(): the p-part of the unit-divisor lattice, split by the
     characters of the prime-to-p part of the group (the eigenspace method,
     Washington, Introduction to Cyclotomic Fields, GTM 83).
+  * quotient_mod(): the parts of the group at the primes of 6n other than
+    p, from the lattice pushed forward to Z[C_m], m = (p-1)/2: the same
+    split, by the idempotent of the trivial character of C_q.
 
-structure() loads this module when it runs, so the commands that never ask
-for the structure do not compile it.
+It also builds the lattice rows, those of the C_m quotient and those of the
+whole lattice that classgroup.generator_matrix() returns.  structure() and
+generator_matrix() load this module when they run, so order and table do
+not compile it.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import Mapping, Sequence
 
-from .classgroup import _part_with_primes_of, snf_mod
+from .cartan import CartanContext
+from .classgroup import (
+    _CHECK_PRIME,
+    _SCALE_NUM,
+    _det_mod,
+    _part_with_primes_of,
+    _scaled_a,
+    snf_mod,
+)
+from .errors import InvariantViolation
+from .stickelberger import d_value
 
 
 def euclid_mod(phi: Sequence[int], block: Sequence[Sequence[int]], m: int) -> tuple[int, ...]:
@@ -90,3 +106,84 @@ def p_part_mod(v: Sequence[int], p: int, w: int, modulus: int) -> tuple[int, ...
         first = 1 if i == 0 else 0
         factors += snf_mod([[c[col - r] for col in range(first, q)] for r in range(q)], modulus)
     return tuple(sorted(factors))
+
+
+def _theta_image(ctx: CartanContext, size: int) -> list[int]:
+    """12 p^k pi(theta) in Z[C_size] for size | n, pi taking w to the
+    generator of C_size: coefficient i sums those of w^j in 12 p^k theta
+    over j = i (mod size).  pi is the identity at size n."""
+    a = _scaled_a(ctx)
+    t = [0] * size
+    for j in range(ctx.n):
+        t[j % size] += a[-j]  # 12 p^k theta_j = 12 p^k a_(-j)
+    if sum(t):
+        raise InvariantViolation("lattice generator does not have degree zero")
+    return t
+
+
+def _divide_exact(row: Sequence[int], ctx: CartanContext) -> list[int]:
+    scale = _SCALE_NUM * ctx.modulus
+    if any(x % scale for x in row):
+        raise InvariantViolation("lattice generator is not integral")
+    return [x // scale for x in row]
+
+
+def d_theta_row(ctx: CartanContext, size: int) -> list[int]:
+    """d * pi(theta) in Z[C_size], every coefficient (of w^0 too), for
+    d = d_value(p); O(n)."""
+    return _divide_exact([d_value(ctx.p) * x for x in _theta_image(ctx, size)], ctx)
+
+
+def lattice_rows(ctx: CartanContext, size: int) -> list[list[int]]:
+    """Generators of the lattice of pi(theta) in the degree-zero part of
+    Z[C_size], size | n, in the basis {w^i - 1 : i = 1..size-1}: the rows
+    (w^j - 1) pi(theta), j = 1..size-1, and d * pi(theta).  At size n this
+    is the unit-divisor lattice (classgroup.generator_matrix); at size m,
+    the C_m quotient of quotient_mod()."""
+    t = _theta_image(ctx, size)
+    # coefficient i of w^j pi(theta) is t_(i-j); a negative index wraps
+    rows = [_divide_exact([t[i - j] - t[i] for i in range(1, size)], ctx) for j in range(1, size)]
+    return rows + [d_theta_row(ctx, size)[1:]]
+
+
+def quotient_index(ctx: CartanContext, norms: Mapping[int, int]) -> int:
+    """T_0 = [I_m : pi(theta) I_m] in Z[C_m], m = (p-1)/2, from the theta'
+    orbit norms {d: N_d}: |prod_{d | m, d > 1} N_d| / (12 p^k)^(m-1), the
+    characters of H of order d | m being those trivial on C_q."""
+    m = (ctx.p - 1) // 2
+    scaled = math.prod(v for d, v in norms.items() if d > 1 and m % d == 0)
+    index, rem = divmod(abs(scaled), (_SCALE_NUM * ctx.modulus) ** (m - 1))
+    if rem:
+        raise InvariantViolation("[I_m : pi(theta) I_m] is not an integer")
+    return index
+
+
+def quotient_mod(
+    ctx: CartanContext, norms: Mapping[int, int], index: int, modulus: int
+) -> tuple[int, ...]:
+    """Invariant factors, the 1s included and n - 1 entries, of the parts
+    of I/L at the primes of modulus, for modulus prime to p and dividing
+    T = index = [I : theta I], from the C_m quotient.
+
+    Let n = m q, q = p^(k-1), C_q the subgroup of order q and pi the map
+    onto Z[C_m].  For a prime l != p, e_0 = (1/q) sum_{y in C_q} y is an
+    l-integral idempotent and L a Z[H]-module, so (I/L)_l is the sum of
+    e_0 (I/L)_l, the group of the lattice of pi(theta) in Z[C_m], and
+    (1 - e_0)(I/L)_l, whose order divides T/T_0 (quotient_index).  The
+    m - 1 shift rows of the quotient must have determinant +-T_0 modulo
+    the check prime, T_0 must divide T, and gcd(T/T_0, modulus) must be 1;
+    then the factors are snf_mod() of the m x (m-1) quotient matrix."""
+    m = (ctx.p - 1) // 2
+    t0 = quotient_index(ctx, norms)
+    rows = lattice_rows(ctx, m)
+    if _det_mod(rows[:-1], _CHECK_PRIME) not in (t0 % _CHECK_PRIME, -t0 % _CHECK_PRIME):
+        raise InvariantViolation("C_m quotient rows do not have determinant +-T_0")
+    cofactor, rem = divmod(index, t0)
+    if rem:
+        raise InvariantViolation("T_0 does not divide T = [I : theta I]")
+    if math.gcd(cofactor, modulus) > 1:
+        raise InvariantViolation(
+            "gcd(T/T_0, rest of T_S) > 1: the characters nontrivial on C_q "
+            "reach a prime of 6n other than p"
+        )
+    return (1,) * (ctx.n - m) + snf_mod(rows, modulus)

@@ -72,7 +72,8 @@ def bundled_fixture_path() -> Path:
 def load_records(path) -> LoadReport:
     """Parse a CSV counts file; malformed rows are reported with their line
     number and skipped, the rest of the load continues.  A row whose p
-    exceeds SIZE_GUARD is rejected before its primality test."""
+    exceeds SIZE_GUARD is rejected before its primality test, and one whose
+    q is not +-1 mod p before the primality test of q."""
     report = LoadReport([], [])
     text = Path(path).read_text(encoding="utf-8")
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -103,11 +104,13 @@ def load_records(path) -> LoadReport:
         if is_prime(p) is Primality.COMPOSITE:
             report.errors.append(f"line {lineno}: p = {brief_int(p)} is not prime")
             continue
-        if is_prime(q) is Primality.COMPOSITE:
-            report.errors.append(f"line {lineno}: q = {q} is not prime")
-            continue
         if q % p not in (1, p - 1):
-            report.errors.append(f"line {lineno}: q = {q} is not +-1 mod {brief_int(p)}")
+            report.errors.append(
+                f"line {lineno}: q = {brief_int(q)} is not +-1 mod {brief_int(p)}"
+            )
+            continue
+        if is_prime(q) is Primality.COMPOSITE:
+            report.errors.append(f"line {lineno}: q = {brief_int(q)} is not prime")
             continue
         if value < 1:
             report.errors.append(f"line {lineno}: value must be >= 1")

@@ -601,18 +601,20 @@ def test_p_part_mod_matches_the_whole_lattice_p_part(p, k):
 
 
 def test_structure_rejects_a_doubled_lattice_row(monkeypatch):
-    # a doubled row leaves L + T Z^(n-1) unchanged wherever T is odd, so only
-    # the determinant check can see it; structure must not return the order
-    import cuspidal.classgroup as cg
+    # structure() reads the lattice rows only in the C_m quotient (the whole
+    # lattice at k = 1); a doubled shift row leaves L + T Z^(m-1) unchanged
+    # wherever T is odd, so only the determinant check can see it, and
+    # structure must not return the order
+    import cuspidal.components as co
 
-    real = cg.generator_matrix
+    real = co.lattice_rows
 
-    def doubled(ctx):
-        rows = real(ctx)
+    def doubled(ctx, size):
+        rows = real(ctx, size)
         rows[0] = [2 * x for x in rows[0]]
         return rows
 
-    monkeypatch.setattr(cg, "generator_matrix", doubled)
+    monkeypatch.setattr(co, "lattice_rows", doubled)
     for p, k in [(11, 1), (13, 1), (19, 1), (5, 2), (7, 2)]:
         ctx = CartanContext.create(p, k)
         try:
@@ -620,6 +622,33 @@ def test_structure_rejects_a_doubled_lattice_row(monkeypatch):
         except InvariantViolation:
             continue
         assert got != order(ctx), (p, k)
+
+
+@pytest.mark.parametrize("p,k", [(5, 3), (13, 2), (7, 3)])
+def test_quotient_index_is_the_determinant_of_the_quotient_shift_rows(p, k):
+    # T_0 from the orbit norms with d | m against the dense (w^j - 1) pi(theta)
+    # rows of the C_m quotient; it divides T
+    from cuspidal.classgroup import theta_prime_norms
+    from cuspidal.components import lattice_rows, quotient_index
+
+    ctx = CartanContext.create(p, k)
+    t0 = quotient_index(ctx, theta_prime_norms(ctx))
+    assert t0 == abs(bareiss_det(lattice_rows(ctx, (p - 1) // 2)[:-1]))
+    assert lattice_index(ctx) % t0 == 0
+
+
+def test_structure_rejects_a_cofactor_sharing_a_prime_with_the_rest_of_t_s(monkeypatch):
+    # at 17^2 the rest of T_S is 192 = 2^6 3; a norm N_d with p | d doubled
+    # doubles T/T_0 and leaves T_0, so the gcd check must stop structure()
+    # before the orbit blocks see the wrong norm
+    import cuspidal.classgroup as cg
+
+    ctx = CartanContext.create(17, 2)
+    real = dict(cg.theta_prime_norms(ctx))
+    d = next(d for d in real if d % 17 == 0)
+    monkeypatch.setattr(cg, "theta_prime_norms", lambda c: {**real, d: 2 * real[d]})
+    with pytest.raises(InvariantViolation, match=r"gcd\(T/T_0, rest of T_S\) > 1"):
+        structure(ctx)
 
 
 def test_structure_at_7_cubed():
@@ -714,6 +743,38 @@ def test_structure_at_23_squared():
     assert math.prod(got) == ORDER_23_SQUARED
 
 
+def test_structure_at_29_squared():
+    # pinned from the whole-lattice Smith form modulo the rest of T_S, before
+    # the C_m quotient (about 10 s there); n = 406
+    ctx = CartanContext.create(29, 2)
+    big = (
+        int(
+    "231128146570290782479639263898062287930790919604843830282283710636956026"
+    "503677328341446369114951614495499137601912672151352226534420653521809626"
+    "155957842741167651179099411850070444116024370585992866152167088630139662"
+    "460033698415798672173134691655782974545709562023668939095677040246924982"
+    "107447614201091203184175866256128676278414557310904519735850132080431750"
+    "999471429941363429475978938157869570697573858059361329867884451480491618"
+    "227190174186362775629878780262329543149011883188116859486382157839486788"
+    "72073027776212347625457449794166831640348399242538"
+        ),
+        int(
+    "566263959097212417075116196550252605430437753031867384191595091060542264"
+    "934009454436543604331631455513972887124686046770812955009330601128433584"
+    "082096714715860745388793559032672588084259707935682522072809367143842173"
+    "027082561118706746824179994556668287636988426957988900784408748604966206"
+    "163246654792673447801230872327515256882115665411716073352832823597057789"
+    "948705003356340402216148398486780448209055952245435258176316906127204464"
+    "656615926756588800293203011642707380715079113810886305741636286706742632"
+    "3657891805172025168237075199570873751885357814421810"
+        ),
+    )
+    want = (29,) * 380 + (841,) * 6 + (48778,) * 4 + big
+    got = structure(ctx)
+    assert got == want
+    assert math.prod(got) == order(ctx)
+
+
 BLOCK_LEVELS = [(13, 1), (101, 1), (7, 2), (13, 2)]
 
 
@@ -768,28 +829,29 @@ def test_structure_rejects_a_wrong_orbit_norm(monkeypatch, p, k):
             assert got != want, (p, k, d, wrong)
 
 
-@pytest.mark.parametrize("p,k", BLOCK_LEVELS)
-def test_structure_takes_the_full_lattice_only_modulo_primes_of_6pn(monkeypatch, p, k):
-    # the parts prime to 6pn come from the phi(d) x phi(d) blocks alone
+@pytest.mark.parametrize("p,k", [(5, 3), (11, 2), (13, 2), (7, 3)])
+def test_structure_builds_no_n_row_matrix(monkeypatch, p, k):
+    # at k >= 2 every Smith form and determinant in structure() is taken on
+    # a component: a q-row character block, a phi(d)-row orbit block or the
+    # m-row C_m quotient, never the n - 1 shift rows of the whole lattice
     import cuspidal.classgroup as cg
+    import cuspidal.components as co
 
     ctx = CartanContext.create(p, k)
-    bad = _primes_of_6pn(ctx)
-    real = cg.snf_mod
-    seen = []
+    sizes = []
 
-    def spy(rows, m):
-        if len(rows) == ctx.n:  # a block has phi(d) < n rows
-            seen.append(m)
-        return real(rows, m)
+    def never(ctx):
+        raise AssertionError("structure() called generator_matrix")
 
-    monkeypatch.setattr(cg, "snf_mod", spy)
-    structure(ctx)
-    for m in seen:
-        for q in bad:
-            while m % q == 0:
-                m //= q
-        assert m == 1
+    monkeypatch.setattr(cg, "generator_matrix", never)
+    for module in (cg, co):
+        for name in ("snf_mod", "_det_mod"):
+            real = getattr(module, name)
+            monkeypatch.setattr(
+                module, name, lambda rows, m, real=real: sizes.append(len(rows)) or real(rows, m)
+            )
+    assert math.prod(structure(ctx)) == order(ctx)
+    assert sizes and max(sizes) < ctx.n - 1, (max(sizes), ctx.n)
 
 
 # pinned from the Bareiss-block orbit norms (about 60 s there); n = 253

@@ -287,6 +287,27 @@ def test_crosscheck_rejects_a_huge_p_before_its_primality_test(capsys, monkeypat
     assert huge not in tested
 
 
+def test_crosscheck_rejects_a_q_off_the_residues_before_its_primality_test(
+    capsys, monkeypatch, tmp_path
+):
+    from cuspidal import crosscheck
+
+    # q = 10^3000 + 7 is 8 mod 11: the row is rejected by the cheap residue
+    # test, not after a primality test of q (about 2.5 s), and the message
+    # gives its digit count, not its 3001 digits
+    huge = 10**3000 + 7
+    tested = []
+    real = crosscheck.is_prime
+    monkeypatch.setattr(crosscheck, "is_prime", lambda n: tested.append(n) or real(n))
+    f = tmp_path / "huge_q.csv"
+    f.write_text(f"11,{huge},J,12\n")
+    code, out, err = run(capsys, "crosscheck", str(f))
+    assert code == 2 and not out
+    assert "rejected row: line 1: q = <3001 digits> is not +-1 mod 11" in err
+    assert all(len(line.encode()) < 200 for line in err.splitlines()), err
+    assert huge not in tested
+
+
 def test_rho_budget_env(capsys, monkeypatch):
     monkeypatch.setenv("CUSPIDAL_RHO_BUDGET", "not-a-number")
     code, _, err = run(capsys, "order", "-p", "5")

@@ -42,7 +42,7 @@ def test_load_rejects_bad_rows(tmp_path):
     f = tmp_path / "counts.csv"
     f.write_text(
         "p,q,label,value\n"
-        "11,24,J,5\n"          # q not prime
+        "11,45,J,5\n"          # q not prime (but = 1 mod p)
         "11,29,J,7\n"          # q not +-1 mod p
         "9,19,J,3\n"           # p not prime
         "11,23,J,0\n"          # value < 1
@@ -54,7 +54,7 @@ def test_load_rejects_bad_rows(tmp_path):
     report = load_records(f)
     assert len(report.records) == 1
     assert len(report.errors) == 7
-    assert any("24" in e and "not prime" in e for e in report.errors)
+    assert any("45" in e and "not prime" in e for e in report.errors)
     assert any("+-1" in e for e in report.errors)
     # line numbers present
     assert all(e.startswith("line ") for e in report.errors)
