@@ -19,11 +19,12 @@ Two independent exact routes plus a floating cross-check:
     (12 p^k)^(n-1) in I.  Above k = 1 no n-row matrix is built: with S the
     primes dividing 6pn, the p-part comes from a split of Z_p[H] by the
     characters of the prime-to-p part of H, the rest of T_S from the C_m
-    quotient, m = (p-1)/2, and each prime outside S from the orbit blocks
-    of the scaled theta' row (orbit_blocks), all in components.py.  One kernel,
-    snf_mod(), takes every matrix modulo m: it pivots on units, keeps each
-    entry below its modulus, and where no unit is left divides out a common
-    factor or splits the modulus into coprime parts by a gcd.
+    quotient, m = (p-1)/2, and each prime outside S from the orbit pairs
+    (Phi_d, F mod Phi_d) of the scaled theta' row (orbit_blocks), all in
+    components.py.  One kernel, snf_mod(), takes every matrix modulo m: it
+    pivots on units, keeps each entry below its modulus, and where no unit
+    is left divides out a common factor or splits the modulus into coprime
+    parts by a gcd.
   * bernoulli_formula_k1(): for k = 1, the same order through an explicit
     determinant over F_{p^2} powers of an independent generator.
   * float_crosscheck(): eigenvalues of the circulant are finite Fourier
@@ -121,6 +122,17 @@ def _values_mod(f: Sequence[int], ell: int, h: int) -> list[int]:
     return [(coef[i] + sign * coef[i + n]) * hp[i * i % step] % ell for i in range(n)]
 
 
+def _norms_mod(f: Sequence[int], ell: int, h: int) -> dict[int, int]:
+    """{d: N_d mod l} for every d | n = len(f): the product of the values
+    F(g^i) with n / gcd(i, n) = d, the primitive d-th roots of unity."""
+    n = len(f)
+    local: dict[int, int] = {}
+    for i, v in enumerate(_values_mod(f, ell, h)):
+        d = n // math.gcd(i, n)
+        local[d] = local.get(d, 1) * v % ell
+    return local
+
+
 def orbit_norms(f: Sequence[int]) -> dict[int, int]:
     """{d: N_d} for every d | n, where N_d = Res(Phi_d, F) and F(x) is the
     integer first row sum_j f_j x^j; their product is the determinant of the
@@ -128,8 +140,8 @@ def orbit_norms(f: Sequence[int]) -> dict[int, int]:
 
     N_d is the product of F(zeta) over the primitive d-th roots of unity
     zeta.  It is computed by CRT over primes l = 1 (mod 2n), where every
-    such zeta is a power g^i with n / gcd(i, n) = d, until the primes'
-    product exceeds twice the largest bound of _norm_bound; N_d is then the
+    such zeta is a power of g (_norms_mod), until the primes' product
+    exceeds twice the largest bound of _norm_bound; N_d is then the
     symmetric residue."""
     n = len(f)
     orbit = [n // math.gcd(i, n) for i in range(n)]
@@ -141,9 +153,7 @@ def orbit_norms(f: Sequence[int]) -> dict[int, int]:
     res = dict.fromkeys(phis, 0)
     modulus = 1
     for ell, h in _crt_primes(n):
-        local = dict.fromkeys(phis, 1)
-        for d, v in zip(orbit, _values_mod(f, ell, h)):
-            local[d] = local[d] * v % ell
+        local = _norms_mod(f, ell, h)
         inv = pow(modulus, -1, ell)
         for d, x in res.items():
             res[d] = x + modulus * ((local[d] - x) * inv % ell)
@@ -174,37 +184,28 @@ def _divmod_monic(num: Sequence[int], den: Sequence[int]) -> tuple[list[int], li
     return quot, rem[:deg]
 
 
-def orbit_blocks(f: Sequence[int]) -> dict[int, tuple[list[int], list[list[int]]]]:
-    """{d: (Phi_d, B_d)} for every d | n = len(f), where B_d is the
-    phi(d) x phi(d) integer matrix of multiplication by F = sum_j f_j x^j on
-    Z[x]/Phi_d: row i holds the coefficients of x^i F mod Phi_d.  det B_d =
-    N_d, and coker B_d = Z[x]/(Phi_d, F).
+def orbit_blocks(f: Sequence[int]) -> dict[int, tuple[list[int], list[int]]]:
+    """{d: (Phi_d, F mod Phi_d)} for every d | n = len(f), F = sum_j f_j x^j:
+    the pair that fixes the orbit component Z[x]/(Phi_d, F), whose order
+    is |N_d| = |Res(Phi_d, F mod Phi_d)|.
 
     Phi_d comes from x^d - 1 = prod_{e | d} Phi_e by exact division, and
     F mod Phi_d from F mod (x^d - 1), which Phi_d divides."""
     n = len(f)
-    phis: dict[int, list[int]] = {}
-    blocks = {}
+    blocks: dict[int, tuple[list[int], list[int]]] = {}
     for d in range(1, n + 1):
         if n % d:
             continue
         phi = [-1] + [0] * (d - 1) + [1]
-        for e, phi_e in phis.items():
+        for e, (phi_e, _) in blocks.items():
             if d % e == 0:
                 phi, rem = _divmod_monic(phi, phi_e)
                 if any(rem):
                     raise InvariantViolation(f"Phi_{e} does not divide x^{d} - 1")
-        phis[d] = phi
         folded = [0] * d
         for j, c in enumerate(f):
             folded[j % d] += c
-        _, r = _divmod_monic(folded, phi)
-        rows = []
-        for _ in range(len(phi) - 1):
-            rows.append(r)
-            top = r[-1]  # r <- x * r mod Phi_d
-            r = [lo - top * c for lo, c in zip([0] + r[:-1], phi)]
-        blocks[d] = phi, rows
+        blocks[d] = phi, _divmod_monic(folded, phi)[1]
     return blocks
 
 
@@ -412,14 +413,6 @@ def snf_mod(matrix: Sequence[Sequence[int]], modulus: int) -> tuple[int, ...]:
     return tuple(factors + [scale * a * b for a, b in chains])
 
 
-def _prime_to(x: int, primes: Sequence[int]) -> int:
-    """x with every factor from the given primes divided out."""
-    for q in primes:
-        while x % q == 0:
-            x //= q
-    return x
-
-
 def structure(ctx: CartanContext) -> tuple[int, ...]:
     """Invariant factors (> 1) of the cuspidal class group I/L, one
     component of the group ring at a time (components.py); the product
@@ -434,23 +427,24 @@ def structure(ctx: CartanContext) -> tuple[int, ...]:
       * for a prime l outside S, Z_l[H] = prod_{d | n} Z_l[x]/Phi_d; 12 p^k
         and d are l-units, theta has degree 0, and theta' - theta is a
         multiple of the norm element, 0 in every factor with d > 1.  So the
-        l-part is that of the sum over d > 1 of the orbit blocks
-        coker B_d = Z[x]/(Phi_d, F) of the scaled theta' row F, each
-        modulo M_d, the part of N_d prime to S, by euclid_mod().
+        l-part is that of the sum over d > 1 of the orbit components
+        Z[x]/(Phi_d, F) of the scaled theta' row F, each given by the pair
+        (Phi_d, F mod Phi_d) of orbit_blocks() and taken modulo M_d, the
+        part of N_d prime to S, by euclid_mod().
 
-    Each block must have determinant N_d modulo the check prime and factors
-    multiplying to M_d, and the M_d must multiply to T'.  The block factors
-    are merged into one chain and multiplied into the S-parts position by
-    position, the two being coprime."""
+    Each pair must have resultant N_d modulo the first CRT prime l, the
+    product of the remainder's values at the roots of order d (_norms_mod),
+    and factors multiplying to M_d; the M_d must multiply to T'.  The block
+    factors are merged into one chain and multiplied into the S-parts
+    position by position, the two being coprime."""
     from .components import d_theta_row, euclid_mod, p_part_mod, quotient_mod
 
     index = lattice_index(ctx)
     norms = theta_prime_norms(ctx)
-    primes = sorted({2, 3, ctx.p, *(e.prime for e in factorize(ctx.n).entries)})
-    index_prime_to_s = _prime_to(index, primes)
-    index_s = index // index_prime_to_s
-    rest_s = _prime_to(index_s, [ctx.p])
-    p_top = index_s // rest_s
+    six_pn = 6 * ctx.p * ctx.n
+    index_s = _part_with_primes_of(index, six_pn)
+    p_top = _part_with_primes_of(index_s, ctx.p)
+    rest_s = index_s // p_top
     # the p-part modulo p^s, s = 2, 4, 8, ...: once every factor is below
     # p^s, none was cut off.  They stay far below p_top (at most p^5 at every
     # tested level, where p_top reaches p^79), so the entries stay small.
@@ -465,18 +459,19 @@ def structure(ctx: CartanContext) -> tuple[int, ...]:
 
     pieces: list[int] = []
     m_product = 1
-    for d, (phi, block) in orbit_blocks(circulant_theta_prime(ctx)).items():
+    ell, h = next(_crt_primes(ctx.n))
+    for d, (phi, r) in orbit_blocks(circulant_theta_prime(ctx)).items():
         if d == 1:
             continue
-        if _det_mod(block, _CHECK_PRIME) != norms[d] % _CHECK_PRIME:
-            raise InvariantViolation(f"orbit block {d} does not have determinant N_{d}")
-        m = _prime_to(abs(norms[d]), primes)
-        factors = euclid_mod(phi, block, m)
+        if _norms_mod(r + [0] * (ctx.n - len(r)), ell, h)[d] != norms[d] % ell:
+            raise InvariantViolation(f"orbit block {d} does not have resultant N_{d}")
+        m = abs(norms[d]) // _part_with_primes_of(abs(norms[d]), six_pn)
+        factors = euclid_mod(phi, r, m)
         if math.prod(factors) != m:
             raise InvariantViolation(f"orbit block {d} factors do not multiply to M_{d}")
         pieces += factors
         m_product *= m
-    if m_product != index_prime_to_s:
+    if m_product != index // index_s:
         raise InvariantViolation("the M_d do not multiply to the part of T prime to 6pn")
     chain = _divisibility_chain(pieces)  # n - 1 entries, like joint
     return tuple(f for f in (a * b for a, b in zip(joint, chain)) if f != 1)

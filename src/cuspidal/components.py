@@ -1,8 +1,8 @@
 """Smith forms of the structure() components, none of them on the whole
 lattice.
 
-  * euclid_mod(): coker B_d modulo M_d for an orbit block, as
-    (Z/M_d)[x]/(Phi_d, F), by polynomial Euclid over Z/M_d with dynamic
+  * euclid_mod(): the orbit component (Z/M_d)[x]/(Phi_d, F) from the pair
+    (Phi_d, F mod Phi_d), by polynomial Euclid over Z/M_d with dynamic
     evaluation (Della Dora, Dicrescenzo and Duval, EUROCAL 1985).
   * p_part_mod(): the p-part of the unit-divisor lattice, split by the
     characters of the prime-to-p part of the group (the eigenspace method,
@@ -35,22 +35,22 @@ from .errors import InvariantViolation
 from .stickelberger import d_value
 
 
-def euclid_mod(phi: Sequence[int], block: Sequence[Sequence[int]], m: int) -> tuple[int, ...]:
-    """Invariant factors, the 1s included, of coker(block) modulo m for an
-    orbit block: block is the matrix of multiplication by F = block[0] on
-    Z[x]/(phi), phi monic, so the module is (Z/m)[x]/(phi, F).
+def euclid_mod(phi: Sequence[int], f: Sequence[int], m: int) -> tuple[int, ...]:
+    """Invariant factors, deg phi of them with the 1s, of the module
+    (Z/m)[x]/(phi, f), phi monic and deg f < deg phi, such as an orbit
+    pair (Phi_d, F mod Phi_d) of classgroup.orbit_blocks().
 
-    Polynomial Euclid over Z/m, in O(deg phi ^ 2) ring operations: a unit
-    leading coefficient is divided out; a non-unit one splits the modulus
-    into coprime parts, the one made of the primes it shares with the
-    modulus and the rest, each part going on alone and their chains
-    multiplying position by position.  A monic g of degree e with
-    remainder 0 leaves (Z/part)^e.  A part with no such split, such as
+    Polynomial Euclid over Z/m on (a, b) = (phi, f), in O(deg phi ^ 2) ring
+    operations: a unit leading coefficient of b is divided out; a non-unit
+    one splits the modulus into coprime parts, the one made of the primes
+    it shares with the modulus and the rest, each part going on alone and
+    their chains multiplying position by position.  A monic g of degree e
+    with remainder 0 leaves (Z/part)^e.  A part with no such split, such as
     l^2 with the leading coefficient divisible by l once, goes to
-    snf_mod(block, part)."""
-    c = len(block)
+    snf_mod() as multiplication by b on (Z/part)[x]/(a), padded with 1s."""
+    c = len(phi) - 1
     chain = [1] * c
-    parts = [(phi, block[0], m)]
+    parts = [(phi, f, m)]
     while parts:
         a, b, m = parts.pop()
         a, b = [x % m for x in a], [x % m for x in b]
@@ -63,9 +63,9 @@ def euclid_mod(phi: Sequence[int], block: Sequence[Sequence[int]], m: int) -> tu
             b = [x * inv % m for x in b]
             deg = len(b) - 1
             for i in range(len(a) - 1 - deg, -1, -1):  # a <- a mod b
-                f = a[i + deg]
-                if f:
-                    a[i : i + deg + 1] = [(x - f * y) % m for x, y in zip(a[i : i + deg + 1], b)]
+                t = a[i + deg]
+                if t:
+                    a[i : i + deg + 1] = [(x - t * y) % m for x, y in zip(a[i : i + deg + 1], b)]
             a, b = b, a[:deg]
         if not b:
             factors = (1,) * (c + 1 - len(a)) + (m,) * (len(a) - 1)
@@ -73,7 +73,12 @@ def euclid_mod(phi: Sequence[int], block: Sequence[Sequence[int]], m: int) -> tu
             parts += [(a, b, m1), (a, b, m // m1)]
             continue
         else:  # every prime of m divides the leading coefficient
-            factors = snf_mod(block, m)
+            rows, r = [], b + [0] * (len(a) - 1 - len(b))
+            for _ in range(len(r)):
+                rows.append(r)
+                top = r[-1]  # r <- x * r mod a
+                r = [(lo - top * y) % m for lo, y in zip([0] + r[:-1], a)]
+            factors = (1,) * (c - len(rows)) + snf_mod(rows, m)
         chain = [x * y for x, y in zip(chain, factors)]
     return tuple(chain)
 

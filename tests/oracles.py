@@ -2,9 +2,10 @@
 
 The orbit norms of classgroup.orbit_norms come from a multi-modular
 transform; here each N_d = Res(Phi_d, F) is instead the determinant of
-multiplication by F on Z[x]/Phi_d, the phi(d) x phi(d) integer block of
-classgroup.orbit_blocks (which orbit_norms never builds), taken by
-fraction-free (Bareiss) elimination.
+multiplication by F on Z[x]/Phi_d, the phi(d) x phi(d) integer matrix
+block_matrix builds from the pair (Phi_d, F mod Phi_d) of
+classgroup.orbit_blocks (no command builds it), taken by fraction-free
+(Bareiss) elimination.
 
 classgroup.snf_mod eliminates modulo a multiple of the lattice index; snf
 is the dense Smith form over Z with minimal pivots, which no command runs.
@@ -84,10 +85,21 @@ def bareiss_det(rows: Sequence[Sequence[int]]) -> int:
     return sign * a[n - 1][n - 1]
 
 
+def block_matrix(phi: Sequence[int], r: Sequence[int]) -> list[list[int]]:
+    """The matrix of multiplication by r on Z[x]/phi, phi monic: row i holds
+    the coefficients of x^i r mod phi."""
+    rows, r = [], list(r) + [0] * (len(phi) - 1 - len(r))
+    for _ in range(len(r)):
+        rows.append(r)
+        top = r[-1]  # r <- x * r mod phi
+        r = [lo - top * c for lo, c in zip([0] + r[:-1], phi)]
+    return rows
+
+
 def block_norms(f: Sequence[int]) -> dict[int, int]:
     """{d: N_d} for every d | n = len(f), each the Bareiss determinant of
     multiplication by F = sum_j f_j x^j on Z[x]/Phi_d."""
-    return {d: bareiss_det(rows) for d, (_, rows) in orbit_blocks(f).items()}
+    return {d: bareiss_det(block_matrix(*pair)) for d, pair in orbit_blocks(f).items()}
 
 
 def snf(matrix: Sequence[Sequence[int]]) -> tuple[int, ...]:

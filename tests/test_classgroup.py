@@ -24,7 +24,14 @@ from cuspidal.classgroup import (
 )
 from cuspidal.errors import InvariantViolation
 from cuspidal.stickelberger import d_value, stickelberger_data, theta
-from oracles import bareiss_det, block_norms, context_with_generator, reference_order, snf
+from oracles import (
+    bareiss_det,
+    block_matrix,
+    block_norms,
+    context_with_generator,
+    reference_order,
+    snf,
+)
 
 TABLE_SMALL = {5: 1, 7: 1, 11: 11, 13: 7 * 13**2, 17: 2**4 * 3 * 17**3}
 
@@ -532,11 +539,12 @@ def test_euclid_mod_matches_snf_mod_on_random_rows(monkeypatch):
             # coefficient is divisible by q once, and q^2 divides the modulus
             f = [rng.randrange(-30, 31) for _ in range(deg - 1)]
             f += [q * rng.randrange(1, 30)] + [0] * (n - len(f) - 1)
-        phi, block = cg.orbit_blocks(f)[d]
+        phi, r = cg.orbit_blocks(f)[d]
+        block = block_matrix(phi, r)
         det = abs(bareiss_det(block))
         for m in (det, det * 35, det * q * q, q * q * 6, q * q, 2**5 * 3**4):
             want = real_snf_mod(block, m)
-            assert co.euclid_mod(phi, block, m) == want, (f, d, m)
+            assert co.euclid_mod(phi, r, m) == want, (f, d, m)
     assert paths["split"] > 0 and paths["no split"] > 0, paths
 
 
@@ -775,6 +783,53 @@ def test_structure_at_29_squared():
     assert math.prod(got) == order(ctx)
 
 
+def test_structure_at_37_squared():
+    # pinned from structure() while each orbit block was still checked by
+    # eliminating its phi(d) x phi(d) matrix (about 5 s there); n = 666, with
+    # blocks up to phi(d) = 216, out of the dense oracle's reach
+    ctx = CartanContext.create(37, 2)
+    big = (
+        int(
+    "135128650614795283695556514689212020302425950423471943540839601525523161"
+    "700255875852193172321966117098466535062276729611127682783475847229226581"
+    "212004045352018722559701769414394806785813429392839061215846772386642432"
+    "704427777524387225899270303098591080051300904860247297805446844452092553"
+    "697292920405343656226031478310178562916701654437191750158014327457279922"
+    "412440785050469965980851700521211472193741653849122875288352280475709805"
+    "698894390394519314008203607709854561933394191924597459940760179890483223"
+    "966315374135432734809753047744623537799448384420232598859178350301212725"
+    "219533112195423667224895783767850508509824992033390591921834055681904552"
+    "938149096782904210077626856195440154132257938404057479066507675142231146"
+    "372275329177021266415631809773605828529071748046717455750522154340555546"
+    "936990412862305295980656436094200616971668892137748947334192408974757033"
+    "400472619051931416536785568362888473053682912334206794853934911631875977"
+    "121981561351096223325913374751656646069561558589791156241365490256658315"
+    "7358088367"
+        ),
+        int(
+    "121615785553315755326000863220290818272183355381124749186755641372970845"
+    "530230288266973855089769505388619881556049056650014914505128262506303923"
+    "090803640816816850303731592472955326107232086453555155094262095147978189"
+    "433984999771948503309343272788731972046170814374222568024902160006883298"
+    "327563628364809290603428330479160706625031488993472575142212894711551930"
+    "171196706545422969382766530469090324974367488464210587759517052428138825"
+    "129004951355067382607383246938869105740054772732137713946684161901434901"
+    "569683836721889461328777742970161184019503545978209338973260515271091452"
+    "697579800975881300502406205391065457658842492830051532729650650113714097"
+    "644334187104613789069864170575896138719032144563651731159856907628008031"
+    "735047796259319139774068628796245245676164573242045710175469938906499992"
+    "243291371576074766382590792484780555274502002923974052600773168077281330"
+    "060425357146738274883107011526599625748314621100786115368541420468688379"
+    "409783405215986600993322037276490981462605402730812040617228941230992484"
+    "16222795303"
+        ),
+    )
+    want = (37,) * 632 + (1369,) * 8 + (50653,) * 5 + (962407,) + big
+    got = structure(ctx)
+    assert got == want
+    assert math.prod(got) == order(ctx)
+
+
 BLOCK_LEVELS = [(13, 1), (101, 1), (7, 2), (13, 2)]
 
 
@@ -786,8 +841,9 @@ def _primes_of_6pn(ctx):
 
 @pytest.mark.parametrize("p,k", BLOCK_LEVELS)
 def test_structure_rejects_a_scaled_orbit_block_row(monkeypatch, p, k):
-    # a block row times a prime l outside 6pn and T leaves the block's
-    # factors modulo M_d unchanged; only its determinant shows it
+    # F mod Phi_d, row 0 of the block matrix, times a prime l outside 6pn
+    # and T leaves the block's factors modulo M_d unchanged; only its
+    # resultant shows it
     import cuspidal.classgroup as cg
 
     ctx = CartanContext.create(p, k)
@@ -800,8 +856,8 @@ def test_structure_rejects_a_scaled_orbit_block_row(monkeypatch, p, k):
 
     def scaled(f):
         blocks = real(f)
-        rows = blocks[d][1]
-        rows[0] = [ell * x for x in rows[0]]
+        phi, r = blocks[d]
+        blocks[d] = phi, [ell * x for x in r]
         return blocks
 
     monkeypatch.setattr(cg, "orbit_blocks", scaled)
@@ -832,26 +888,30 @@ def test_structure_rejects_a_wrong_orbit_norm(monkeypatch, p, k):
 @pytest.mark.parametrize("p,k", [(5, 3), (11, 2), (13, 2), (7, 3)])
 def test_structure_builds_no_n_row_matrix(monkeypatch, p, k):
     # at k >= 2 every Smith form and determinant in structure() is taken on
-    # a component: a q-row character block, a phi(d)-row orbit block or the
-    # m-row C_m quotient, never the n - 1 shift rows of the whole lattice
+    # a component: a q-row character block, a Euclid hand-off of at most
+    # phi(d) rows or the m-row C_m quotient, never the n - 1 shift rows of
+    # the whole lattice; and the only determinant is that of the m - 1
+    # quotient shift rows, the orbit blocks being checked by resultants
     import cuspidal.classgroup as cg
     import cuspidal.components as co
 
     ctx = CartanContext.create(p, k)
-    sizes = []
+    sizes = {"snf_mod": [], "_det_mod": []}
 
     def never(ctx):
         raise AssertionError("structure() called generator_matrix")
 
+    def spy(real, seen):
+        return lambda rows, m: seen.append(len(rows)) or real(rows, m)
+
     monkeypatch.setattr(cg, "generator_matrix", never)
     for module in (cg, co):
-        for name in ("snf_mod", "_det_mod"):
-            real = getattr(module, name)
-            monkeypatch.setattr(
-                module, name, lambda rows, m, real=real: sizes.append(len(rows)) or real(rows, m)
-            )
+        for name, seen in sizes.items():
+            monkeypatch.setattr(module, name, spy(getattr(module, name), seen))
     assert math.prod(structure(ctx)) == order(ctx)
-    assert sizes and max(sizes) < ctx.n - 1, (max(sizes), ctx.n)
+    every = sizes["snf_mod"] + sizes["_det_mod"]
+    assert max(every) < ctx.n - 1, (max(every), ctx.n)
+    assert sizes["_det_mod"] == [(ctx.p - 1) // 2 - 1], sizes["_det_mod"]
 
 
 # pinned from the Bareiss-block orbit norms (about 60 s there); n = 253
