@@ -13,15 +13,14 @@ a1^2 - eps * a2^2, each bucket holding (p+1) p^(k-1) classes.
 
 CartanContext.classes() and norm_class_partition() enumerate those
 (p^2 - 1) p^(2k-2) / 2 classes densely, quadratic in p^k in time and
-memory.  Only the checks that need the classes themselves use them: the
-algebraic suite of ``verify`` and the Siegel-function products of
-``siegel``.  The order, the table and the gcd harness take the bucket sums
-from stickelberger.compute_a, which never enumerates a class.
+memory.  Only two checks read them: the "norm buckets uniform" check of
+``verify`` and the Siegel-function products of ``siegel``.  The bucket sums
+and the quadratic fiber identities come from convolutions in
+stickelberger (compute_a, somme_identities_check), which enumerate no class.
 """
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 from typing import Iterator, NamedTuple
 
@@ -225,15 +224,6 @@ def norm_class_partition(ctx: CartanContext) -> dict[int, tuple[CartanClass, ...
                 f"bucket {i} has {len(bucket)} classes, expected {size}"
             )
     return {i: tuple(b) for i, b in buckets.items()}
-
-
-def norm_fiber(ctx: CartanContext, h: int) -> tuple[CartanClass, ...]:
-    """Classes whose norm is exactly the residue h (not just up to sign)."""
-    h %= ctx.modulus
-    if math.gcd(h, ctx.p) != 1:
-        raise ValueError("h must be a unit residue")
-    i = h_index_table(ctx)[h]
-    return tuple(c for c in norm_class_partition(ctx)[i] if ctx.norm(c) == h)
 
 
 def _units_of_norm(ctx: CartanContext, target: int) -> Iterator[CartanElement]:

@@ -285,20 +285,25 @@ def generator_matrix(ctx: CartanContext) -> list[list[int]]:
     return lattice_rows(ctx, ctx.n)
 
 
-def lattice_index(ctx: CartanContext) -> int:
-    """T = [I : theta I], I the augmentation ideal: the index of the span of
-    the rows (w^j - 1) theta, j = 1..n-1, in the degree-zero part.
+def lattice_index(ctx: CartanContext, size: int) -> int:
+    """[I_size : pi(theta) I_size] for size | n, I_size the augmentation
+    ideal of Z[C_size] and pi taking w to its generator: the index of the
+    span of the rows (w^j - 1) pi(theta), j = 1..size-1, in the degree-zero
+    part.  At size n it is T = [I : theta I]; at m = (p-1)/2, the T_0 of
+    components.quotient_mod().
 
-    It is |prod_{d > 1} N_d| / (12 p^k)^(n-1) over the theta' orbit norms;
-    theta' and theta differ by a multiple of the norm element, which only
-    the trivial character (d = 1) sees.  T = 0 means the lattice does not
-    have full rank."""
-    scaled = math.prod(v for d, v in theta_prime_norms(ctx).items() if d > 1)
-    index, rem = divmod(abs(scaled), (_SCALE_NUM * ctx.modulus) ** (ctx.n - 1))
+    It is |prod_{d | size, d > 1} N_d| / (12 p^k)^(size-1) over the theta'
+    orbit norms, the characters of H of order d | size being those that
+    factor through C_size; theta' and theta differ by a multiple of the
+    norm element, which only the trivial character (d = 1) sees.  An index
+    of 0 means the lattice does not have full rank."""
+    norms = theta_prime_norms(ctx)
+    scaled = math.prod(v for d, v in norms.items() if d > 1 and size % d == 0)
+    index, rem = divmod(abs(scaled), (_SCALE_NUM * ctx.modulus) ** (size - 1))
     if rem:
-        raise InvariantViolation("[I : theta I] is not an integer")
+        raise InvariantViolation(f"the lattice index at size {size} is not an integer")
     if index == 0:
-        raise InvariantViolation("unit-divisor lattice does not have full rank")
+        raise InvariantViolation(f"the lattice at size {size} does not have full rank")
     return index
 
 
@@ -439,7 +444,7 @@ def structure(ctx: CartanContext) -> tuple[int, ...]:
     position by position, the two being coprime."""
     from .components import d_theta_row, euclid_mod, p_part_mod, quotient_mod
 
-    index = lattice_index(ctx)
+    index = lattice_index(ctx, ctx.n)
     norms = theta_prime_norms(ctx)
     six_pn = 6 * ctx.p * ctx.n
     index_s = _part_with_primes_of(index, six_pn)
@@ -455,7 +460,7 @@ def structure(ctx: CartanContext) -> tuple[int, ...]:
         if q == p_top or p_part[-1] < q:
             break
         q = min(q * q, p_top)
-    joint = [a * b for a, b in zip(p_part, quotient_mod(ctx, norms, index, rest_s))]
+    joint = [a * b for a, b in zip(p_part, quotient_mod(ctx, index, rest_s))]
 
     pieces: list[int] = []
     m_product = 1

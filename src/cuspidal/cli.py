@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from ._version import __version__
@@ -34,7 +33,6 @@ from .verify import (
 )
 
 TABLE_GUARD = 101
-RHO_BUDGET_ENV = "CUSPIDAL_RHO_BUDGET"
 
 
 class UsageError(Exception):
@@ -65,18 +63,6 @@ def _require_guarded_level(p: int, k: int, force: bool) -> None:
         )
 
 
-def _rho_budget(args) -> int:
-    if getattr(args, "rho_budget", None) is not None:
-        return args.rho_budget
-    env = os.environ.get(RHO_BUDGET_ENV)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise UsageError(f"{RHO_BUDGET_ENV} must be an integer: {exc}") from exc
-    return DEFAULT_RHO_BUDGET
-
-
 def _primes_in(lo: int, hi: int) -> list[int]:
     return [p for p in range(lo, hi + 1) if is_prime(p) is not Primality.COMPOSITE]
 
@@ -84,7 +70,7 @@ def _primes_in(lo: int, hi: int) -> list[int]:
 def cmd_order(args) -> int:
     _require_guarded_level(args.p, args.k, args.force)
     res = compute_class_group(
-        args.p, args.k, factor=args.factor or args.json, rho_budget=_rho_budget(args)
+        args.p, args.k, factor=args.factor or args.json, rho_budget=args.rho_budget
     )
     if args.json:
         print(json.dumps(res.to_json_dict()))
@@ -104,9 +90,8 @@ def cmd_table(args) -> int:
         raise UsageError(
             f"--pmax {args.pmax} exceeds the guard {TABLE_GUARD}; pass --force to override"
         )
-    budget = _rho_budget(args)
     for p in _primes_in(5, args.pmax):
-        res = compute_class_group(p, 1, factor=True, rho_budget=budget)
+        res = compute_class_group(p, 1, factor=True, rho_budget=args.rho_budget)
         print(json.dumps(res.to_json_dict()) if args.json else table_row(res))
     return 0
 
@@ -209,14 +194,14 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_order)
     p_order.add_argument("--factor", action="store_true", help="print the factored order")
     p_order.add_argument("--json", action="store_true", help="emit a JSON record")
-    p_order.add_argument("--rho-budget", type=int,
+    p_order.add_argument("--rho-budget", type=int, default=DEFAULT_RHO_BUDGET,
                          help="factoring step budget for the call (rho and ECM)")
     p_order.set_defaults(func=cmd_order)
 
     p_table = sub.add_parser("table", help="factored orders for primes 5..pmax")
     p_table.add_argument("--pmax", type=int, default=TABLE_GUARD)
     p_table.add_argument("--json", action="store_true", help="one JSON record per line")
-    p_table.add_argument("--rho-budget", type=int,
+    p_table.add_argument("--rho-budget", type=int, default=DEFAULT_RHO_BUDGET,
                          help="factoring step budget per level (rho and ECM)")
     p_table.add_argument("--force", action="store_true", help="override the pmax guard")
     p_table.set_defaults(func=cmd_table)

@@ -20,7 +20,7 @@ not compile it.
 from __future__ import annotations
 
 import math
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .cartan import CartanContext
 from .classgroup import (
@@ -29,6 +29,7 @@ from .classgroup import (
     _det_mod,
     _part_with_primes_of,
     _scaled_a,
+    lattice_index,
     snf_mod,
 )
 from .errors import InvariantViolation
@@ -41,13 +42,15 @@ def euclid_mod(phi: Sequence[int], f: Sequence[int], m: int) -> tuple[int, ...]:
     pair (Phi_d, F mod Phi_d) of classgroup.orbit_blocks().
 
     Polynomial Euclid over Z/m on (a, b) = (phi, f), in O(deg phi ^ 2) ring
-    operations: a unit leading coefficient of b is divided out; a non-unit
-    one splits the modulus into coprime parts, the one made of the primes
-    it shares with the modulus and the rest, each part going on alone and
-    their chains multiplying position by position.  A monic g of degree e
-    with remainder 0 leaves (Z/part)^e.  A part with no such split, such as
-    l^2 with the leading coefficient divisible by l once, goes to
-    snf_mod() as multiplication by b on (Z/part)[x]/(a), padded with 1s."""
+    operations: a unit leading coefficient of b is inverted once and scales
+    each row of a mod b, whose remainder is reduced modulo m once; a
+    non-unit one splits the modulus into coprime parts, the one made of the
+    primes it shares with the modulus and the rest, each part going on alone
+    and their chains multiplying position by position.  A g of degree e,
+    leading coefficient a unit, with remainder 0 leaves (Z/part)^e.  A part
+    with no such split, such as l^2 with the leading coefficient divisible
+    by l once, goes to snf_mod() as multiplication by b on
+    (Z/part)[x]/(a), a made monic, padded with 1s."""
     c = len(phi) - 1
     chain = [1] * c
     parts = [(phi, f, m)]
@@ -60,19 +63,20 @@ def euclid_mod(phi: Sequence[int], f: Sequence[int], m: int) -> tuple[int, ...]:
             if not b or math.gcd(b[-1], m) > 1:
                 break
             inv = pow(b[-1], -1, m)
-            b = [x * inv % m for x in b]
             deg = len(b) - 1
-            for i in range(len(a) - 1 - deg, -1, -1):  # a <- a mod b
-                t = a[i + deg]
+            for i in range(len(a) - 1 - deg, -1, -1):  # a <- a mod b, reduced once
+                t = a[i + deg] * inv % m
                 if t:
-                    a[i : i + deg + 1] = [(x - t * y) % m for x, y in zip(a[i : i + deg + 1], b)]
-            a, b = b, a[:deg]
+                    a[i : i + deg + 1] = [x - t * y for x, y in zip(a[i : i + deg + 1], b)]
+            a, b = b, [x % m for x in a[:deg]]
         if not b:
             factors = (1,) * (c + 1 - len(a)) + (m,) * (len(a) - 1)
         elif (m1 := _part_with_primes_of(m, b[-1])) < m:
             parts += [(a, b, m1), (a, b, m // m1)]
             continue
         else:  # every prime of m divides the leading coefficient
+            inv = pow(a[-1], -1, m)  # r <- x * r mod a needs a monic
+            a = [x * inv % m for x in a]
             rows, r = [], b + [0] * (len(a) - 1 - len(b))
             for _ in range(len(r)):
                 rows.append(r)
@@ -151,21 +155,7 @@ def lattice_rows(ctx: CartanContext, size: int) -> list[list[int]]:
     return rows + [d_theta_row(ctx, size)[1:]]
 
 
-def quotient_index(ctx: CartanContext, norms: Mapping[int, int]) -> int:
-    """T_0 = [I_m : pi(theta) I_m] in Z[C_m], m = (p-1)/2, from the theta'
-    orbit norms {d: N_d}: |prod_{d | m, d > 1} N_d| / (12 p^k)^(m-1), the
-    characters of H of order d | m being those trivial on C_q."""
-    m = (ctx.p - 1) // 2
-    scaled = math.prod(v for d, v in norms.items() if d > 1 and m % d == 0)
-    index, rem = divmod(abs(scaled), (_SCALE_NUM * ctx.modulus) ** (m - 1))
-    if rem:
-        raise InvariantViolation("[I_m : pi(theta) I_m] is not an integer")
-    return index
-
-
-def quotient_mod(
-    ctx: CartanContext, norms: Mapping[int, int], index: int, modulus: int
-) -> tuple[int, ...]:
+def quotient_mod(ctx: CartanContext, index: int, modulus: int) -> tuple[int, ...]:
     """Invariant factors, the 1s included and n - 1 entries, of the parts
     of I/L at the primes of modulus, for modulus prime to p and dividing
     T = index = [I : theta I], from the C_m quotient.
@@ -174,12 +164,12 @@ def quotient_mod(
     onto Z[C_m].  For a prime l != p, e_0 = (1/q) sum_{y in C_q} y is an
     l-integral idempotent and L a Z[H]-module, so (I/L)_l is the sum of
     e_0 (I/L)_l, the group of the lattice of pi(theta) in Z[C_m], and
-    (1 - e_0)(I/L)_l, whose order divides T/T_0 (quotient_index).  The
-    m - 1 shift rows of the quotient must have determinant +-T_0 modulo
-    the check prime, T_0 must divide T, and gcd(T/T_0, modulus) must be 1;
-    then the factors are snf_mod() of the m x (m-1) quotient matrix."""
+    (1 - e_0)(I/L)_l, whose order divides T/T_0 for T_0 = lattice_index(ctx,
+    m).  The m - 1 shift rows of the quotient must have determinant +-T_0
+    modulo the check prime, T_0 must divide T, and gcd(T/T_0, modulus) must
+    be 1; then the factors are snf_mod() of the m x (m-1) quotient matrix."""
     m = (ctx.p - 1) // 2
-    t0 = quotient_index(ctx, norms)
+    t0 = lattice_index(ctx, m)
     rows = lattice_rows(ctx, m)
     if _det_mod(rows[:-1], _CHECK_PRIME) not in (t0 % _CHECK_PRIME, -t0 % _CHECK_PRIME):
         raise InvariantViolation("C_m quotient rows do not have determinant +-T_0")

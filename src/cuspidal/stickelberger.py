@@ -6,10 +6,10 @@ identity.  The vector ``a`` of bucket sums is indexed the same way
 (``a[j]`` belongs to the norm bucket of w^j), and theta places ``a[j]`` at
 w^(-j), i.e. ``theta.coeffs[m] = a[(-m) mod n]``.
 
-The bucket sums come from two cyclic convolutions over Z/p^k (compute_a),
-in O(p^k) integer operations and one packed big-integer product each; no
-unit class is enumerated.  The fiber identities (somme_identities_check)
-still read the classes of each norm fiber through cartan.norm_fiber.
+The bucket sums (compute_a) and the quadratic sums over every exact-norm
+fiber (somme_identities_check) are cyclic convolutions over Z/p^k of the
+same root tables (_root_tables), in O(p^k) integer operations and one
+packed big-integer product each; no unit class is enumerated.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from functools import lru_cache
 from typing import NamedTuple, Sequence
 
 from .arith import packed_product
-from .cartan import CONTEXT_CACHE_SIZE, CartanContext, norm_fiber
+from .cartan import CONTEXT_CACHE_SIZE, CartanContext
 from .errors import InvariantViolation
 
 
@@ -130,6 +130,20 @@ def _cyclic_product(a: Sequence[int], b: Sequence[int]) -> list[int]:
     return [x + y for x, y in zip(coef[:n], coef[n:])]
 
 
+def _root_tables(ctx: CartanContext) -> tuple[list[int], list[int], list[int]]:
+    """Over Z/m, m = p^k: S[t] = #{a : a^2 = t}, U[t] = sum of a (m - a)
+    over a^2 = t, and C[u] = #{b : -eps b^2 = u}, the factors of the
+    convolutions of compute_a and somme_identities_check."""
+    m = ctx.modulus
+    squares, weights, minus_eps = [0] * m, [0] * m, [0] * m
+    for a in range(m):
+        t = a * a % m
+        squares[t] += 1
+        weights[t] += a * (m - a)
+        minus_eps[-ctx.epsilon * t % m] += 1
+    return squares, weights, minus_eps
+
+
 @lru_cache(maxsize=CONTEXT_CACHE_SIZE)
 def compute_a(ctx: CartanContext) -> tuple[Fraction, ...]:
     """Bucket sums a[j] = (p^k / 2) * sum over the w^j norm bucket of
@@ -149,12 +163,7 @@ def compute_a(ctx: CartanContext) -> tuple[Fraction, ...]:
     all nonnegative, each one packed big-integer product.  N[r] counts the
     units of norm r; it must be (p+1) p^(k-1) for every unit r."""
     m = ctx.modulus
-    squares, weights, minus_eps = [0] * m, [0] * m, [0] * m
-    for a in range(m):
-        t = a * a % m
-        squares[t] += 1
-        weights[t] += a * (m - a)
-        minus_eps[-ctx.epsilon * t % m] += 1
+    squares, weights, minus_eps = _root_tables(ctx)
     count = _cyclic_product(squares, minus_eps)
     weighted = _cyclic_product(weights, minus_eps)
     fiber = ctx.bucket_size()
@@ -213,36 +222,53 @@ def stickelberger_data(ctx: CartanContext) -> StickelbergerData:
     )
 
 
-def somme_identities_check(ctx: CartanContext, h: int) -> bool:
-    """Quadratic bucket sums for the H-class of h.
+def _fiber_square_sums(ctx: CartanContext) -> tuple[list[int], list[int]]:
+    """For every residue r, the sums of a1^2 and of a2^2 modulo p^k over
+    the pairs (a1, a2) in (Z/p^k)^2 with a1^2 - eps a2^2 = r; at a unit r
+    these are the units of norm exactly r.  With S and C of _root_tables,
 
-    The refined identities live on the exact-norm fibers: over the classes
-    with |s| = h0 precisely,
+        sum a1^2 = (t S[t]) * C  at r,
+        sum a2^2 = -eps^-1 (S * (u C[u]))  at r,
+
+    as a1^2 = t and -eps a2^2 = u over the pairs counted at t + u = r."""
+    m = ctx.modulus
+    squares, _, minus_eps = _root_tables(ctx)
+    s11 = _cyclic_product([t * c for t, c in enumerate(squares)], minus_eps)
+    s22 = _cyclic_product(squares, [u * c for u, c in enumerate(minus_eps)])
+    inv_eps = pow(ctx.epsilon % m, -1, m)
+    return [x % m for x in s11], [-inv_eps * x % m for x in s22]
+
+
+def somme_identities_check(ctx: CartanContext) -> tuple[int, ...]:
+    """The unit h in 1..(p^k - 1)/2 whose quadratic fiber identities fail,
+    sorted; () when all hold.
+
+    The identities live on the exact-norm fibers: over the classes with
+    |s| = h0 precisely,
 
         sum a1^2      =  h0 (p+1) p^(k-1) / 4        (mod p^k)
         sum a2^2      = -h0 (p+1) p^(k-1) / (4 eps)  (mod p^k)
         sum a1 a2     =  0                           (mod p^k)
 
-    and the H-bucket of {+-h} is the union of the h and -h fibers (whose
-    right-hand sides cancel).  Both fibers are checked here; that is what
-    makes the statement independent of which representative of {s, -s} is
-    used, since all three quadratic forms are even.
+    and the H-bucket of {+-h} is the union of the h and -h fibers, so both
+    are checked for each h.  The sums over the units of norm h0, which
+    _fiber_square_sums gives for every h0 at once, are twice the class sums,
+    as s and -s give equal squares; 2 is invertible mod p^k, so they are
+    compared with twice the right-hand sides, h0 B / 2 and -h0 B / (2 eps)
+    for B = bucket_size().  The sum of a1 a2 is not computed: each fiber is
+    closed under a2 -> -a2, so it is 0 mod p^k on every fiber, and only the
+    two square sums carry content.
     """
     m = ctx.modulus
-    if math.gcd(h, ctx.p) != 1:
-        raise ValueError("h must be a unit residue")
-    inv4 = pow(4, -1, m)
+    s11, s22 = _fiber_square_sums(ctx)
+    half = ctx.bucket_size() * pow(2, -1, m) % m
     inv_eps = pow(ctx.epsilon % m, -1, m)
-    base = (ctx.p + 1) * ctx.p ** (ctx.k - 1) % m
-    ok = True
-    for h0 in (h % m, -h % m):
-        fiber = norm_fiber(ctx, h0)
-        if len(fiber) != ctx.bucket_size() // 2:
-            raise InvariantViolation("norm fiber has the wrong size")
-        s11 = sum(c.a1 * c.a1 for c in fiber) % m
-        s22 = sum(c.a2 * c.a2 for c in fiber) % m
-        s12 = sum(c.a1 * c.a2 for c in fiber) % m
-        rhs1 = h0 * base * inv4 % m
-        rhs2 = -h0 * base * inv4 * inv_eps % m
-        ok = ok and s11 == rhs1 and s22 == rhs2 and s12 == 0
-    return ok
+    return tuple(
+        h
+        for h in range(1, (m + 1) // 2)
+        if h % ctx.p
+        and any(
+            s11[h0] != h0 * half % m or s22[h0] != -h0 * half * inv_eps % m
+            for h0 in (h, m - h)
+        )
+    )

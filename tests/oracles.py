@@ -20,9 +20,15 @@ denominator and must agree with them bit for bit.
 
 divisor_of_unit re-derives the lattice rows of classgroup.generator_matrix
 as Fraction products in the group ring; kl_unit_check is the power-product
-unit criterion on class coordinates.  The remaining helpers read the bundled
-reference table, brute-force orders in H and in the Cartan ring, and build a
-context over a chosen generator w of H.
+unit criterion on class coordinates.
+
+somme_identities_by_classes checks the quadratic fiber identities of one h
+by scanning the classes of its norm fibers (norm_fiber), where
+stickelberger.somme_identities_check convolves for every h at once.
+
+The remaining helpers read the bundled reference table, brute-force orders
+in H and in the Cartan ring, and build a context over a chosen generator w
+of H.
 """
 
 from __future__ import annotations
@@ -45,7 +51,13 @@ from cuspidal.arith import (
     factorize,
     frac_part,
 )
-from cuspidal.cartan import CartanClass, CartanContext, CartanElement
+from cuspidal.cartan import (
+    CartanClass,
+    CartanContext,
+    CartanElement,
+    h_index_table,
+    norm_class_partition,
+)
 from cuspidal.classgroup import _divisibility_chain, orbit_blocks
 from cuspidal.crosscheck import parse_value
 from cuspidal.errors import InvariantViolation
@@ -292,6 +304,46 @@ def kl_unit_check(p: int, k: int, family: Mapping[tuple[int, int], int]) -> bool
         s12 += mult * a1 * a2
         sm += mult
     return s11 % n == 0 and s22 % n == 0 and s12 % n == 0 and sm % 12 == 0
+
+
+def norm_fiber(ctx: CartanContext, h: int) -> tuple[CartanClass, ...]:
+    """Classes whose norm is exactly the residue h (not just up to sign),
+    read from the dense norm partition."""
+    h %= ctx.modulus
+    if math.gcd(h, ctx.p) != 1:
+        raise ValueError("h must be a unit residue")
+    i = h_index_table(ctx)[h]
+    return tuple(c for c in norm_class_partition(ctx)[i] if ctx.norm(c) == h)
+
+
+def fiber_sums_by_classes(ctx: CartanContext, h: int) -> tuple[int, int, int]:
+    """Sums of a1^2, a2^2 and a1 a2 modulo p^k over the classes of norm h."""
+    m = ctx.modulus
+    fiber = norm_fiber(ctx, h)
+    if len(fiber) != ctx.bucket_size() // 2:
+        raise InvariantViolation("norm fiber has the wrong size")
+    return (
+        sum(c.a1 * c.a1 for c in fiber) % m,
+        sum(c.a2 * c.a2 for c in fiber) % m,
+        sum(c.a1 * c.a2 for c in fiber) % m,
+    )
+
+
+def somme_identities_by_classes(ctx: CartanContext, h: int) -> bool:
+    """The quadratic fiber identities of stickelberger.somme_identities_check
+    for the H-class of h alone, by a scan of the classes of the h and -h
+    fibers, the a1 a2 sum included."""
+    m = ctx.modulus
+    inv4 = pow(4, -1, m)
+    inv_eps = pow(ctx.epsilon % m, -1, m)
+    base = ctx.bucket_size() % m
+    ok = True
+    for h0 in (h % m, -h % m):
+        s11, s22, s12 = fiber_sums_by_classes(ctx, h0)
+        rhs1 = h0 * base * inv4 % m
+        rhs2 = -h0 * base * inv4 * inv_eps % m
+        ok = ok and s11 == rhs1 and s22 == rhs2 and s12 == 0
+    return ok
 
 
 def class_count(ctx: CartanContext) -> int:

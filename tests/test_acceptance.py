@@ -108,8 +108,7 @@ def test_criterion_4_algebraic_invariants():
         assert all((data.d * ai).denominator == 1 for ai in data.a), (p, k)
         rows = generator_matrix(ctx)  # raises unless every row is integral
         assert len(rows) == ctx.n
-        units = [h for h in range(1, (ctx.modulus + 1) // 2) if h % p]
-        assert all(somme_identities_check(ctx, h) for h in units), (p, k)
+        assert somme_identities_check(ctx) == (), (p, k)
     # eps-independence where a second valid eps was fixed
     for p, k, eps2 in ((5, 1, 7), (13, 1, 11), (17, 1, 7), (5, 2, 7)):
         assert theta(CartanContext.create(p, k)) == theta(

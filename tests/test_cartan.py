@@ -15,10 +15,15 @@ from cuspidal.cartan import (
     genus_plus,
     h_index_table,
     norm_class_partition,
-    norm_fiber,
     valid_epsilons,
 )
-from oracles import canonical_class, class_count, context_with_generator, element_order
+from oracles import (
+    canonical_class,
+    class_count,
+    context_with_generator,
+    element_order,
+    norm_fiber,
+)
 
 
 def test_choose_epsilon():

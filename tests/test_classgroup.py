@@ -440,7 +440,7 @@ def test_structure_equals_dense_snf(p, k):
     ctx = CartanContext.create(p, k)
     want = tuple(d for d in snf(generator_matrix(ctx)) if d != 1)
     assert structure(ctx) == want
-    assert lattice_index(ctx) % order(ctx) == 0
+    assert lattice_index(ctx, ctx.n) % order(ctx) == 0
 
 
 @pytest.mark.parametrize("p,k", [(13, 1), (5, 2), (7, 2)])
@@ -448,7 +448,7 @@ def test_lattice_index_is_the_determinant_of_the_shift_rows(p, k):
     # T from the theta' orbit norms against the dense (w^j - 1) theta rows
     ctx = CartanContext.create(p, k)
     shift_rows = generator_matrix(ctx)[:-1]
-    assert lattice_index(ctx) == abs(bareiss_det(shift_rows))
+    assert lattice_index(ctx, ctx.n) == abs(bareiss_det(shift_rows))
 
 
 def test_snf_mod_matches_snf_on_random_lattices(monkeypatch):
@@ -636,13 +636,12 @@ def test_structure_rejects_a_doubled_lattice_row(monkeypatch):
 def test_quotient_index_is_the_determinant_of_the_quotient_shift_rows(p, k):
     # T_0 from the orbit norms with d | m against the dense (w^j - 1) pi(theta)
     # rows of the C_m quotient; it divides T
-    from cuspidal.classgroup import theta_prime_norms
-    from cuspidal.components import lattice_rows, quotient_index
+    from cuspidal.components import lattice_rows
 
     ctx = CartanContext.create(p, k)
-    t0 = quotient_index(ctx, theta_prime_norms(ctx))
+    t0 = lattice_index(ctx, (p - 1) // 2)
     assert t0 == abs(bareiss_det(lattice_rows(ctx, (p - 1) // 2)[:-1]))
-    assert lattice_index(ctx) % t0 == 0
+    assert lattice_index(ctx, ctx.n) % t0 == 0
 
 
 def test_structure_rejects_a_cofactor_sharing_a_prime_with_the_rest_of_t_s(monkeypatch):
@@ -847,7 +846,7 @@ def test_structure_rejects_a_scaled_orbit_block_row(monkeypatch, p, k):
     import cuspidal.classgroup as cg
 
     ctx = CartanContext.create(p, k)
-    index = lattice_index(ctx)
+    index = lattice_index(ctx, ctx.n)
     bad = _primes_of_6pn(ctx)
     ell = next(q for q in range(5, 1000) if is_prime(q) is Primality.PROVEN
                and q not in bad and index % q)

@@ -308,15 +308,6 @@ def test_crosscheck_rejects_a_q_off_the_residues_before_its_primality_test(
     assert huge not in tested
 
 
-def test_rho_budget_env(capsys, monkeypatch):
-    monkeypatch.setenv("CUSPIDAL_RHO_BUDGET", "not-a-number")
-    code, _, err = run(capsys, "order", "-p", "5")
-    assert code == 2 and "CUSPIDAL_RHO_BUDGET" in err
-    monkeypatch.setenv("CUSPIDAL_RHO_BUDGET", "1000")
-    code, out, _ = run(capsys, "order", "-p", "13", "--factor")
-    assert code == 0 and out.strip() == "7 * 13^2"
-
-
 def test_table_row_format():
     res = ClassGroupResult(
         p=13, k=1, order=1183, cusps=6, epsilon=7, generator=2

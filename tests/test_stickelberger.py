@@ -8,6 +8,7 @@ from cuspidal.cartan import CartanContext, norm_class_partition
 from cuspidal.errors import InvariantViolation
 from cuspidal.stickelberger import (
     GroupRingElement,
+    _fiber_square_sums,
     compute_a,
     d_value,
     e_value,
@@ -16,7 +17,14 @@ from cuspidal.stickelberger import (
     theta,
     theta_prime,
 )
-from oracles import context_with_generator, divisor_of_unit, kl_unit_check
+from oracles import (
+    context_with_generator,
+    divisor_of_unit,
+    fiber_sums_by_classes,
+    kl_unit_check,
+    norm_fiber,
+    somme_identities_by_classes,
+)
 
 CASES = [(5, 1), (7, 1), (11, 1), (13, 1), (17, 1), (5, 2)]
 
@@ -184,17 +192,54 @@ def test_kl_unit_check_all_classes_times_twelve():
 def test_somme_identities(p, k):
     ctx = CartanContext.create(p, k)
     m = ctx.modulus
+    assert somme_identities_check(ctx) == ()
     for h in range(1, (m - 1) // 2 + 1):
         if math.gcd(h, p) == 1:
-            assert somme_identities_check(ctx, h)
+            assert somme_identities_by_classes(ctx, h)
+
+
+@pytest.mark.parametrize("p,k", [(5, 1), (7, 1), (13, 1), (5, 2), (7, 2), (5, 3), (13, 2)])
+def test_fiber_square_sums_equal_the_class_scan(p, k):
+    # the convolutions sum over the units of norm r, s and -s alike: twice
+    # the class sums
+    ctx = CartanContext.create(p, k)
+    m = ctx.modulus
+    s11, s22 = _fiber_square_sums(ctx)
+    for r in range(1, m):
+        if r % p:
+            c11, c22, _ = fiber_sums_by_classes(ctx, r)
+            assert (s11[r], s22[r]) == (2 * c11 % m, 2 * c22 % m), r
+
+
+@pytest.mark.parametrize("p,k", [(13, 2), (7, 3)])
+def test_somme_identities_check_enumerates_no_class(no_class_enumeration, p, k):
+    assert somme_identities_check(CartanContext.create(p, k)) == ()
+
+
+@pytest.mark.parametrize("p,k,call,r", [(13, 1, 0, 9), (13, 1, 1, 2), (5, 2, 0, 3), (5, 2, 1, 22)])
+def test_somme_identities_check_reports_a_perturbed_h(monkeypatch, p, k, call, r):
+    # 1 added to coefficient r of one convolution breaks the identity of
+    # the fiber of r, which belongs to h = +-r
+    import cuspidal.stickelberger as st
+
+    real, calls = st._cyclic_product, []
+
+    def perturbed(a, b):
+        out = real(a, b)
+        if len(calls) == call:
+            out[r] += 1
+        calls.append(None)
+        return out
+
+    monkeypatch.setattr(st, "_cyclic_product", perturbed)
+    m = p**k
+    assert somme_identities_check(CartanContext.create(p, k)) == (min(r, m - r),)
 
 
 def test_somme_p5_fiber_values():
     # norm-one fiber of p = 5: trace halves {1, 2, 2}, sum of squares 9 = 4,
     # and the right-hand side 6/4 = 6 * 4 = 24 = 4 mod 5
     ctx = CartanContext.create(5)
-    from cuspidal.cartan import norm_fiber
-
     fiber = norm_fiber(ctx, 1)
     assert sorted(c.a1 for c in fiber) == [1, 2, 2]
     assert sum(c.a1**2 for c in fiber) % 5 == (1 * 6 * pow(4, -1, 5)) % 5

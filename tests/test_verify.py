@@ -57,6 +57,23 @@ def test_analytic_suite_computes_eta_once_per_tau():
     assert info.misses == 10
 
 
+def test_quadratic_bucket_sums_check_names_a_failing_h(monkeypatch):
+    # 1 added to the a1^2 sum of the units of norm 9 mod 13 breaks the
+    # identity of h = 4, the class of -9
+    import cuspidal.stickelberger as st
+
+    real = st._fiber_square_sums
+
+    def perturbed(ctx):
+        s11, s22 = real(ctx)
+        s11[9] += 1
+        return s11, s22
+
+    monkeypatch.setattr(st, "_fiber_square_sums", perturbed)
+    check = next(c for c in algebraic_checks(13) if c.name == "quadratic bucket sums (all h)")
+    assert not check.passed and check.detail == "6 values of h checked; failing: [4]"
+
+
 def test_observed_denominator_reported():
     checks = {c.name: c for c in algebraic_checks(5)}
     assert "denominator lcm = 2" in checks["d * a_i integral"].detail
@@ -86,7 +103,8 @@ def test_structure_check_fails_on_a_prime_outside_the_index(monkeypatch, p, k):
     from cuspidal.cartan import CartanContext
     from cuspidal.classgroup import lattice_index
 
-    index = lattice_index(CartanContext.create(p, k))
+    ctx = CartanContext.create(p, k)
+    index = lattice_index(ctx, ctx.n)
     q = next(q for q in (2, 3, 5, 7, 11, 13, 17, 19, 23) if index % q)
     real = v.order
     monkeypatch.setattr(v, "order", lambda ctx: q * real(ctx))
