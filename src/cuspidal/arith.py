@@ -6,14 +6,16 @@ parts, the second Bernoulli polynomial, Legendre/Jacobi symbols, a primality
 test with an explicit certainty level, the packed big-integer product that
 every convolution in the package goes through, and an integer factorizer.
 
-The factorizer runs trial division in bulk (one gcd of the input with the
-product of each run of TRIAL_CHUNK consecutive primes; only a run that
-shares a factor is divided prime by prime), then on each remaining
-composite a primality test, perfect-power extraction, a short Brent-rho
-stage (Pollard rho with Brent's cycle finding, for factors up to about ten
-digits) and Lenstra's elliptic-curve method (ECM): Montgomery curves in x/z
+The factorizer runs trial division in bulk up to TRIAL_BOUND = 2^16 (one
+gcd of the input with the product of each run of TRIAL_CHUNK consecutive
+primes; only a run that shares a factor is divided prime by prime), then on
+each remaining composite a primality test, perfect-power extraction, a
+short Brent-rho stage (Pollard rho with Brent's cycle finding, for factors
+up to about ten digits; a prime in (2^16, 10^6) takes it about 1600 steps
+on average) and Lenstra's elliptic-curve method (ECM): Montgomery curves in x/z
 coordinates with Suyama's parametrisation, a Montgomery-ladder stage 1 and a
-baby-step/giant-step stage 2 with one batched gcd.  One step budget per
+baby-step/giant-step stage 2 with one batched gcd, whose primes are read
+off an odd-only sieve up to min(100 B1, ECM_B2_BOUND).  One step budget per
 call is shared by rho and ECM; it is counted in Brent-rho iterations, never
 in wall-clock time.  The default, DEFAULT_RHO_BUDGET = 10^7 steps, is enough
 for every order of the reference table and for 13^2 (under 10^6 steps), and
@@ -28,7 +30,6 @@ unsplit is reported as a flagged composite, never silently.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
@@ -39,8 +40,9 @@ from typing import NamedTuple, Sequence
 ONE_SIXTH = Fraction(1, 6)
 
 DEFAULT_RHO_BUDGET = 10**7  # steps per factorize call, rho and ECM together
-TRIAL_BOUND = 10**6  # trial division limit; also ECM's stage-2 prime sieve
+TRIAL_BOUND = 1 << 16  # trial division limit; rho splits the primes above it
 TRIAL_CHUNK = 256  # trial division takes one gcd per run of this many primes
+ECM_B2_BOUND = 10**6  # cap on ECM's stage-2 bound, min(100 B1, ECM_B2_BOUND)
 SEED = 1  # of the Random that draws rho constants and ECM curves
 
 # Brent rho runs first on each composite for at most this many steps: enough
@@ -49,7 +51,7 @@ RHO_STAGE_STEPS = 1 << 16
 
 # ECM (B1, curves) levels, aimed at factors of about 15, 20 and 25 digits;
 # the last level runs until the budget is spent.  Stage 2 covers the primes
-# in (B1, min(100 B1, TRIAL_BOUND)].
+# in (B1, min(100 B1, ECM_B2_BOUND)].
 ECM_SCHEDULE = ((2000, 25), (11000, 90), (50000, None))
 _ECM_D = 2310  # stage-2 giant step, 2*3*5*7*11; every B1 above exceeds D/2,
 # so stage 2 starts at a giant step g >= 1
@@ -262,11 +264,9 @@ def _perfect_power(n: int) -> tuple[int, int] | None:
     return None
 
 
-def _sieve(bound: int) -> tuple[int, ...]:
-    """The primes up to bound, ascending.  Only the odd numbers are sieved:
-    slot i stands for 2i + 1."""
-    if bound < 2:
-        return ()
+def _odd_flags(bound: int) -> bytearray:
+    """Sieve of Eratosthenes over the odd numbers up to bound >= 1: slot i
+    stands for 2i + 1 and is 1 exactly when 2i + 1 is prime."""
     slots = (bound + 1) // 2
     odd = bytearray([1]) * slots
     odd[0] = 0  # 1 is not prime
@@ -275,13 +275,20 @@ def _sieve(bound: int) -> tuple[int, ...]:
             p = 2 * i + 1
             start = p * p // 2
             odd[start::p] = bytes((slots - 1 - start) // p + 1)
-    primes = [2, *compress(range(1, bound + 1, 2), odd)]
-    del odd  # freed before the copy into a tuple, which sets the peak memory
+    return odd
+
+
+def _sieve(bound: int) -> tuple[int, ...]:
+    """The primes up to bound, ascending."""
+    if bound < 2:
+        return ()
+    # the flags are freed before the copy into a tuple, which sets the peak
+    primes = [2, *compress(range(1, bound + 1, 2), _odd_flags(bound))]
     return tuple(primes)
 
 
-# Keyed by TRIAL_BOUND and the powers of two below it, which it can hold all
-# at once, so small factorizations never evict the large sieve.
+# Keyed by the powers of two up to TRIAL_BOUND, which it can hold all at
+# once, so small factorizations never evict the full sieve.
 _small_primes = lru_cache(maxsize=TRIAL_BOUND.bit_length() + 1)(_sieve)
 
 
@@ -405,24 +412,23 @@ class _EcmPlan(NamedTuple):
 
 @lru_cache(maxsize=len(ECM_SCHEDULE))
 def _ecm_plan(b1: int) -> _EcmPlan:
-    primes = _small_primes(TRIAL_BOUND)
-    b2 = min(100 * b1, TRIAL_BOUND)
-    lo, hi = bisect_right(primes, b1), bisect_right(primes, b2)
-    scalar = 1
-    for p in primes[:lo]:
-        q = p
-        while q * p <= b1:
-            q *= p
-        scalar *= q
-
+    b2 = min(100 * b1, ECM_B2_BOUND)
+    scalar = 1 << (b1.bit_length() - 1)  # the largest power of 2 <= B1
     half = _ECM_D // 2
     babies = [b for b in range(1, half, 2) if math.gcd(b, _ECM_D) == 1]
     index = {b: i for i, b in enumerate(babies)}
     # q = gD +- b: [gD]Q and [b]Q share their x-coordinate mod a prime factor
     # exactly when [gD - b]Q or [gD + b]Q vanishes there, so one product
-    # covers both
+    # covers both.  The odd primes up to B2 are streamed off the flags, never
+    # held in a list.
     by_giant: dict[int, set[int]] = {}
-    for q in primes[lo:hi]:
+    for q in compress(range(1, b2 + 1, 2), _odd_flags(b2)):
+        if q <= b1:
+            power = q
+            while power * q <= b1:
+                power *= q
+            scalar *= power
+            continue
         g, b = divmod(q, _ECM_D)
         if b > half:
             g, b = g + 1, _ECM_D - b

@@ -170,7 +170,7 @@ def cmd_crosscheck(args) -> int:
 
 
 def cmd_genus(args) -> int:
-    _require_level(args.p)
+    _require_guarded_level(args.p, 1, args.force)
     print(f"genus {genus_plus(args.p)}")
     print(f"cusps {cusp_count_plus(args.p)}")
     return 0
@@ -223,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cross.set_defaults(func=cmd_crosscheck)
 
     p_genus = sub.add_parser("genus", help="genus and cusp count")
-    p_genus.add_argument("-p", type=int, required=True)
+    add_common(p_genus, k_flag=False)
     p_genus.set_defaults(func=cmd_genus)
 
     return parser

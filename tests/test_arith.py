@@ -9,9 +9,11 @@ from hypothesis import strategies as st
 from cuspidal.arith import (
     _MR_PROVEN_BASES,
     _chunk_products,
+    _ecm_plan,
     _sieve,
     _small_primes,
     _strong_probable_prime,
+    ECM_B2_BOUND,
     RHO_STAGE_STEPS,
     TRIAL_BOUND,
     TRIAL_CHUNK,
@@ -240,6 +242,32 @@ def test_factorize_ecm_splits_the_p83_cofactor():
         (b, 1, Primality.PROVEN),
     ]
     assert f.steps_used > RHO_STAGE_STEPS and not f.budget_exhausted
+    # the same rho stage and the same curves as with the 10^6 trial bound
+    assert f.steps_used == 472400
+
+
+def test_ecm_plan_costs_are_pinned():
+    # each curve's charge; the stage-2 primes up to min(100 B1, ECM_B2_BOUND)
+    # come off the odd-only sieve, in the same giant steps as from a list
+    assert [_ecm_plan(b1).cost for b1 in (2000, 11000, 50000)] == [25429, 122893, 430680]
+
+
+def test_factorize_splits_primes_above_the_trial_bound_by_rho():
+    n = 65537 * 999983 * 524287**2
+    f = factorize(n)
+    assert [(e.prime, e.exponent, e.certainty) for e in f.entries] == [
+        (65537, 1, Primality.PROVEN),
+        (524287, 2, Primality.PROVEN),
+        (999983, 1, Primality.PROVEN),
+    ]
+    assert f.steps_used > 0 and not f.budget_exhausted
+    # with no budget, the part above 2^16 stays one flagged composite
+    f = factorize(7 * n, rho_budget=0)
+    assert f.budget_exhausted and f.steps_used == 0
+    assert [(e.prime, e.exponent, e.certainty) for e in f.entries] == [
+        (7, 1, Primality.PROVEN),
+        (n, 1, Primality.COMPOSITE),
+    ]
 
 
 def test_factorize_budget_is_per_call():
@@ -298,7 +326,7 @@ def _naive_primes(bound):
 
 
 def test_sieve_matches_the_naive_sieve():
-    bounds = [*range(401), *(1 << j for j in range(21)), TRIAL_BOUND]
+    bounds = [*range(401), *(1 << j for j in range(21)), TRIAL_BOUND, ECM_B2_BOUND]
     for bound in bounds:
         assert _sieve(bound) == _naive_primes(bound), bound
 
@@ -330,17 +358,24 @@ def test_factorize_matches_the_prime_by_prime_oracle():
 
 def test_factorize_trial_division_edge_cases():
     primes = _small_primes(TRIAL_BOUND)
-    top = primes[-1]
-    assert top == 999983 and _sieve(1000003)[-1] == 1000003
-    # the first and last prime of some chunks, their squares and neighbours
+    top, above = primes[-1], 65537
+    assert top == 65521 and _sieve(above)[-1] == above
+    # the first and last prime of some chunks, their squares and neighbours:
+    # those of the trial bound's chunks, and those of the 10^6 sieve's, whose
+    # primes above 2^16 now reach rho
+    large = _sieve(10**6)
+    assert large[-1] == 999983 and _sieve(1000003)[-1] == 1000003
     edges = []
-    for c in (0, 1, 2, len(primes) // TRIAL_CHUNK // 2, len(primes) // TRIAL_CHUNK):
-        lo = c * TRIAL_CHUNK
-        hi = min(lo + TRIAL_CHUNK, len(primes)) - 1
-        edges += [primes[lo], primes[hi]]
+    for sieve in (primes, large):
+        last = len(sieve) // TRIAL_CHUNK
+        for c in (0, 1, 2, last // 2, last):
+            lo = c * TRIAL_CHUNK
+            hi = min(lo + TRIAL_CHUNK, len(sieve)) - 1
+            edges += [sieve[lo], sieve[hi]]
     cases = [*edges, *(q * q for q in edges)]
     cases += [a * b for a, b in zip(edges, edges[1:])]
-    cases += [top * top, top * 1000003, 7 * top, 1000003 * 1000003]
+    cases += [top * top, top * above, 7 * above, above * above]
+    cases += [999983 * 999983, 999983 * 1000003, 7 * 999983, 1000003 * 1000003]
     cases += [2**j * 1000003 for j in range(1, 12)]
     cases += [3**j * 1000003 for j in range(1, 8)]
     cases += [2**j * 3**j * 1000003**2 for j in range(1, 5)]
@@ -372,6 +407,33 @@ def test_order_and_verify_never_request_the_trial_bound_sieve(argv, monkeypatch,
     assert main(argv) == 0
     capsys.readouterr()
     assert requested and TRIAL_BOUND not in requested
+
+
+def test_table_sieves_nothing_above_the_first_stage_2_bound(monkeypatch, capsys):
+    # trial division stays within TRIAL_BOUND, and only the p = 83 row
+    # reaches ECM, at its first level: the one sieve beyond 2^16 is B2 = 100 B1
+    from cuspidal import arith
+    from cuspidal.cli import main
+
+    requested = []
+    sieved = []
+
+    def spy(cache, seen):
+        def lookup(bound):
+            seen.append(bound)
+            return cache(bound)
+
+        return lookup
+
+    monkeypatch.setattr(arith, "_small_primes", spy(arith._small_primes, requested))
+    monkeypatch.setattr(arith, "_chunk_products", spy(arith._chunk_products, requested))
+    monkeypatch.setattr(arith, "_odd_flags", spy(arith._odd_flags, sieved))
+    _ecm_plan.cache_clear()
+    assert main(["table", "--pmax", "101"]) == 0
+    capsys.readouterr()
+    b2 = 100 * arith.ECM_SCHEDULE[0][0]
+    assert requested and max(requested) <= TRIAL_BOUND
+    assert max(sieved) == b2 == 200000
 
 
 def test_factorize_formatting():

@@ -73,13 +73,11 @@ def test_size_guard_and_force(capsys, monkeypatch):
     for module in (cartan, cli):
         real = module.is_prime
         monkeypatch.setattr(module, "is_prime", lambda n, real=real: tested.append(n) or real(n))
-    for command in ("order", "verify"):
+    for command in ("order", "verify", "genus"):
         code, _, err = run(capsys, command, "-p", str(huge))
         assert code == 2 and "--force" in err
         assert len(err.encode()) < 200, len(err)
     assert huge not in tested
-    code, _, err = run(capsys, "genus", "-p", str(huge))  # no size guard
-    assert code == 2 and len(err.encode()) < 200, len(err)
 
 
 def test_order_json_round_trip(capsys):
@@ -121,6 +119,11 @@ def test_genus_output(capsys):
     assert out.splitlines() == ["genus 0", "cusps 3"]
     code, out, _ = run(capsys, "genus", "-p", "11")
     assert out.splitlines() == ["genus 1", "cusps 5"]
+    # genus has the size guard of the other level commands
+    code, _, err = run(capsys, "genus", "-p", "10007")
+    assert code == 2 and "--force" in err
+    code, out, _ = run(capsys, "genus", "-p", "10007", "--force")
+    assert code == 0 and out.splitlines() == ["genus 4168333", "cusps 5003"]
 
 
 def test_table_matches_reference_prefix(capsys):
