@@ -413,28 +413,40 @@ class _EcmPlan(NamedTuple):
 @lru_cache(maxsize=len(ECM_SCHEDULE))
 def _ecm_plan(b1: int) -> _EcmPlan:
     b2 = min(100 * b1, ECM_B2_BOUND)
-    scalar = 1 << (b1.bit_length() - 1)  # the largest power of 2 <= B1
     half = _ECM_D // 2
     babies = [b for b in range(1, half, 2) if math.gcd(b, _ECM_D) == 1]
-    index = {b: i for i, b in enumerate(babies)}
+    flags = _odd_flags(b2)  # slot i is 2i + 1
+    scalar = 1 << (b1.bit_length() - 1)  # the largest power of 2 <= B1
+    low = (b1 + 1) // 2  # the slots of the odd q <= B1
+    for q in compress(range(1, b1 + 1, 2), flags[:low]):
+        power = q
+        while power * q <= b1:
+            power *= q
+        scalar *= power
     # q = gD +- b: [gD]Q and [b]Q share their x-coordinate mod a prime factor
     # exactly when [gD - b]Q or [gD + b]Q vanishes there, so one product
-    # covers both.  The odd primes up to B2 are streamed off the flags, never
-    # held in a list.
-    by_giant: dict[int, set[int]] = {}
-    for q in compress(range(1, b2 + 1, 2), _odd_flags(b2)):
-        if q <= b1:
-            power = q
-            while power * q <= b1:
-                power *= q
-            scalar *= power
-            continue
-        g, b = divmod(q, _ECM_D)
-        if b > half:
-            g, b = g + 1, _ECM_D - b
-        by_giant.setdefault(g, set()).add(index[b])
-    first, last = min(by_giant), max(by_giant)
-    pairs = tuple(tuple(sorted(by_giant.get(g, ()))) for g in range(first, last + 1))
+    # covers both.  Slot gD/2 + i is gD + (2i + 1) and slot gD/2 - 1 - i is
+    # gD - (2i + 1), so per giant step the two runs of `span` 0/1 bytes, the
+    # second reversed, are ORed as integers: byte i is 1 when gD + b or
+    # gD - b, b = 2i + 1, is a prime in (B1, B2].  Slots past B2 are zero
+    # padding.
+    span = half // 2  # odd b < D/2
+    top = (b2 + half) // _ECM_D  # the last giant step that reaches a q <= B2
+    flags[:low] = bytes(low)
+    flags += bytes(top * half + span - len(flags))
+    slot_baby = [None] * span
+    for i, b in enumerate(babies):
+        slot_baby[b // 2] = i
+    by_giant = [()]  # g = 0 reaches no q > B1
+    for g in range(1, top + 1):
+        mid = g * half
+        hits = int.from_bytes(flags[mid : mid + span], "little") | int.from_bytes(
+            flags[mid - span : mid], "big"
+        )
+        by_giant.append(tuple(compress(slot_baby, hits.to_bytes(span, "little"))))
+    used = [g for g, idx in enumerate(by_giant) if idx]
+    first = used[0]
+    pairs = tuple(by_giant[first : used[-1] + 1])
 
     giants = len(pairs)
     ladders = (scalar, _ECM_D, first * _ECM_D, (first + 1) * _ECM_D)

@@ -8,11 +8,12 @@ Two independent exact routes plus a floating cross-check:
 
         det(12 p^k A) = prod_{d | n} N_d,    N_d = Res(Phi_d, F),
 
-    one factor per orbit of characters of H of exact order d.  N_d is the
-    product of F(zeta) over the primitive d-th roots of unity zeta, taken
-    modulo proven primes l = 1 (mod 2n), where one Bluestein transform
-    evaluates F at every n-th root of unity, and recovered by CRT past a
-    Parseval bound on |N_d|.
+    one factor per orbit of characters of H of exact order d.  With c the
+    content gcd(F_j) of the row and G = F / c, N_d = c^phi(d) Res(Phi_d, G);
+    the norm of G is the product of G(zeta) over the primitive d-th roots
+    of unity zeta, taken modulo proven primes l = 1 (mod 2n), where one
+    Bluestein transform evaluates G at every n-th root of unity, and
+    recovered by CRT past a Parseval bound on G.
   * structure(): the invariant factors of the lattice L of unit divisors
     inside the degree-zero part I of the group ring, whose product must
     equal order().  L holds theta I, of index T = |prod_{d > 1} N_d| /
@@ -28,8 +29,8 @@ Two independent exact routes plus a floating cross-check:
   * bernoulli_formula_k1(): for k = 1, the same order through an explicit
     determinant over F_{p^2} powers of an independent generator.
   * float_crosscheck(): eigenvalues of the circulant are finite Fourier
-    sums of the first row; per orbit, their log-magnitudes must add up to
-    log|N_d|.
+    sums of the first row, taken by a float FFT; per orbit, their
+    log-magnitudes must add up to log|N_d|.
 
 Every row here is an integer row scaled by 12 p^k (12 p for the Bernoulli
 route), from the bucket sums through the determinant to the lattice; the
@@ -138,22 +139,28 @@ def orbit_norms(f: Sequence[int]) -> dict[int, int]:
     integer first row sum_j f_j x^j; their product is the determinant of the
     circulant with entry (i, j) = f[(j - i) mod n].
 
-    N_d is the product of F(zeta) over the primitive d-th roots of unity
-    zeta.  It is computed by CRT over primes l = 1 (mod 2n), where every
-    such zeta is a power of g (_norms_mod), until the primes' product
-    exceeds twice the largest bound of _norm_bound; N_d is then the
-    symmetric residue."""
+    The row is first divided by its content c = gcd(f_j): with G = F / c,
+    Res(Phi_d, c G) = c^phi(d) Res(Phi_d, G), so N_d = c^phi(d) N_d(G) exactly,
+    and only N_d(G) is recovered.  That is the product of G(zeta) over the
+    primitive d-th roots of unity zeta, computed by CRT over primes
+    l = 1 (mod 2n), where every such zeta is a power of g (_norms_mod), until
+    the primes' product exceeds twice the largest bound of _norm_bound on G;
+    N_d(G) is then the symmetric residue.  An all-zero row has every N_d = 0."""
     n = len(f)
     orbit = [n // math.gcd(i, n) for i in range(n)]
-    phis = dict.fromkeys(orbit, 0)
+    phis = dict.fromkeys(sorted(orbit), 0)
     for d in orbit:
         phis[d] += 1
-    bounds = {d: _norm_bound(f, d, phi) for d, phi in phis.items()}
+    c = math.gcd(*f)
+    if c == 0:
+        return dict.fromkeys(phis, 0)
+    g = [x // c for x in f]
+    bounds = {d: _norm_bound(g, d, phi) for d, phi in phis.items()}
     need = 2 * max(bounds.values())
     res = dict.fromkeys(phis, 0)
     modulus = 1
     for ell, h in _crt_primes(n):
-        local = _norms_mod(f, ell, h)
+        local = _norms_mod(g, ell, h)
         inv = pow(modulus, -1, ell)
         for d, x in res.items():
             res[d] = x + modulus * ((local[d] - x) * inv % ell)
@@ -161,11 +168,11 @@ def orbit_norms(f: Sequence[int]) -> dict[int, int]:
         if modulus > need:
             break
     norms = {}
-    for d in sorted(res):
-        x = res[d]
-        norms[d] = x - modulus if 2 * x > modulus else x
-        if abs(norms[d]) > bounds[d]:
+    for d, x in res.items():
+        x = x - modulus if 2 * x > modulus else x
+        if abs(x) > bounds[d]:
             raise InvariantViolation(f"N_{d} exceeds its bound")
+        norms[d] = c ** phis[d] * x
     return norms
 
 
@@ -485,14 +492,53 @@ def structure(ctx: CartanContext) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 # cross-checks
 
+def _fft(x: Sequence[complex], roots: Sequence[complex]) -> list[complex]:
+    """sum_j x_j w^(jm) for m in Z/NZ, N = len(x) a power of two and w a
+    primitive N-th root of unity, by radix-2 decimation in time; roots holds
+    the powers of a primitive R-th root for some multiple R of N, so that
+    w^k is roots[k R / N].  Sizes up to 4 are written out (w = i at N = 4),
+    which about halves the time of the recursion in Python."""
+    n = len(x)
+    if n <= 2:
+        return list(x) if n == 1 else [x[0] + x[1], x[0] - x[1]]
+    if n == 4:
+        a, b, c, d = x
+        s, t, u, v = a + c, b + d, a - c, (b - d) * 1j
+        return [s + t, u + v, s - t, u - v]
+    even = _fft(x[0::2], roots)
+    odd = [v * w for v, w in zip(_fft(x[1::2], roots), roots[:: len(roots) // n])]
+    return [a + b for a, b in zip(even, odd)] + [a - b for a, b in zip(even, odd)]
+
+
+def _dft(x: Sequence[float]) -> list[complex]:
+    """sum_j x_j exp(2 pi i j m / n) for m in Z/nZ, n = len(x), in floats:
+    radix 2 when n is a power of two, otherwise Bluestein's chirp,
+    jm = (j^2 + m^2 - (m - j)^2) / 2, which turns the sum into a linear
+    convolution of length 2n - 1 taken by a power-of-two FFT.  The chirp
+    exponents are reduced modulo 2n as integers before the float exp.  This
+    is the float route of float_crosscheck, so it shares nothing with the
+    exact transform of _values_mod."""
+    n = len(x)
+    if n & (n - 1) == 0:
+        return _fft(x, [cmath.exp(2j * math.pi * k / n) for k in range(n)])
+    size = 1 << (2 * n - 2).bit_length()
+    roots = [cmath.exp(2j * math.pi * k / size) for k in range(size)]
+    chirp = [cmath.exp(1j * math.pi * (t * t % (2 * n)) / n) for t in range(n)]
+    a = [v * c for v, c in zip(x, chirp)] + [0j] * (size - n)
+    b = [c.conjugate() for c in chirp] + [0j] * (size - 2 * n + 1)
+    b += [c.conjugate() for c in reversed(chirp[1:])]  # t = -(n - 1) .. -1
+    prod = [u * v for u, v in zip(_fft(a, roots), _fft(b, roots))]
+    # the inverse transform: conjugate, transform, conjugate, divide by size
+    conv = _fft([v.conjugate() for v in prod], roots)
+    return [conv[m].conjugate() / size * chirp[m] for m in range(n)]
+
+
 def circulant_eigenvalues(ctx: CartanContext) -> list[complex]:
-    """lambda_m = sum_j a'_j exp(2 pi i j m / n), m = 1..n (m = n trivial);
-    the n roots of unity are built once and indexed by j m mod n."""
+    """lambda_m = sum_j a'_j exp(2 pi i j m / n), m = 1..n (m = n trivial),
+    by the float FFT of the first row, O(n log n)."""
     scale = _SCALE_NUM * ctx.modulus
-    row = [x / scale for x in circulant_theta_prime(ctx)]
-    n = len(row)
-    roots = [cmath.exp(2j * math.pi * t / n) for t in range(n)]
-    return [sum(x * roots[j * m % n] for j, x in enumerate(row)) for m in range(1, n + 1)]
+    values = _dft([x / scale for x in circulant_theta_prime(ctx)])
+    return values[1:] + values[:1]
 
 
 def float_crosscheck(ctx: CartanContext) -> bool:

@@ -12,6 +12,12 @@ is the dense Smith form over Z with minimal pivots, which no command runs.
 
 arith.factorize divides out the trial primes by one gcd per run of primes;
 factorize_prime_by_prime divides by each trial prime in turn instead.
+arith._ecm_plan reads each giant step's baby steps off two slices of the
+prime flags at once; ecm_plan_by_primes places the primes up to B2 one by
+one.
+
+classgroup.circulant_eigenvalues takes the float eigenvalues of a circulant
+by an FFT; eigenvalues_by_sums adds up each one's n terms.
 
 klein_eval_fraction and infinity_order_slope_fraction are the q-series
 evaluators with every index a pair of Fractions, reduced and converted to
@@ -38,13 +44,17 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
+from itertools import compress
 from pathlib import Path
 from typing import Mapping, Sequence
 
 from cuspidal.arith import (
+    ECM_B2_BOUND,
     FactorEntry,
     Factorization,
     Primality,
+    _ECM_D,
+    _odd_flags,
     _small_primes,
     _trial_bound,
     bernoulli2,
@@ -184,6 +194,41 @@ def factorize_prime_by_prime(n: int, *, rho_budget: int) -> Factorization:
     return Factorization(
         tuple(entries) + rest.entries, rest.steps_used, rest.budget_exhausted
     )
+
+
+def ecm_plan_by_primes(b1: int) -> tuple:
+    """(scalar, first_giant, babies, pairs) of arith._ecm_plan(b1), built
+    prime by prime: each prime q <= B1 multiplies its largest power <= B1
+    into the scalar, and each prime q in (B1, B2] is written q = gD +- b with
+    0 < b < D/2 and adds the index of b to giant step g."""
+    b2 = min(100 * b1, ECM_B2_BOUND)
+    scalar = 1 << (b1.bit_length() - 1)
+    half = _ECM_D // 2
+    babies = [b for b in range(1, half, 2) if math.gcd(b, _ECM_D) == 1]
+    index = {b: i for i, b in enumerate(babies)}
+    by_giant: dict[int, set[int]] = {}
+    for q in compress(range(1, b2 + 1, 2), _odd_flags(b2)):
+        if q <= b1:
+            power = q
+            while power * q <= b1:
+                power *= q
+            scalar *= power
+            continue
+        g, b = divmod(q, _ECM_D)
+        if b > half:
+            g, b = g + 1, _ECM_D - b
+        by_giant.setdefault(g, set()).add(index[b])
+    first, last = min(by_giant), max(by_giant)
+    pairs = tuple(tuple(sorted(by_giant.get(g, ()))) for g in range(first, last + 1))
+    return scalar, first, tuple(babies), pairs
+
+
+def eigenvalues_by_sums(row: Sequence[float]) -> list[complex]:
+    """lambda_m = sum_j row_j exp(2 pi i j m / n), m = 1..n, each summed term
+    by term; the n roots of unity are built once and indexed by j m mod n."""
+    n = len(row)
+    roots = [cmath.exp(2j * math.pi * t / n) for t in range(n)]
+    return [sum(x * roots[j * m % n] for j, x in enumerate(row)) for m in range(1, n + 1)]
 
 
 def _siegel_product_fraction(

@@ -14,6 +14,7 @@ from cuspidal.arith import (
     _small_primes,
     _strong_probable_prime,
     ECM_B2_BOUND,
+    ECM_SCHEDULE,
     RHO_STAGE_STEPS,
     TRIAL_BOUND,
     TRIAL_CHUNK,
@@ -28,7 +29,7 @@ from cuspidal.arith import (
     legendre,
     packed_product,
 )
-from oracles import factorize_prime_by_prime
+from oracles import ecm_plan_by_primes, factorize_prime_by_prime
 
 rationals = st.fractions(
     min_value=-10**6, max_value=10**6, max_denominator=10**4
@@ -250,6 +251,12 @@ def test_ecm_plan_costs_are_pinned():
     # each curve's charge; the stage-2 primes up to min(100 B1, ECM_B2_BOUND)
     # come off the odd-only sieve, in the same giant steps as from a list
     assert [_ecm_plan(b1).cost for b1 in (2000, 11000, 50000)] == [25429, 122893, 430680]
+
+
+@pytest.mark.parametrize("b1", [b1 for b1, _ in ECM_SCHEDULE])
+def test_ecm_plan_from_flag_slices_matches_prime_by_prime(b1):
+    # the cost is a function of these four fields, pinned above
+    assert tuple(_ecm_plan(b1))[:4] == ecm_plan_by_primes(b1)
 
 
 def test_factorize_splits_primes_above_the_trial_bound_by_rho():

@@ -29,6 +29,7 @@ from oracles import (
     block_matrix,
     block_norms,
     context_with_generator,
+    eigenvalues_by_sums,
     reference_order,
     snf,
 )
@@ -195,6 +196,7 @@ def test_norm_bound_covers_each_orbit_norm(level_norms, p, k):
 
 def test_orbit_norms_on_random_rows():
     rng = random.Random(40)
+    scaled = random.Random(41)  # its own stream, so the rows above stay as they were
     big = 1 << 200
     for n in range(1, 41):
         rows = [
@@ -206,6 +208,10 @@ def test_orbit_norms_on_random_rows():
         singular = [rng.randrange(-50, 51) for _ in range(n)]
         singular[-1] -= sum(singular)  # F(1) = 0
         rows.append(singular)
+        # content c > 1: the CRT runs on F / c, and N_d gains c^phi(d)
+        content = scaled.choice((2, 12, scaled.randrange(2, 10**6), 10**6))
+        rows.append([content * scaled.randrange(-60, 61) for _ in range(n)])
+        rows.append([0] * n)  # content 0: every N_d = 0
         for first in rows:
             assert orbit_norms(first) == block_norms(first), (n, first)
 
@@ -231,6 +237,30 @@ def test_orbit_norms_reject_a_norm_past_its_bound(monkeypatch):
     monkeypatch.setattr(cg, "_norm_bound", lambda f, d, phi: 1)
     with pytest.raises(InvariantViolation):
         orbit_norms(first)
+
+
+def test_orbit_norms_take_the_crt_primes_of_the_primitive_row(monkeypatch):
+    # one transform per CRT prime; the bound is G's, not that of the
+    # 12 p^k-scaled row (40, 11 and 8 primes on the scaled rows)
+    import cuspidal.classgroup as cg
+
+    calls = []
+    norms_mod = cg._norms_mod
+
+    def spy(f, ell, h):
+        calls.append(ell)
+        return norms_mod(f, ell, h)
+
+    monkeypatch.setattr(cg, "_norms_mod", spy)
+    counts = []
+    for p, k in ((7, 3), (13, 2)):
+        calls.clear()
+        orbit_norms(circulant_theta_prime(CartanContext.create(p, k)))
+        counts.append(len(calls))
+    calls.clear()
+    bernoulli_formula_k1(101)
+    counts.append(len(calls))
+    assert counts == [24, 6, 5]
 
 
 def test_det_exact_examples():
@@ -347,6 +377,30 @@ def test_float_crosscheck_is_per_orbit(monkeypatch):
     swapped[1], swapped[2] = swapped[2], swapped[1]
     monkeypatch.setattr(cg, "theta_prime_norms", lambda c: swapped)
     assert not float_crosscheck(ctx)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 41, 50, 53, 64, 78, 147])
+def test_circulant_eigenvalues_match_the_term_by_term_sums(n):
+    # the FFT (radix 2 at 1, 2 and 64, Bluestein at the others) against the
+    # O(n^2) sums, on random rows and on the theta' rows of that size
+    from cuspidal.classgroup import _dft, circulant_eigenvalues
+
+    def close(got, want):
+        return all(abs(a - b) <= 1e-9 * max(1.0, abs(b)) for a, b in zip(got, want))
+
+    rng = random.Random(n)
+    for _ in range(3):
+        row = [rng.uniform(-(10**6), 10**6) for _ in range(n)]
+        values = _dft(row)
+        assert len(values) == n
+        assert close(values[1:] + values[:1], eigenvalues_by_sums(row))
+    levels = {2: (5, 1), 3: (7, 1), 41: (83, 1), 50: (101, 1), 53: (107, 1),
+              78: (13, 2), 147: (7, 3)}
+    if n in levels:
+        ctx = CartanContext.create(*levels[n])
+        scale = 12 * ctx.modulus
+        row = [x / scale for x in circulant_theta_prime(ctx)]
+        assert close(circulant_eigenvalues(ctx), eigenvalues_by_sums(row))
 
 
 def test_eigenvalues_p5():
