@@ -4,24 +4,24 @@ Two independent exact routes plus a floating cross-check:
 
   * order(): |det A| of the circulant matrix built from theta', divided by
     (p^2-1)/24 * p^(k-1) * e.  The determinant comes from its orbit
-    factorization: with F(x) = sum_j 12 p^k a'_j x^j,
+    factorization: with F(x) = sum_j a'_j x^j, theta' as an integer row
+    (stickelberger.theta_prime_row),
 
-        det(12 p^k A) = prod_{d | n} N_d,    N_d = Res(Phi_d, F),
+        det A = prod_{d | n} N_d,    N_d = Res(Phi_d, F),
 
-    one factor per orbit of characters of H of exact order d.  With c the
-    content gcd(F_j) of the row and G = F / c, N_d = c^phi(d) Res(Phi_d, G);
-    the norm of G is the product of G(zeta) over the primitive d-th roots
-    of unity zeta, taken modulo proven primes l = 1 (mod 2n), where one
-    Bluestein transform evaluates G at every n-th root of unity, and
-    recovered by CRT past a Parseval bound on G.
+    one factor per orbit of characters of H of exact order d.  N_d is the
+    product of F(zeta) over the primitive d-th roots of unity zeta, taken
+    modulo proven primes l = 1 (mod 2n), where one Bluestein transform
+    evaluates F at every n-th root of unity, and recovered by CRT past a
+    Parseval bound on F.
   * structure(): the invariant factors of the lattice L of unit divisors
     inside the degree-zero part I of the group ring, whose product must
-    equal order().  L holds theta I, of index T = |prod_{d > 1} N_d| /
-    (12 p^k)^(n-1) in I.  Above k = 1 no n-row matrix is built: with S the
-    primes dividing 6pn, the p-part comes from a split of Z_p[H] by the
-    characters of the prime-to-p part of H, the rest of T_S from the C_m
-    quotient, m = (p-1)/2, and each prime outside S from the orbit pairs
-    (Phi_d, F mod Phi_d) of the scaled theta' row (orbit_blocks), all in
+    equal order().  L holds theta I, of index T = |prod_{d > 1} N_d| in I.
+    Above k = 1 no n-row matrix is built: with S the primes dividing 6pn,
+    the p-part comes from a split of Z_p[H] by the characters of the
+    prime-to-p part of H, the rest of T_S from the C_m quotient,
+    m = (p-1)/2, and each prime outside S from the orbit pairs
+    (Phi_d, F mod Phi_d) of the theta' row (orbit_blocks), all in
     components.py.  One kernel, snf_mod(), takes every matrix modulo m: it
     pivots on units, keeps each entry below its modulus, and where no unit
     is left divides out a common factor or splits the modulus into coprime
@@ -32,13 +32,12 @@ Two independent exact routes plus a floating cross-check:
     sums of the first row, taken by a float FFT; per orbit, their
     log-magnitudes must add up to log|N_d|.
 
-Every row here is an integer row scaled by 12 p^k (12 p for the Bernoulli
-route), from the bucket sums through the determinant to the lattice; the
-scale is divided back out exactly, and a remainder is an InvariantViolation.
+Every row here is an integer row, from theta' through the determinant to
+the lattice; no Fraction is built on the order, structure or float-check
+path.
 
-The circulant convention is pinned by the p = 5 worked fixture: the scaled
-first row is (-180, -120) = 60 (-3, -2), with determinant 60^2 * 5, so
-det A = 5 and the order is 1.
+The circulant convention is pinned by the p = 5 worked fixture: the first
+row is (-3, -2), with determinant 5, so det A = 5 and the order is 1.
 """
 
 from __future__ import annotations
@@ -67,9 +66,8 @@ from .cartan import (
     genus_plus,
 )
 from .errors import InvariantViolation
-from .stickelberger import compute_a, stickelberger_data
+from .stickelberger import e_value, theta_prime_degree, theta_prime_row
 
-_SCALE_NUM = 12  # denominators of theta' coefficients divide 12 p^k
 FLOAT_TOL = 1e-9  # relative tolerance of float_crosscheck
 _PRIME_TOP = 1 << 62  # CRT primes are the proven primes = 1 (mod 2n) below it
 
@@ -139,28 +137,23 @@ def orbit_norms(f: Sequence[int]) -> dict[int, int]:
     integer first row sum_j f_j x^j; their product is the determinant of the
     circulant with entry (i, j) = f[(j - i) mod n].
 
-    The row is first divided by its content c = gcd(f_j): with G = F / c,
-    Res(Phi_d, c G) = c^phi(d) Res(Phi_d, G), so N_d = c^phi(d) N_d(G) exactly,
-    and only N_d(G) is recovered.  That is the product of G(zeta) over the
-    primitive d-th roots of unity zeta, computed by CRT over primes
-    l = 1 (mod 2n), where every such zeta is a power of g (_norms_mod), until
-    the primes' product exceeds twice the largest bound of _norm_bound on G;
-    N_d(G) is then the symmetric residue.  An all-zero row has every N_d = 0."""
+    N_d is the product of F(zeta) over the primitive d-th roots of unity
+    zeta, computed by CRT over primes l = 1 (mod 2n), where every such zeta
+    is a power of g (_norms_mod), until the primes' product exceeds twice
+    the largest bound of _norm_bound; N_d is then the symmetric residue.
+    The rows of theta' and of the Bernoulli route are primitive, so no
+    content is divided out."""
     n = len(f)
     orbit = [n // math.gcd(i, n) for i in range(n)]
     phis = dict.fromkeys(sorted(orbit), 0)
     for d in orbit:
         phis[d] += 1
-    c = math.gcd(*f)
-    if c == 0:
-        return dict.fromkeys(phis, 0)
-    g = [x // c for x in f]
-    bounds = {d: _norm_bound(g, d, phi) for d, phi in phis.items()}
+    bounds = {d: _norm_bound(f, d, phi) for d, phi in phis.items()}
     need = 2 * max(bounds.values())
     res = dict.fromkeys(phis, 0)
     modulus = 1
     for ell, h in _crt_primes(n):
-        local = _norms_mod(g, ell, h)
+        local = _norms_mod(f, ell, h)
         inv = pow(modulus, -1, ell)
         for d, x in res.items():
             res[d] = x + modulus * ((local[d] - x) * inv % ell)
@@ -172,7 +165,7 @@ def orbit_norms(f: Sequence[int]) -> dict[int, int]:
         x = x - modulus if 2 * x > modulus else x
         if abs(x) > bounds[d]:
             raise InvariantViolation(f"N_{d} exceeds its bound")
-        norms[d] = c ** phis[d] * x
+        norms[d] = x
     return norms
 
 
@@ -216,45 +209,23 @@ def orbit_blocks(f: Sequence[int]) -> dict[int, tuple[list[int], list[int]]]:
     return blocks
 
 
-def _scaled_a(ctx: CartanContext) -> list[int]:
-    """12 p^k a_j for j in Z/nZ; compute_a divides integer totals by 12 p^k,
-    so every denominator divides the scale."""
-    scale = _SCALE_NUM * ctx.modulus
-    return [x.numerator * (scale // x.denominator) for x in compute_a(ctx)]
-
-
-@lru_cache(maxsize=CONTEXT_CACHE_SIZE)
-def circulant_theta_prime(ctx: CartanContext) -> tuple[int, ...]:
-    """First row of 12 p^k A_theta': F_j = 12 p^k a'_j, where a'_j is the
-    coefficient of w^(-j) in theta' (identity at j = 0), i.e.
-    F_j = 12 p^k a_j - (p+1) p^(3k-1)."""
-    shift = (ctx.p + 1) * ctx.p ** (3 * ctx.k - 1)
-    return tuple(x - shift for x in _scaled_a(ctx))
-
-
 @lru_cache(maxsize=CONTEXT_CACHE_SIZE)
 def theta_prime_norms(ctx: CartanContext) -> MappingProxyType:
-    """Read-only {d: N_d} of 12 p^k A_theta', computed once per context for
+    """Read-only {d: N_d} of A_theta', computed once per context for
     order(), lattice_index() and float_crosscheck()."""
-    return MappingProxyType(orbit_norms(circulant_theta_prime(ctx)))
+    return MappingProxyType(orbit_norms(theta_prime_row(ctx)))
 
 
 def order(ctx: CartanContext) -> int:
-    """|det A_theta'| / ((p^2-1)/24 * p^(k-1) * e), checked to divide exactly."""
-    data = stickelberger_data(ctx)
+    """|det A_theta'| / ((p^2-1)/24 * p^(k-1) * e), checked to divide exactly:
+    det A_theta' = N_1 T, with T = lattice_index(ctx, n)."""
     p, k = ctx.p, ctx.k
-    scale = _SCALE_NUM * ctx.modulus
-    norms = theta_prime_norms(ctx)
-    # N_1 = F(1) is the degree of the scaled row, so this ties the row to theta'
-    if norms[1] != scale * data.theta_prime.degree():
+    degree = theta_prime_degree(p, k)
+    # N_1 = F(1) is the degree of the row, so this ties the row to theta'
+    if theta_prime_norms(ctx)[1] != degree:
         raise InvariantViolation("circulant row does not have the degree of theta'")
-    scaled = math.prod(norms.values())
-    if scaled == 0:
-        raise InvariantViolation("A_theta' is singular")
-    det, rem = divmod(abs(scaled), scale ** ctx.n)
-    if rem:
-        raise InvariantViolation("det A_theta' is not an integer")
-    denom = (p * p - 1) // 24 * p ** (k - 1) * data.e
+    det = -degree * lattice_index(ctx, ctx.n)
+    denom = (p * p - 1) // 24 * p ** (k - 1) * e_value(p, k)
     if det % denom:
         raise InvariantViolation(
             f"|det| = {det} is not divisible by {denom} (indexing bug?)"
@@ -299,16 +270,13 @@ def lattice_index(ctx: CartanContext, size: int) -> int:
     part.  At size n it is T = [I : theta I]; at m = (p-1)/2, the T_0 of
     components.quotient_mod().
 
-    It is |prod_{d | size, d > 1} N_d| / (12 p^k)^(size-1) over the theta'
-    orbit norms, the characters of H of order d | size being those that
-    factor through C_size; theta' and theta differ by a multiple of the
-    norm element, which only the trivial character (d = 1) sees.  An index
-    of 0 means the lattice does not have full rank."""
+    It is |prod_{d | size, d > 1} N_d| over the theta' orbit norms, the
+    characters of H of order d | size being those that factor through
+    C_size; theta' and theta differ by a multiple of the norm element, which
+    only the trivial character (d = 1) sees.  An index of 0 means the
+    lattice does not have full rank."""
     norms = theta_prime_norms(ctx)
-    scaled = math.prod(v for d, v in norms.items() if d > 1 and size % d == 0)
-    index, rem = divmod(abs(scaled), (_SCALE_NUM * ctx.modulus) ** (size - 1))
-    if rem:
-        raise InvariantViolation(f"the lattice index at size {size} is not an integer")
+    index = abs(math.prod(v for d, v in norms.items() if d > 1 and size % d == 0))
     if index == 0:
         raise InvariantViolation(f"the lattice at size {size} does not have full rank")
     return index
@@ -436,13 +404,13 @@ def structure(ctx: CartanContext) -> tuple[int, ...]:
         p_part_mod() splits the O(n) row d theta (d_theta_row) by the
         characters of the prime-to-p part of H;
       * the rest of T_S from the C_m quotient, m = (p-1)/2, by quotient_mod();
-      * for a prime l outside S, Z_l[H] = prod_{d | n} Z_l[x]/Phi_d; 12 p^k
-        and d are l-units, theta has degree 0, and theta' - theta is a
-        multiple of the norm element, 0 in every factor with d > 1.  So the
-        l-part is that of the sum over d > 1 of the orbit components
-        Z[x]/(Phi_d, F) of the scaled theta' row F, each given by the pair
-        (Phi_d, F mod Phi_d) of orbit_blocks() and taken modulo M_d, the
-        part of N_d prime to S, by euclid_mod().
+      * for a prime l outside S, Z_l[H] = prod_{d | n} Z_l[x]/Phi_d; d is
+        an l-unit, theta has degree 0, and theta' - theta is a multiple of
+        the norm element, 0 in every factor with d > 1.  So the l-part is
+        that of the sum over d > 1 of the orbit components Z[x]/(Phi_d, F)
+        of the theta' row F, each given by the pair (Phi_d, F mod Phi_d) of
+        orbit_blocks() and taken modulo M_d, the part of N_d prime to S, by
+        euclid_mod().
 
     Each pair must have resultant N_d modulo the first CRT prime l, the
     product of the remainder's values at the roots of order d (_norms_mod),
@@ -472,7 +440,7 @@ def structure(ctx: CartanContext) -> tuple[int, ...]:
     pieces: list[int] = []
     m_product = 1
     ell, h = next(_crt_primes(ctx.n))
-    for d, (phi, r) in orbit_blocks(circulant_theta_prime(ctx)).items():
+    for d, (phi, r) in orbit_blocks(theta_prime_row(ctx)).items():
         if d == 1:
             continue
         if _norms_mod(r + [0] * (ctx.n - len(r)), ell, h)[d] != norms[d] % ell:
@@ -536,41 +504,31 @@ def _dft(x: Sequence[float]) -> list[complex]:
 def circulant_eigenvalues(ctx: CartanContext) -> list[complex]:
     """lambda_m = sum_j a'_j exp(2 pi i j m / n), m = 1..n (m = n trivial),
     by the float FFT of the first row, O(n log n)."""
-    scale = _SCALE_NUM * ctx.modulus
-    values = _dft([x / scale for x in circulant_theta_prime(ctx)])
+    values = _dft([float(x) for x in theta_prime_row(ctx)])
     return values[1:] + values[:1]
 
 
 def float_crosscheck(ctx: CartanContext) -> bool:
     """Per orbit d | n, the sum of log|lambda_m| over the m with
-    n / gcd(m, n) = d vs. log|N_d / (12 p^k)^phi(d)|, and the
-    trivial-character eigenvalue vs. deg(theta'), all to relative FLOAT_TOL.
+    n / gcd(m, n) = d vs. log|N_d|, and the trivial-character eigenvalue
+    vs. deg(theta'), all to relative FLOAT_TOL.
 
     Log magnitudes are compared instead of raw products because the
     determinants overflow doubles by many orders of magnitude."""
-    scale = _SCALE_NUM * ctx.modulus
     norms = theta_prime_norms(ctx)
     if not all(norms.values()):
         return False
     eigs = circulant_eigenvalues(ctx)
     n = len(eigs)
     log_sums = dict.fromkeys(norms, 0.0)
-    sizes = dict.fromkeys(norms, 0)
     for m, v in enumerate(eigs, 1):
-        d = n // math.gcd(m, n)
-        log_sums[d] += math.log(abs(v))
-        sizes[d] += 1
+        log_sums[n // math.gcd(m, n)] += math.log(abs(v))
 
     def close(x, want: float) -> bool:
         return abs(x - want) <= FLOAT_TOL * max(1.0, abs(want))
 
-    log_scale = math.log(scale)
-    ok_orbits = all(
-        close(log_sums[d], math.log(abs(norm)) - sizes[d] * log_scale)
-        for d, norm in norms.items()
-    )
-    deg = float(stickelberger_data(ctx).theta_prime.degree())
-    return ok_orbits and close(eigs[-1], deg)
+    ok_orbits = all(close(log_sums[d], math.log(abs(norm))) for d, norm in norms.items())
+    return ok_orbits and close(eigs[-1], float(theta_prime_degree(ctx.p, ctx.k)))
 
 
 def bernoulli_formula_k1(p: int) -> int:
@@ -580,8 +538,8 @@ def bernoulli_formula_k1(p: int) -> int:
     Entry (i, j) is P_(i-j) with P_r = (p/2) (sum_{l=0}^{p} B2(x_l / p)
     - (p+1)/6) and x_l = tr(v^(r+l(p-1)/2))/2 mod p; the value is
     576 |det P| / ((p-1)^2 p (p+1) gcd(12, p+1)).  The p+1 constant terms
-    1/6 of B2 cancel the shift, so 12 p P_r = 6 sum_l x_l (x_l - p) is an
-    integer row."""
+    1/6 of B2 cancel the shift, so P_r = sum_l x_l (x_l - p) / (2 p), an
+    integer by the argument of stickelberger.theta_prime_row at k = 1."""
     ctx = CartanContext.create(p, 1)
     m = (p * p - 1) // 2  # largest exponent needed below is r+p(p-1)/2 < m
     v = _field_generator(ctx)
@@ -593,13 +551,12 @@ def bernoulli_formula_k1(p: int) -> int:
     row = []
     for r in range(half):
         xs = [powers[r + l * half].a1 % p for l in range(p + 1)]
-        row.append(6 * sum(x * (x - p) for x in xs))
+        value, rem = divmod(sum(x * (x - p) for x in xs), 2 * p)
+        if rem:
+            raise InvariantViolation("Bernoulli row is not integral")
+        row.append(value)
 
-    scaled = math.prod(orbit_norms(row).values())
-    det, rem = divmod(abs(scaled), (_SCALE_NUM * p) ** half)
-    if rem:
-        raise InvariantViolation("Bernoulli determinant is not an integer")
-    num = 576 * det
+    num = 576 * abs(math.prod(orbit_norms(row).values()))
     den = (p - 1) ** 2 * p * (p + 1) * math.gcd(12, p + 1)
     if num % den:
         raise InvariantViolation("Bernoulli formula does not divide exactly")
@@ -709,7 +666,7 @@ def compute_class_group(
     timings: dict[str, float] = {}
 
     t0 = time.perf_counter()
-    compute_a(ctx)  # cached, so order_ms below is the rest of order()
+    theta_prime_row(ctx)  # cached, so order_ms below is the rest of order()
     timings["bucket_sums_ms"] = (time.perf_counter() - t0) * 1000
 
     t0 = time.perf_counter()

@@ -12,7 +12,8 @@ lattice.
     split, by the idempotent of the trivial character of C_q.
 
 It also builds the lattice rows, those of the C_m quotient and those of the
-whole lattice that classgroup.generator_matrix() returns.  structure() and
+whole lattice that classgroup.generator_matrix() returns, from the integer
+row of theta' (stickelberger.theta_prime_row).  structure() and
 generator_matrix() load this module when they run, so order and table do
 not compile it.
 """
@@ -23,17 +24,9 @@ import math
 from typing import Sequence
 
 from .cartan import CartanContext
-from .classgroup import (
-    _CHECK_PRIME,
-    _SCALE_NUM,
-    _det_mod,
-    _part_with_primes_of,
-    _scaled_a,
-    lattice_index,
-    snf_mod,
-)
+from .classgroup import _CHECK_PRIME, _det_mod, _part_with_primes_of, lattice_index, snf_mod
 from .errors import InvariantViolation
-from .stickelberger import d_value
+from .stickelberger import d_value, theta_prime_row
 
 
 def euclid_mod(phi: Sequence[int], f: Sequence[int], m: int) -> tuple[int, ...]:
@@ -118,29 +111,27 @@ def p_part_mod(v: Sequence[int], p: int, w: int, modulus: int) -> tuple[int, ...
 
 
 def _theta_image(ctx: CartanContext, size: int) -> list[int]:
-    """12 p^k pi(theta) in Z[C_size] for size | n, pi taking w to the
-    generator of C_size: coefficient i sums those of w^j in 12 p^k theta
-    over j = i (mod size).  pi is the identity at size n."""
-    a = _scaled_a(ctx)
+    """pi(theta') in Z[C_size] for size | n, pi taking w to the generator of
+    C_size: coefficient i sums those of w^j in theta' over j = i (mod size).
+    pi is the identity at size n."""
+    a = theta_prime_row(ctx)
     t = [0] * size
     for j in range(ctx.n):
-        t[j % size] += a[-j]  # 12 p^k theta_j = 12 p^k a_(-j)
-    if sum(t):
-        raise InvariantViolation("lattice generator does not have degree zero")
+        t[j % size] += a[-j]  # theta'_j = a'_(-j)
     return t
-
-
-def _divide_exact(row: Sequence[int], ctx: CartanContext) -> list[int]:
-    scale = _SCALE_NUM * ctx.modulus
-    if any(x % scale for x in row):
-        raise InvariantViolation("lattice generator is not integral")
-    return [x // scale for x in row]
 
 
 def d_theta_row(ctx: CartanContext, size: int) -> list[int]:
     """d * pi(theta) in Z[C_size], every coefficient (of w^0 too), for
-    d = d_value(p); O(n)."""
-    return _divide_exact([d_value(ctx.p) * x for x in _theta_image(ctx, size)], ctx)
+    d = d_value(p); O(n).  theta - theta' is (p+1) p^(2k-1) / 12 on every
+    coefficient, so pi adds n / size times that, and d times it is an
+    integer."""
+    p = ctx.p
+    d_shift = (p + 1) // math.gcd(12, p + 1) * p ** (2 * ctx.k - 1) * (ctx.n // size)
+    row = [d_value(p) * x + d_shift for x in _theta_image(ctx, size)]
+    if sum(row):
+        raise InvariantViolation("lattice generator does not have degree zero")
+    return row
 
 
 def lattice_rows(ctx: CartanContext, size: int) -> list[list[int]]:
@@ -148,10 +139,12 @@ def lattice_rows(ctx: CartanContext, size: int) -> list[list[int]]:
     Z[C_size], size | n, in the basis {w^i - 1 : i = 1..size-1}: the rows
     (w^j - 1) pi(theta), j = 1..size-1, and d * pi(theta).  At size n this
     is the unit-divisor lattice (classgroup.generator_matrix); at size m,
-    the C_m quotient of quotient_mod()."""
+    the C_m quotient of quotient_mod().  The shift rows are read off
+    pi(theta'): w^j - 1 kills the norm element, by which theta' and theta
+    differ."""
     t = _theta_image(ctx, size)
-    # coefficient i of w^j pi(theta) is t_(i-j); a negative index wraps
-    rows = [_divide_exact([t[i - j] - t[i] for i in range(1, size)], ctx) for j in range(1, size)]
+    # coefficient i of w^j pi(theta') is t_(i-j); a negative index wraps
+    rows = [[t[i - j] - t[i] for i in range(1, size)] for j in range(1, size)]
     return rows + [d_theta_row(ctx, size)[1:]]
 
 

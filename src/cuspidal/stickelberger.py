@@ -6,10 +6,13 @@ identity.  The vector ``a`` of bucket sums is indexed the same way
 (``a[j]`` belongs to the norm bucket of w^j), and theta places ``a[j]`` at
 w^(-j), i.e. ``theta.coeffs[m] = a[(-m) mod n]``.
 
-The bucket sums (compute_a) and the quadratic sums over every exact-norm
-fiber (somme_identities_check) are cyclic convolutions over Z/p^k of the
-same root tables (_root_tables), in O(p^k) integer operations and one
-packed big-integer product each; no unit class is enumerated.
+The integer row of theta' (theta_prime_row) and the quadratic sums over
+every exact-norm fiber (somme_identities_check) are cyclic convolutions over
+Z/p^k of the same root tables (_root_tables), in O(p^k) integer operations
+and one packed big-integer product each; no unit class is enumerated.  The
+row is what order and structure read; the bucket sums (compute_a) and the
+group-ring elements theta and theta' are its rational forms, for verify and
+the tests.
 """
 
 from __future__ import annotations
@@ -133,7 +136,7 @@ def _cyclic_product(a: Sequence[int], b: Sequence[int]) -> list[int]:
 def _root_tables(ctx: CartanContext) -> tuple[list[int], list[int], list[int]]:
     """Over Z/m, m = p^k: S[t] = #{a : a^2 = t}, U[t] = sum of a (m - a)
     over a^2 = t, and C[u] = #{b : -eps b^2 = u}, the factors of the
-    convolutions of compute_a and somme_identities_check."""
+    convolutions of theta_prime_row and somme_identities_check."""
     m = ctx.modulus
     squares, weights, minus_eps = [0] * m, [0] * m, [0] * m
     for a in range(m):
@@ -145,39 +148,69 @@ def _root_tables(ctx: CartanContext) -> tuple[list[int], list[int], list[int]]:
 
 
 @lru_cache(maxsize=CONTEXT_CACHE_SIZE)
-def compute_a(ctx: CartanContext) -> tuple[Fraction, ...]:
-    """Bucket sums a[j] = (p^k / 2) * sum over the w^j norm bucket of
-    B2(<a1 / p^k>); exact rationals, and their total is 0.
+def theta_prime_row(ctx: CartanContext) -> tuple[int, ...]:
+    """a'_j for j in Z/nZ, the coefficient of w^(-j) in theta': the integer
+    first row of the circulant A_theta'.
 
-    With m = p^k and a in [0, m), 12 m * (m / 2) B2(a / m) = f(a) =
-    m^2 - 6 a (m - a).  As f(a) = f(m - a), the units s and -s of a class
-    contribute alike, so 24 m a[j] = D(w^j) + D(-w^j), where D(r) sums
-    f(a1) over every pair (a1, a2) in (Z/m)^2 with a1^2 - eps a2^2 = r.
-    A pair that is not a unit has a norm that is not a unit, so only units
-    reach these r.  Over Z/m, D = m^2 N - 6 V with the cyclic convolutions
+    With m = p^k and a in [0, m), (m / 2) B2(a / m) = a (a - m) / (2 m) +
+    m / 12.  As a (a - m) is the same at a and m - a, the units s and -s of
+    a class contribute alike, and a bucket's (p+1) p^(k-1) classes give the
+    shift (p+1) p^(2k-1) / 12 that theta' drops.  So
+
+        a'_j = -(V(w^j) + V(-w^j)) / (4 m),
+
+    where V(r) sums a1 (m - a1) over every pair (a1, a2) in (Z/m)^2 with
+    a1^2 - eps a2^2 = r.  A pair that is not a unit has a norm that is not
+    a unit, so only units reach these r.  Over Z/m, with the cyclic
+    convolutions
 
         N = S * C,   V = U * C,
         S[t] = #{a : a^2 = t},   U[t] = sum of a (m - a) over a^2 = t,
         C[u] = #{b : -eps b^2 = u},
 
-    all nonnegative, each one packed big-integer product.  N[r] counts the
-    units of norm r; it must be (p+1) p^(k-1) for every unit r."""
+    all nonnegative, each one packed big-integer product, N[r] counts the
+    units of norm r; it must be (p+1) p^(k-1) for every unit r.
+
+    The division is exact, m being odd.  4 | V(r): a1 and m - a1 pair off
+    in a fiber with equal products a1 (m - a1), each even.  m | V(r) + V(-r):
+    a1 (m - a1) = -a1^2 (mod m), and the sum of a1^2 over the units of norm
+    r, the fiber identity of somme_identities_check, is (p+1) p^(k-1) r / 2
+    (mod m), which cancels between r and -r.  A remainder is still an
+    InvariantViolation."""
     m = ctx.modulus
     squares, weights, minus_eps = _root_tables(ctx)
     count = _cyclic_product(squares, minus_eps)
-    weighted = _cyclic_product(weights, minus_eps)
     fiber = ctx.bucket_size()
     if any(count[r] != fiber for r in range(m) if r % ctx.p):
         raise InvariantViolation(f"a unit norm fiber does not have {fiber} elements")
+    weighted = _cyclic_product(weights, minus_eps)
     out = []
     r = 1  # w^j
     for _ in range(ctx.n):
-        total = sum(m * m * count[x] - 6 * weighted[x] for x in (r, m - r))
-        out.append(Fraction(total, 24 * m))
+        a, rem = divmod(weighted[r] + weighted[m - r], 4 * m)
+        if rem:
+            raise InvariantViolation("theta' is not integral")
+        out.append(-a)
         r = r * ctx.w % m
+    return tuple(out)
+
+
+def theta_prime_degree(p: int, k: int) -> int:
+    """deg theta' = -(p^2-1)/24 * p^(3k-2), the trivial character's value."""
+    return -((p * p - 1) // 24) * p ** (3 * k - 2)
+
+
+@lru_cache(maxsize=CONTEXT_CACHE_SIZE)
+def compute_a(ctx: CartanContext) -> tuple[Fraction, ...]:
+    """Bucket sums a[j] = (p^k / 2) * sum over the w^j norm bucket of
+    B2(<a1 / p^k>); exact rationals, and their total is 0.  Each is
+    theta_prime_row's a'_j plus the shift (p+1) p^(2k-1) / 12."""
+    p, k = ctx.p, ctx.k
+    shift = Fraction((p + 1) * p ** (2 * k - 1), 12)
+    out = tuple(shift + x for x in theta_prime_row(ctx))
     if sum(out) != 0:
         raise InvariantViolation("bucket sums do not cancel: sum a_i != 0")
-    return tuple(out)
+    return out
 
 
 @lru_cache(maxsize=CONTEXT_CACHE_SIZE)
@@ -195,7 +228,7 @@ def theta_prime(ctx: CartanContext) -> GroupRingElement:
     p, k = ctx.p, ctx.k
     const = Fraction((p + 1) * p ** (2 * k - 1), 12)
     out = GroupRingElement(ctx, tuple(c - const for c in theta(ctx).coeffs))
-    expected = -Fraction((p * p - 1) * p ** (3 * k - 2), 24)
+    expected = theta_prime_degree(p, k)
     if out.degree() != expected:
         raise InvariantViolation(
             f"deg(theta') = {out.degree()}, expected {expected}"

@@ -23,7 +23,7 @@ from .classgroup import (
     structure,
 )
 from .errors import InvariantViolation
-from .stickelberger import somme_identities_check, stickelberger_data, theta
+from .stickelberger import somme_identities_check, stickelberger_data, theta, theta_prime_degree
 
 
 class Check(NamedTuple):
@@ -49,7 +49,7 @@ def algebraic_checks(p: int, k: int = 1) -> list[Check]:
         _check("sum of a_i vanishes", lambda: (sum(data.a) == 0, f"n = {ctx.n}"))
     )
 
-    expected_deg = -Fraction((p * p - 1) * p ** (3 * k - 2), 24)
+    expected_deg = theta_prime_degree(p, k)
     out.append(
         _check(
             "degree of theta'",

@@ -11,24 +11,57 @@ def no_class_enumeration(monkeypatch):
     in every cuspidal module that binds it, and CartanContext.classes.  The
     per-level caches above the bucket sums are cleared, so a cached value
     from an earlier test cannot hide an enumeration."""
-    from cuspidal import cartan, classgroup, stickelberger
+    from cuspidal import cartan
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("the unit classes were enumerated")
-
-    original = cartan.norm_class_partition
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "cuspidal":
-            for binding, value in list(vars(module).items()):
-                if value is original:
-                    monkeypatch.setattr(module, binding, refuse)
+    refuse = _refuse_in_cuspidal(
+        monkeypatch, (cartan.norm_class_partition,), "the unit classes were enumerated"
+    )
     monkeypatch.setattr(cartan.CartanContext, "classes", refuse)
+    _clear_level_caches()
+
+
+def _clear_level_caches():
+    from cuspidal import classgroup, stickelberger
+
     for cached in (
+        stickelberger.theta_prime_row,
         stickelberger.compute_a,
         stickelberger.theta,
         stickelberger.theta_prime,
         stickelberger.stickelberger_data,
-        classgroup.circulant_theta_prime,
         classgroup.theta_prime_norms,
     ):
         cached.cache_clear()
+
+
+def _refuse_in_cuspidal(monkeypatch, originals, message):
+    """Rebind each of ``originals``, in every cuspidal module that binds it,
+    to a function that fails with ``message``, and return that function."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError(message)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "cuspidal":
+            for binding, value in list(vars(module).items()):
+                if any(value is original for original in originals):
+                    monkeypatch.setattr(module, binding, refuse)
+    return refuse
+
+
+@pytest.fixture
+def no_group_ring_fractions(monkeypatch):
+    """Make the Fraction-valued layer fail: compute_a, theta, theta_prime
+    and stickelberger_data, in every cuspidal module that binds them.  The
+    per-level caches are cleared, so a cached value from an earlier test
+    cannot hide a call."""
+    from cuspidal import stickelberger
+
+    originals = (
+        stickelberger.compute_a,
+        stickelberger.theta,
+        stickelberger.theta_prime,
+        stickelberger.stickelberger_data,
+    )
+    _clear_level_caches()  # before the rebinding hides their cache_clear
+    _refuse_in_cuspidal(monkeypatch, originals, "a group-ring Fraction was built")

@@ -14,7 +14,6 @@ from cuspidal.arith import bernoulli2
 from cuspidal.cartan import CartanContext, cusp_count_plus, genus_plus
 from cuspidal.classgroup import (
     bernoulli_formula_k1,
-    circulant_theta_prime,
     float_crosscheck,
     generator_matrix,
     orbit_norms,
@@ -44,6 +43,7 @@ from cuspidal.stickelberger import (
     stickelberger_data,
     theta,
     theta_prime,
+    theta_prime_row,
 )
 from oracles import reference_table
 
@@ -87,9 +87,9 @@ def test_criterion_3_p5_micro_fixture():
     ctx = CartanContext.create(5)
     # a = -1/2 on the identity bucket (+-1), +1/2 on the bucket of +-2
     assert compute_a(ctx) == (Fraction(-1, 2), Fraction(1, 2))
-    # the first row scaled by 12 p = 60: 60 (-3, -2), determinant 60^2 * 5
-    assert circulant_theta_prime(ctx) == (-180, -120)
-    assert math.prod(orbit_norms(circulant_theta_prime(ctx)).values()) == 60**2 * 5
+    # the first row is theta' itself: (-3, -2), determinant 5
+    assert theta_prime_row(ctx) == (-3, -2)
+    assert math.prod(orbit_norms(theta_prime_row(ctx)).values()) == 5
     assert order(ctx) == 1
     assert structure(ctx) == ()
     report(3, "p = 5 worked micro-fixture", time.perf_counter() - t0)

@@ -12,7 +12,6 @@ from cuspidal.classgroup import (
     _norm_bound,
     _values_mod,
     bernoulli_formula_k1,
-    circulant_theta_prime,
     compute_class_group,
     float_crosscheck,
     generator_matrix,
@@ -23,7 +22,7 @@ from cuspidal.classgroup import (
     structure,
 )
 from cuspidal.errors import InvariantViolation
-from cuspidal.stickelberger import d_value, stickelberger_data, theta
+from cuspidal.stickelberger import d_value, theta, theta_prime_degree, theta_prime_row
 from oracles import (
     bareiss_det,
     block_matrix,
@@ -144,20 +143,19 @@ def test_orbit_det_vs_dense_on_random_circulants(n):
 @pytest.mark.parametrize("p,k", [(83, 1), (101, 1), (11, 2), (13, 2)])
 def test_orbit_norms_vs_dense_bareiss(p, k):
     ctx = CartanContext.create(p, k)
-    first = circulant_theta_prime(ctx)
-    scale = 12 * ctx.modulus
+    first = theta_prime_row(ctx)
     norms = orbit_norms(first)
     assert sorted(norms) == [d for d in range(1, ctx.n + 1) if ctx.n % d == 0]
     assert math.prod(norms.values()) == bareiss_det(circulant_rows(first))
-    # the trivial orbit is F(1) = scale * deg(theta')
-    assert norms[1] == scale * stickelberger_data(ctx).theta_prime.degree()
+    # the trivial orbit is F(1) = deg(theta')
+    assert norms[1] == theta_prime_degree(p, k)
 
 
 def test_orbit_norms_pair_d_and_2d_at_13_squared():
     # n = 78: the orbits d and 2d carry the same norm for d = 3, 13, 39,
     # while the two rational orbits F(1) and F(-1) differ
     ctx = CartanContext.create(13, 2)
-    norms = orbit_norms(circulant_theta_prime(ctx))
+    norms = orbit_norms(theta_prime_row(ctx))
     assert all(norms[d] == norms[2 * d] for d in (3, 13, 39))
     assert norms[1] != norms[2]
 
@@ -173,7 +171,7 @@ def level_norms():
     alone takes about 2 s in the oracle."""
     out = {}
     for p, k in NORM_LEVELS:
-        first = circulant_theta_prime(CartanContext.create(p, k))
+        first = theta_prime_row(CartanContext.create(p, k))
         out[p, k] = first, block_norms(first)
     return out
 
@@ -208,10 +206,12 @@ def test_orbit_norms_on_random_rows():
         singular = [rng.randrange(-50, 51) for _ in range(n)]
         singular[-1] -= sum(singular)  # F(1) = 0
         rows.append(singular)
-        # content c > 1: the CRT runs on F / c, and N_d gains c^phi(d)
+        # content c > 1, and content 0 below: no row the program passes has
+        # either (see test_theta_prime_and_bernoulli_rows_are_primitive), so
+        # these check only that orbit_norms stays exact on them
         content = scaled.choice((2, 12, scaled.randrange(2, 10**6), 10**6))
         rows.append([content * scaled.randrange(-60, 61) for _ in range(n)])
-        rows.append([0] * n)  # content 0: every N_d = 0
+        rows.append([0] * n)  # every N_d = 0
         for first in rows:
             assert orbit_norms(first) == block_norms(first), (n, first)
 
@@ -233,15 +233,15 @@ def test_orbit_norms_reject_a_norm_past_its_bound(monkeypatch):
     # is far larger than the (false) bound: that must raise, not return it
     import cuspidal.classgroup as cg
 
-    first = circulant_theta_prime(CartanContext.create(7, 3))
+    first = theta_prime_row(CartanContext.create(7, 3))
     monkeypatch.setattr(cg, "_norm_bound", lambda f, d, phi: 1)
     with pytest.raises(InvariantViolation):
         orbit_norms(first)
 
 
 def test_orbit_norms_take_the_crt_primes_of_the_primitive_row(monkeypatch):
-    # one transform per CRT prime; the bound is G's, not that of the
-    # 12 p^k-scaled row (40, 11 and 8 primes on the scaled rows)
+    # one transform per CRT prime, on rows that are primitive; the rows
+    # times 12 p^k (12 p on the Bernoulli route) would take 40, 11 and 8
     import cuspidal.classgroup as cg
 
     calls = []
@@ -255,12 +255,28 @@ def test_orbit_norms_take_the_crt_primes_of_the_primitive_row(monkeypatch):
     counts = []
     for p, k in ((7, 3), (13, 2)):
         calls.clear()
-        orbit_norms(circulant_theta_prime(CartanContext.create(p, k)))
+        orbit_norms(theta_prime_row(CartanContext.create(p, k)))
         counts.append(len(calls))
     calls.clear()
     bernoulli_formula_k1(101)
     counts.append(len(calls))
     assert counts == [24, 6, 5]
+
+
+def test_theta_prime_and_bernoulli_rows_are_primitive(monkeypatch):
+    # orbit_norms divides out no content: every row it is given has gcd 1
+    import cuspidal.classgroup as cg
+
+    for p, k in NORM_LEVELS:
+        assert math.gcd(*theta_prime_row(CartanContext.create(p, k))) == 1, (p, k)
+    rows = []
+    exact = cg.orbit_norms
+    monkeypatch.setattr(cg, "orbit_norms", lambda f: rows.append(f) or exact(f))
+    primes = [p for p, k in NORM_LEVELS if k == 1]
+    for p in primes:
+        bernoulli_formula_k1(p)
+    assert len(rows) == len(primes) == 24
+    assert all(math.gcd(*row) == 1 for row in rows)
 
 
 def test_det_exact_examples():
@@ -301,7 +317,7 @@ def test_snf_product_equals_det_nonsingular():
 
 def test_circulant_first_row_p5():
     ctx = CartanContext.create(5)
-    assert circulant_theta_prime(ctx) == (-180, -120)  # 12 * 5 * (-3, -2)
+    assert theta_prime_row(ctx) == (-3, -2)
 
 
 @pytest.mark.parametrize("p,want", sorted(TABLE_SMALL.items()))
@@ -398,8 +414,7 @@ def test_circulant_eigenvalues_match_the_term_by_term_sums(n):
               78: (13, 2), 147: (7, 3)}
     if n in levels:
         ctx = CartanContext.create(*levels[n])
-        scale = 12 * ctx.modulus
-        row = [x / scale for x in circulant_theta_prime(ctx)]
+        row = [float(x) for x in theta_prime_row(ctx)]
         assert close(circulant_eigenvalues(ctx), eigenvalues_by_sums(row))
 
 
@@ -905,7 +920,7 @@ def test_structure_rejects_a_scaled_orbit_block_row(monkeypatch, p, k):
     ell = next(q for q in range(5, 1000) if is_prime(q) is Primality.PROVEN
                and q not in bad and index % q)
     real = cg.orbit_blocks
-    d = max(real(circulant_theta_prime(ctx)))
+    d = max(real(theta_prime_row(ctx)))
 
     def scaled(f):
         blocks = real(f)
@@ -1047,3 +1062,18 @@ ORDER_13_SQUARED = (
 def test_order_enumerates_no_class(no_class_enumeration, p, k):
     want = ORDER_13_SQUARED if k == 2 else reference_order(p)
     assert order(CartanContext.create(p, k)) == want
+
+
+@pytest.mark.parametrize("p,k", [(5, 1), (13, 2), (7, 3)])
+def test_order_path_builds_no_group_ring_fraction(no_group_ring_fractions, p, k):
+    # order, structure and the float check read theta_prime_row alone
+    ctx = CartanContext.create(p, k)
+    assert math.prod(structure(ctx)) == order(ctx)
+    assert float_crosscheck(ctx)
+
+
+def test_table_builds_no_group_ring_fraction(capsys, no_group_ring_fractions):
+    from cuspidal.cli import main
+
+    assert main(["table", "--pmax", "23"]) == 0
+    assert "7 * 13^2" in capsys.readouterr().out

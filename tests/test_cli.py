@@ -154,11 +154,11 @@ def test_table_pmax_101_matches_goldens_with_bounded_caches(capsys):
         cartan.find_generator_H,
         cartan.h_index_table,
         cartan.norm_class_partition,
+        stickelberger.theta_prime_row,
         stickelberger.compute_a,
         stickelberger.theta,
         stickelberger.theta_prime,
         stickelberger.stickelberger_data,
-        classgroup.circulant_theta_prime,
         classgroup.theta_prime_norms,
     )
     for fn in caches:
@@ -195,7 +195,7 @@ def test_verify_analytic_p5(capsys):
 def test_verify_structure_computes_each_orbit_norm_once(capsys, monkeypatch):
     from collections import Counter
 
-    from cuspidal import classgroup
+    from cuspidal import classgroup, stickelberger
     from cuspidal.cartan import CartanContext
 
     calls = Counter()
@@ -211,7 +211,7 @@ def test_verify_structure_computes_each_orbit_norm_once(capsys, monkeypatch):
     assert code == 0 and "FAIL" not in out
     # one computation of the theta' norms serves order() in both routes and
     # the float check; the Bernoulli route's own matrix is the only other one
-    theta_row = classgroup.circulant_theta_prime(CartanContext.create(53))
+    theta_row = stickelberger.theta_prime_row(CartanContext.create(53))
     assert calls[theta_row] == 1
     assert len(calls) == 2 and set(calls.values()) == {1}
 

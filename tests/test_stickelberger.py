@@ -16,6 +16,7 @@ from cuspidal.stickelberger import (
     stickelberger_data,
     theta,
     theta_prime,
+    theta_prime_row,
 )
 from oracles import (
     context_with_generator,
@@ -73,6 +74,37 @@ def test_compute_a_matches_per_class_bernoulli(p, k):
         for j in range(ctx.n)
     )
     assert compute_a(ctx) == want
+    # (m/2) B2(x/m) = x (x - m) / (2m) + m/12: theta' drops the m/12 terms
+    assert theta_prime_row(ctx) == tuple(
+        Fraction(sum(c.a1 % m * (c.a1 % m - m) for c in part[j or ctx.n]), 2 * m)
+        for j in range(ctx.n)
+    )
+
+
+def test_theta_prime_row_rejects_a_weighted_sum_off_by_one(monkeypatch, capsys):
+    # +1 on the weighted convolution at the unit r = 2 breaks the exact
+    # division by 4 p^k; the row must raise, and order must exit 3
+    import cuspidal.stickelberger as st
+    from cuspidal.classgroup import theta_prime_norms
+    from cuspidal.cli import main
+
+    ctx = CartanContext.create(13, 2)
+    weights = st._root_tables(ctx)[1]
+    product = st._cyclic_product
+
+    def bumped(a, b):
+        out = product(a, b)
+        if list(a) == weights:
+            out[2] += 1
+        return out
+
+    monkeypatch.setattr(st, "_cyclic_product", bumped)
+    theta_prime_row.cache_clear()
+    theta_prime_norms.cache_clear()
+    with pytest.raises(InvariantViolation, match="theta' is not integral"):
+        theta_prime_row(ctx)
+    assert main(["order", "-p", "13", "-k", "2"]) == 3
+    assert "theta' is not integral" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("k", [1, 2])
