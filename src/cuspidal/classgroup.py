@@ -27,7 +27,8 @@ Two independent exact routes plus a floating cross-check:
     is left divides out a common factor or splits the modulus into coprime
     parts by a gcd.
   * bernoulli_formula_k1(): for k = 1, the same order through an explicit
-    determinant over F_{p^2} powers of an independent generator.
+    determinant of B2 sums over the norm classes of F_{p^2}*, enumerated
+    pair by pair (theta' takes the same row by convolution).
   * float_crosscheck(): eigenvalues of the circulant are finite Fourier
     sums of the first row, taken by a float FFT; per orbit, their
     log-magnitudes must add up to log|N_d|.
@@ -61,7 +62,6 @@ from .arith import (
 from .cartan import (
     CONTEXT_CACHE_SIZE,
     CartanContext,
-    CartanElement,
     cusp_count_plus,
     genus_plus,
 )
@@ -72,14 +72,19 @@ FLOAT_TOL = 1e-9  # relative tolerance of float_crosscheck
 _PRIME_TOP = 1 << 62  # CRT primes are the proven primes = 1 (mod 2n) below it
 
 
+def _fold(f: Sequence[int], d: int) -> list[int]:
+    """F mod (x^d - 1) for F = sum_j f_j x^j: coefficient j goes to j mod d."""
+    folded = [0] * d
+    for j, c in enumerate(f):
+        folded[j % d] += c
+    return folded
+
+
 def _norm_bound(f: Sequence[int], d: int, phi: int) -> int:
     """B with |N_d| <= B: with G = F mod (x^d - 1), AM-GM over the primitive
     d-th roots and Parseval over all d-th roots give
     |N_d|^2 <= (d ||G||_2^2 / phi(d))^phi(d)."""
-    folded = [0] * d
-    for j, c in enumerate(f):
-        folded[j % d] += c
-    num = (d * sum(c * c for c in folded)) ** phi
+    num = (d * sum(c * c for c in _fold(f, d))) ** phi
     den = phi**phi
     return math.isqrt(-(-num // den))
 
@@ -202,10 +207,7 @@ def orbit_blocks(f: Sequence[int]) -> dict[int, tuple[list[int], list[int]]]:
                 phi, rem = _divmod_monic(phi, phi_e)
                 if any(rem):
                     raise InvariantViolation(f"Phi_{e} does not divide x^{d} - 1")
-        folded = [0] * d
-        for j, c in enumerate(f):
-            folded[j % d] += c
-        blocks[d] = phi, _divmod_monic(folded, phi)[1]
+        blocks[d] = phi, _divmod_monic(_fold(f, d), phi)[1]
     return blocks
 
 
@@ -532,26 +534,33 @@ def float_crosscheck(ctx: CartanContext) -> bool:
 
 
 def bernoulli_formula_k1(p: int) -> int:
-    """Order at prime level through the explicit (p-1)/2 determinant over
-    powers of a generator v of F_{p^2}*.
+    """Order at prime level through the explicit (p-1)/2 determinant of
+    generalized Bernoulli numbers, summed over the norm form of F_{p^2}.
 
-    Entry (i, j) is P_(i-j) with P_r = (p/2) (sum_{l=0}^{p} B2(x_l / p)
-    - (p+1)/6) and x_l = tr(v^(r+l(p-1)/2))/2 mod p; the value is
-    576 |det P| / ((p-1)^2 p (p+1) gcd(12, p+1)).  The p+1 constant terms
-    1/6 of B2 cancel the shift, so P_r = sum_l x_l (x_l - p) / (2 p), an
-    integer by the argument of stickelberger.theta_prime_row at k = 1."""
+    Entry (i, j) is P_(i-j) with P_r = (p/4) (sum_s B2(x_s / p)
+    - 2(p+1)/6) over the 2(p+1) units s = x + y sqrt(eps) of F_{p^2} with
+    norm x^2 - eps y^2 = +-w^r; the value is 576 |det P| / ((p-1)^2 p (p+1)
+    gcd(12, p+1)).  The constant terms 1/6 of B2 cancel the shift, so
+    P_r = sum_s x_s (x_s - p) / (4 p), an integer by the argument of
+    stickelberger.theta_prime_row at k = 1.  The row is enumerated pair by
+    pair, not convolved; only (0, 0) has norm 0, eps being a non-residue."""
     ctx = CartanContext.create(p, 1)
-    m = (p * p - 1) // 2  # largest exponent needed below is r+p(p-1)/2 < m
-    v = _field_generator(ctx)
-    powers = [CartanElement(1, 0)]
-    for _ in range(m):
-        powers.append(ctx.mul(powers[-1], v))
-
     half = (p - 1) // 2
+    index = [0] * p  # index[+-w^j] = j
+    r = 1
+    for j in range(half):
+        index[r] = index[p - r] = j
+        r = r * ctx.w % p
+    eps_squares = [ctx.epsilon * y * y % p for y in range(p)]
+    sums = [0] * half
+    for x in range(1, p):  # x = 0 adds 0; x != 0 never has norm 0
+        square, weight = x * x, x * (x - p)
+        for e in eps_squares:
+            sums[index[(square - e) % p]] += weight
+
     row = []
-    for r in range(half):
-        xs = [powers[r + l * half].a1 % p for l in range(p + 1)]
-        value, rem = divmod(sum(x * (x - p) for x in xs), 2 * p)
+    for total in sums:
+        value, rem = divmod(total, 4 * p)
         if rem:
             raise InvariantViolation("Bernoulli row is not integral")
         row.append(value)
@@ -561,21 +570,6 @@ def bernoulli_formula_k1(p: int) -> int:
     if num % den:
         raise InvariantViolation("Bernoulli formula does not divide exactly")
     return num // den
-
-
-def _field_generator(ctx: CartanContext) -> CartanElement:
-    """Generator of F_{p^2}* = (Z/pZ)[sqrt(eps)]*; requires k = 1."""
-    if ctx.k != 1:
-        raise ValueError("field generator search needs k = 1")
-    group_order = ctx.p * ctx.p - 1
-    prime_divs = [e.prime for e in factorize(group_order).entries]
-    one = CartanElement(1, 0)
-    for a2 in range(1, ctx.p):
-        for a1 in range(ctx.p):
-            v = CartanElement(a1, a2)
-            if all(ctx.power(v, group_order // q) != one for q in prime_divs):
-                return v
-    raise InvariantViolation("F_{p^2}* has no generator: impossible")
 
 
 # ---------------------------------------------------------------------------

@@ -9,10 +9,8 @@ desk-scale q-series verification.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import NamedTuple
 
-from .arith import bernoulli2
 from .cartan import CartanContext, norm_class_partition, valid_epsilons
 from .classgroup import (
     FLOAT_TOL,
@@ -148,6 +146,7 @@ def analytic_checks(p: int) -> list[Check]:
     slope, and (for p = 5, 7) the dihedral sign of the bucket products."""
     # only this suite needs the q-series layer: other commands skip loading it
     from .siegel import (
+        _b2,
         cartan_group_lift,
         check_Th_weight,
         infinity_order_slope,
@@ -189,7 +188,7 @@ def analytic_checks(p: int) -> list[Check]:
         ys = tuple(c * p / 5 for c in (8.0, 10.0, 12.0))
         worst = 0.0
         for a in grid:
-            target = float(bernoulli2(Fraction(a[0], p))) / 2
+            target = _b2(a[0], p) / 2
             got = infinity_order_slope(a, p, ys=ys)
             worst = max(worst, abs(got - target) / abs(target))
         return worst <= 0.01, f"worst relative error {worst:.2%}"

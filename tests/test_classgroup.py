@@ -269,12 +269,15 @@ def test_theta_prime_and_bernoulli_rows_are_primitive(monkeypatch):
 
     for p, k in NORM_LEVELS:
         assert math.gcd(*theta_prime_row(CartanContext.create(p, k))) == 1, (p, k)
+    primes = [p for p, k in NORM_LEVELS if k == 1]
+    orders = {p: order(CartanContext.create(p)) for p in primes}
     rows = []
     exact = cg.orbit_norms
     monkeypatch.setattr(cg, "orbit_norms", lambda f: rows.append(f) or exact(f))
-    primes = [p for p, k in NORM_LEVELS if k == 1]
     for p in primes:
-        bernoulli_formula_k1(p)
+        assert bernoulli_formula_k1(p) == orders[p], p
+        # enumerated pair by pair, the row is theta''s at m = p, index for index
+        assert list(rows[-1]) == list(theta_prime_row(CartanContext.create(p))), p
     assert len(rows) == len(primes) == 24
     assert all(math.gcd(*row) == 1 for row in rows)
 

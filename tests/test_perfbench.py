@@ -9,6 +9,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 TRACED = Path(__file__).parents[1] / "perfbench" / "traced.py"
 
 
@@ -49,3 +51,33 @@ def test_traced_verify_records_every_layer_span():
         "classgroup.bernoulli_ms",
         "verify.algebraic_ms",
     }
+
+
+RUN = TRACED.with_name("run.py")
+GOLDENS = json.loads(TRACED.with_name("goldens.json").read_text())
+
+
+@pytest.fixture(scope="module")
+def bench_run():
+    """perfbench/run.py as a module; it imports traced.py from its own
+    folder, and its dataclasses look their module up in sys.modules."""
+    sys.path.insert(0, str(RUN.parent))
+    try:
+        spec = importlib.util.spec_from_file_location("perfbench_run", RUN)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[spec.name] = module
+        spec.loader.exec_module(module)
+    finally:
+        sys.path.remove(str(RUN.parent))
+    yield module
+    sys.modules.pop(spec.name, None)
+
+
+# table --pmax 101 is pinned with its caches in test_cli.py
+@pytest.mark.parametrize("command", [c for c in GOLDENS if c != "table --pmax 101"])
+def test_benchmark_command_matches_golden(command, bench_run, capsys):
+    from cuspidal.cli import main
+
+    argv = command.split()
+    assert main(argv) == 0
+    assert bench_run.key_lines(argv, capsys.readouterr().out) == GOLDENS[command]
