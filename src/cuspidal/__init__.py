@@ -6,9 +6,7 @@ from ._version import __version__
 from .arith import (
     Factorization,
     Primality,
-    bernoulli2,
     factorize,
-    frac_part,
     is_prime,
     legendre,
 )
@@ -50,7 +48,6 @@ __all__ = [
     "GroupRingElement",
     "InvariantViolation",
     "Primality",
-    "bernoulli2",
     "bernoulli_formula_k1",
     "choose_epsilon",
     "compute_a",
@@ -59,7 +56,6 @@ __all__ = [
     "factorize",
     "find_generator_H",
     "float_crosscheck",
-    "frac_part",
     "genus_plus",
     "is_prime",
     "legendre",

@@ -1,10 +1,9 @@
 """Exact scalar arithmetic.
 
-Integers are plain Python ints, rationals are ``fractions.Fraction``; both
-are exact at any size.  On top of those this module provides fractional
-parts, the second Bernoulli polynomial, Legendre/Jacobi symbols, a primality
-test with an explicit certainty level, the packed big-integer product that
-every convolution in the package goes through, and an integer factorizer.
+Every number is a plain Python int, exact at any size.  This module
+provides Legendre/Jacobi symbols, a primality test with an explicit
+certainty level, the packed big-integer product that every convolution in
+the package goes through, and an integer factorizer.
 
 The factorizer runs trial division in bulk up to TRIAL_BOUND = 2^16 (one
 gcd of the input with the product of each run of TRIAL_CHUNK consecutive
@@ -31,13 +30,10 @@ from __future__ import annotations
 
 import math
 from enum import Enum
-from fractions import Fraction
 from functools import lru_cache
 from itertools import compress
 from random import Random
 from typing import NamedTuple, Sequence
-
-ONE_SIXTH = Fraction(1, 6)
 
 DEFAULT_RHO_BUDGET = 10**7  # steps per factorize call, rho and ECM together
 TRIAL_BOUND = 1 << 16  # trial division limit; rho splits the primes above it
@@ -61,18 +57,6 @@ class Primality(Enum):
     PROVEN = "proven"
     PROBABLE = "probable"
     COMPOSITE = "composite"
-
-
-def frac_part(x) -> Fraction:
-    """Fractional part <x> in [0, 1); x - <x> is an integer."""
-    x = Fraction(x)
-    return x - (x.numerator // x.denominator)
-
-
-def bernoulli2(t) -> Fraction:
-    """Second Bernoulli polynomial B2(t) = t^2 - t + 1/6, exactly."""
-    t = Fraction(t)
-    return t * t - t + ONE_SIXTH
 
 
 def jacobi(a: int, n: int) -> int:

@@ -13,10 +13,9 @@ a1^2 - eps * a2^2, each bucket holding (p+1) p^(k-1) classes.
 
 CartanContext.classes() and norm_class_partition() enumerate those
 (p^2 - 1) p^(2k-2) / 2 classes densely, quadratic in p^k in time and
-memory.  Only two checks read them: the "norm buckets uniform" check of
-``verify`` and the Siegel-function products of ``siegel``.  The theta' row
-and the quadratic fiber identities come from convolutions in stickelberger
-(theta_prime_row, somme_identities_check), which enumerate no class.
+memory.  They are test oracles, which no command reads: stickelberger
+convolves the theta' row and verify's bucket sizes and fiber sums, and
+siegel takes each bucket from the units of two norms (_units_of_norm).
 """
 
 from __future__ import annotations

@@ -259,7 +259,7 @@ def _divisibility_chain(diag: Sequence[int]) -> tuple[int, ...]:
 
 def generator_matrix(ctx: CartanContext) -> list[list[int]]:
     """The unit-divisor lattice rows (w^j - 1) theta, j = 1..n-1, and
-    d * theta: components.lattice_rows at size n, for verify and the tests."""
+    d * theta: components.lattice_rows at size n, for the tests."""
     from .components import lattice_rows
 
     return lattice_rows(ctx, ctx.n)

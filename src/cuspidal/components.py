@@ -13,9 +13,9 @@ lattice.
 
 It also builds the lattice rows, those of the C_m quotient and those of the
 whole lattice that classgroup.generator_matrix() returns, from the integer
-row of theta' (stickelberger.theta_prime_row).  structure() and
-generator_matrix() load this module when they run, so order and table do
-not compile it.
+row of theta' (stickelberger.theta_prime_row).  structure(),
+generator_matrix() and verify's lattice check load this module when they
+run, so order and table do not compile it.
 """
 
 from __future__ import annotations

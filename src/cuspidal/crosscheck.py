@@ -30,17 +30,31 @@ J_LABEL = "J"
 _HEADER = ("p", "q", "label", "value")
 _FACTORED_RE = re.compile(r"^\d+(\^\d+)?(\*\d+(\^\d+)?)*$")
 
+# larger values are refused before they are formed (one gcd of two values
+# at the bound takes about 0.15 s); the bundled fixture's largest has 246 bits
+MAX_VALUE_BITS = 1 << 18
+
 
 def parse_value(text: str) -> int:
-    """Decimal integer or factored expression like ``2^2*3*11``."""
+    """Decimal integer or factored expression like ``2^2*3*11``, refused by
+    a ValueError above MAX_VALUE_BITS bits before any number is formed: a
+    d-digit number exceeds 2^(3(d-1)), and a product of factors b^e has at
+    most 1 + sum(e * ceil(log2 b)) bits."""
     s = text.strip().replace(" ", "")
     if not _FACTORED_RE.match(s):
         raise ValueError(f"bad value syntax: {text!r}")
-    out = 1
-    for part in s.split("*"):
-        base, _, exp = part.partition("^")
-        out *= int(base) ** (int(exp) if exp else 1)
-    return out
+    digits = max(len(x.lstrip("0")) for x in re.split(r"[*^]", s))
+    if 3 * (digits - 1) > MAX_VALUE_BITS:
+        raise ValueError(
+            f"value has a {digits}-digit number, above the bound of {MAX_VALUE_BITS} bits"
+        )
+    factors = [(int(b), int(e or 1)) for b, _, e in (f.partition("^") for f in s.split("*"))]
+    bits = 1 + sum(e * (b - 1).bit_length() for b, e in factors)
+    if bits > MAX_VALUE_BITS:
+        raise ValueError(
+            f"value has up to {brief_int(bits)} bits, above the bound of {MAX_VALUE_BITS}"
+        )
+    return math.prod(b**e for b, e in factors)
 
 
 class CrosscheckRecord(NamedTuple):
@@ -169,10 +183,7 @@ def gcd_harness(
     for label, rows in sorted(by_label.items()):
         if label == J_LABEL:
             continue
-        g = rows[0].value
-        for r in rows[1:]:
-            g = math.gcd(g, r.value)
-        newform_gcds[label] = g
+        newform_gcds[label] = math.gcd(*(r.value for r in rows))
 
     newform_product = newform_ratio = None
     if newform_gcds:

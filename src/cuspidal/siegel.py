@@ -37,9 +37,9 @@ from typing import Sequence
 
 from .cartan import (
     CartanContext,
+    _units_of_norm,
     find_norm_minus_one_element,
     find_norm_one_generator,
-    norm_class_partition,
 )
 from .errors import InvariantViolation
 
@@ -292,11 +292,14 @@ def dihedral_sign(p: int, in_cartan_part: bool) -> int:
 
 def t_plus_eval(ctx: CartanContext, h_index: int, tau: complex) -> complex:
     """Product of Klein forms over the norm bucket of w^h_index, at the
-    canonical scaled indices (a1 / p^k, a2 / p^k)."""
-    out = 1.0 + 0j
-    for cls in norm_class_partition(ctx)[h_index]:
-        out *= klein_eval((cls.a1, cls.a2), ctx.modulus, tau)
-    return out
+    canonical scaled indices (a1 / p^k, a2 / p^k): the units of norm
+    +-w^h_index, one per pair {s, -s}, with a1 < p^k / 2, and a2 < p^k / 2
+    when a1 = 0, in increasing (a1, a2)."""
+    m = ctx.modulus
+    r = pow(ctx.w, h_index, m)
+    units = (s for t in (r, m - r) for s in _units_of_norm(ctx, t))
+    bucket = sorted(s for s in units if 2 * s.a1 < m and (s.a1 or 2 * s.a2 < m))
+    return math.prod((klein_eval(s, m, tau) for s in bucket), start=1.0 + 0j)
 
 
 def dihedral_transformation_ratio(

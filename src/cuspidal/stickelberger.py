@@ -6,13 +6,13 @@ identity.  The vector ``a`` of bucket sums is indexed the same way
 (``a[j]`` belongs to the norm bucket of w^j), and theta places ``a[j]`` at
 w^(-j), i.e. ``theta.coeffs[m] = a[(-m) mod n]``.
 
-The integer row of theta' (theta_prime_row) and the quadratic sums over
-every exact-norm fiber (somme_identities_check) are cyclic convolutions over
-Z/p^k of the same root tables (_root_tables), in O(p^k) integer operations
-and one packed big-integer product each; no unit class is enumerated.  The
-row is what order and structure read; the bucket sums (compute_a) and the
-group-ring elements theta and theta' are its rational forms, for verify and
-the tests.
+The integer row of theta' (theta_prime_row), the unit counts per norm
+(_norm_counts) and the quadratic sums over every exact-norm fiber
+(somme_identities_check) are cyclic convolutions over Z/p^k of the same
+root tables (_root_tables), in O(p^k) integer operations and one packed
+big-integer product each; no unit class is enumerated.  The commands read
+these; the bucket sums (compute_a) and the group-ring elements theta and
+theta' are the row's rational forms, test oracles only.
 """
 
 from __future__ import annotations
@@ -147,6 +147,13 @@ def _root_tables(ctx: CartanContext) -> tuple[list[int], list[int], list[int]]:
     return squares, weights, minus_eps
 
 
+def _norm_counts(ctx: CartanContext) -> tuple[list[int], list[int], list[int]]:
+    """N = S * C, N[r] the number of units of norm r at a unit r, with U
+    and C for theta_prime_row's V = U * C; verify reads N alone."""
+    squares, weights, minus_eps = _root_tables(ctx)
+    return _cyclic_product(squares, minus_eps), weights, minus_eps
+
+
 @lru_cache(maxsize=CONTEXT_CACHE_SIZE)
 def theta_prime_row(ctx: CartanContext) -> tuple[int, ...]:
     """a'_j for j in Z/nZ, the coefficient of w^(-j) in theta': the integer
@@ -178,8 +185,7 @@ def theta_prime_row(ctx: CartanContext) -> tuple[int, ...]:
     (mod m), which cancels between r and -r.  A remainder is still an
     InvariantViolation."""
     m = ctx.modulus
-    squares, weights, minus_eps = _root_tables(ctx)
-    count = _cyclic_product(squares, minus_eps)
+    count, weights, minus_eps = _norm_counts(ctx)
     fiber = ctx.bucket_size()
     if any(count[r] != fiber for r in range(m) if r % ctx.p):
         raise InvariantViolation(f"a unit norm fiber does not have {fiber} elements")

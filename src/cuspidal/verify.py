@@ -4,24 +4,29 @@ Each function returns a list of Check results; a suite passes when every
 check does.  The algebraic suite covers the group-ring identities, the
 structure suite the cross-route order equality, and the analytic suite the
 desk-scale q-series verification.
+
+The algebraic and eps-independence suites read theta' as its integer row
+(stickelberger.theta_prime_row), with the unit-norm counts (_norm_counts)
+and the row d theta (components.d_theta_row), all O(p^k): the dense class
+partition, the Fraction group ring and the n-row lattice are test oracles.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import islice
 from typing import NamedTuple
 
-from .cartan import CartanContext, norm_class_partition, valid_epsilons
-from .classgroup import (
-    FLOAT_TOL,
-    bernoulli_formula_k1,
-    float_crosscheck,
-    generator_matrix,
-    order,
-    structure,
-)
+from .cartan import CartanContext, valid_epsilons
+from .classgroup import FLOAT_TOL, bernoulli_formula_k1, float_crosscheck, order, structure
 from .errors import InvariantViolation
-from .stickelberger import somme_identities_check, stickelberger_data, theta, theta_prime_degree
+from .stickelberger import (
+    _norm_counts,
+    d_value,
+    somme_identities_check,
+    theta_prime_degree,
+    theta_prime_row,
+)
 
 
 class Check(NamedTuple):
@@ -40,39 +45,34 @@ def _check(name: str, fn) -> Check:
 
 def algebraic_checks(p: int, k: int = 1) -> list[Check]:
     ctx = CartanContext.create(p, k)
-    data = stickelberger_data(ctx)
+    shift = (p + 1) * p ** (2 * k - 1)  # 12 (a_i - a'_i), a'_i the theta' row
     out = []
 
-    out.append(
-        _check("sum of a_i vanishes", lambda: (sum(data.a) == 0, f"n = {ctx.n}"))
-    )
+    def vanishing():
+        return 12 * sum(theta_prime_row(ctx)) + ctx.n * shift == 0, f"n = {ctx.n}"
 
-    expected_deg = theta_prime_degree(p, k)
-    out.append(
-        _check(
-            "degree of theta'",
-            lambda: (
-                data.theta_prime.degree() == expected_deg,
-                f"deg = {data.theta_prime.degree()}",
-            ),
-        )
-    )
+    def degree():
+        deg = sum(theta_prime_row(ctx))
+        return deg == theta_prime_degree(p, k), f"deg = {deg}"
 
-    denom = math.lcm(*(ai.denominator for ai in data.a))
-    out.append(
-        _check(
-            "d * a_i integral",
-            lambda: (
-                all((data.d * ai).denominator == 1 for ai in data.a),
-                f"d = {data.d}, observed a_i denominator lcm = {denom}",
-            ),
-        )
-    )
+    def integral():
+        d = d_value(p)
+        denom = math.lcm(*(12 // math.gcd(12, 12 * x + shift) for x in theta_prime_row(ctx)))
+        return d % denom == 0, f"d = {d}, observed a_i denominator lcm = {denom}"
 
     def lattice_rows():
-        rows = generator_matrix(ctx)
-        return len(rows) == ctx.n, f"{len(rows)} integral generator rows"
+        # imported here as in structure(), so order and table never compile it
+        from .components import d_theta_row
 
+        # d theta, which raises unless of degree 0, and the n - 1 shifts
+        # (w^j - 1) theta' of the integer theta' row
+        d_theta_row(ctx, ctx.n)
+        rows = len(theta_prime_row(ctx))
+        return rows == ctx.n, f"{rows} integral generator rows"
+
+    out.append(_check("sum of a_i vanishes", vanishing))
+    out.append(_check("degree of theta'", degree))
+    out.append(_check("d * a_i integral", integral))
     out.append(_check("unit-divisor lattice rows integral", lattice_rows))
 
     def somme_all():
@@ -84,9 +84,10 @@ def algebraic_checks(p: int, k: int = 1) -> list[Check]:
     out.append(_check("quadratic bucket sums (all h)", somme_all))
 
     def buckets():
-        part = norm_class_partition(ctx)
-        sizes = {len(b) for b in part.values()}
-        return sizes == {ctx.bucket_size()}, f"{ctx.n} buckets of {ctx.bucket_size()}"
+        # the bucket of w^i: the units of norm +-w^i, two (s and -s) per class
+        count, m = _norm_counts(ctx)[0], ctx.modulus
+        sizes = {count[r] + count[m - r] for r in (pow(ctx.w, i, m) for i in range(ctx.n))}
+        return sizes == {2 * ctx.bucket_size()}, f"{ctx.n} buckets of {ctx.bucket_size()}"
 
     out.append(_check("norm buckets uniform", buckets))
     tol = f"{FLOAT_TOL:g}".replace("e-0", "e-")  # 1e-09 reads 1e-9
@@ -100,13 +101,12 @@ def algebraic_checks(p: int, k: int = 1) -> list[Check]:
 
 
 def eps_independence_checks(p: int, k: int = 1) -> list[Check]:
-    gen = valid_epsilons(p)
-    eps1 = next(gen)
-    eps2 = next(gen)
+    eps1, eps2 = islice(valid_epsilons(p), 2)
 
     def same_theta():
-        t1 = theta(CartanContext.create(p, k, eps1))
-        t2 = theta(CartanContext.create(p, k, eps2))
+        # theta - theta' does not involve eps
+        t1 = theta_prime_row(CartanContext.create(p, k, eps1))
+        t2 = theta_prime_row(CartanContext.create(p, k, eps2))
         return t1 == t2, f"eps in {{{eps1}, {eps2}}}"
 
     return [_check("theta independent of eps", same_theta)]

@@ -65,3 +65,14 @@ def no_group_ring_fractions(monkeypatch):
     )
     _clear_level_caches()  # before the rebinding hides their cache_clear
     _refuse_in_cuspidal(monkeypatch, originals, "a group-ring Fraction was built")
+
+
+@pytest.fixture
+def no_dense_lattice(monkeypatch):
+    """Make the n-row unit-divisor lattice fail: classgroup.generator_matrix,
+    in every cuspidal module that binds it."""
+    from cuspidal import classgroup
+
+    _refuse_in_cuspidal(
+        monkeypatch, (classgroup.generator_matrix,), "the dense lattice was built"
+    )

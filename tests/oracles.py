@@ -32,6 +32,9 @@ somme_identities_by_classes checks the quadratic fiber identities of one h
 by scanning the classes of its norm fibers (norm_fiber), where
 stickelberger.somme_identities_check convolves for every h at once.
 
+frac_part and bernoulli2 are the exact Fraction helpers of the *_fraction
+evaluators and of the tests' Bernoulli targets; no command calls them.
+
 The remaining helpers read the bundled reference table, brute-force orders
 in H and in the Cartan ring, and build a context over a chosen generator w
 of H.
@@ -57,9 +60,7 @@ from cuspidal.arith import (
     _odd_flags,
     _small_primes,
     _trial_bound,
-    bernoulli2,
     factorize,
-    frac_part,
 )
 from cuspidal.cartan import (
     CartanClass,
@@ -73,6 +74,21 @@ from cuspidal.crosscheck import parse_value
 from cuspidal.errors import InvariantViolation
 from cuspidal.siegel import eta_sq, required_terms
 from cuspidal.stickelberger import GroupRingElement, d_value, theta
+
+
+ONE_SIXTH = Fraction(1, 6)
+
+
+def frac_part(x) -> Fraction:
+    """Fractional part <x> in [0, 1); x - <x> is an integer."""
+    x = Fraction(x)
+    return x - (x.numerator // x.denominator)
+
+
+def bernoulli2(t) -> Fraction:
+    """Second Bernoulli polynomial B2(t) = t^2 - t + 1/6, exactly."""
+    t = Fraction(t)
+    return t * t - t + ONE_SIXTH
 
 
 def bareiss_det(rows: Sequence[Sequence[int]]) -> int:

@@ -10,7 +10,6 @@ from fractions import Fraction
 
 import pytest
 
-from cuspidal.arith import bernoulli2
 from cuspidal.cartan import CartanContext, cusp_count_plus, genus_plus
 from cuspidal.classgroup import (
     bernoulli_formula_k1,
@@ -45,7 +44,7 @@ from cuspidal.stickelberger import (
     theta_prime,
     theta_prime_row,
 )
-from oracles import reference_table
+from oracles import bernoulli2, reference_table
 
 SMALL_PRIMES = (5, 7, 11, 13, 17, 19, 23, 29, 31)
 

@@ -20,16 +20,19 @@ from cuspidal.arith import (
     TRIAL_CHUNK,
     Factorization,
     Primality,
-    bernoulli2,
     factorize,
-    frac_part,
     iroot,
     is_prime,
     jacobi,
     legendre,
     packed_product,
 )
-from oracles import ecm_plan_by_primes, factorize_prime_by_prime
+from oracles import (
+    bernoulli2,
+    ecm_plan_by_primes,
+    factorize_prime_by_prime,
+    frac_part,
+)
 
 rationals = st.fractions(
     min_value=-10**6, max_value=10**6, max_denominator=10**4

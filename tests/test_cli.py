@@ -97,11 +97,28 @@ def test_order_json_times_the_bucket_sums(capsys):
     assert isinstance(timings["order_ms"], float)
 
 
+# every verify suite, at k = 1, 2 and 3
+VERIFY_ARGVS = (
+    ("verify", "-p", "5", "--analytic", "--structure", "--eps-independence"),
+    ("verify", "-p", "7", "--analytic"),
+    ("verify", "-p", "13", "-k", "2", "--structure"),
+    ("verify", "-p", "5", "-k", "3", "--eps-independence"),
+)
+
+
 def test_order_table_and_crosscheck_enumerate_no_class(capsys, no_class_enumeration):
     for argv in (("order", "-p", "5", "-k", "3"), ("table", "--pmax", "23"),
-                 ("crosscheck", "-p", "29")):
+                 ("crosscheck", "-p", "29")) + VERIFY_ARGVS:
         code, _, err = run(capsys, *argv)
         assert code == 0, (argv, err)
+
+
+def test_verify_builds_no_group_ring_fraction_or_dense_lattice(
+    capsys, no_group_ring_fractions, no_dense_lattice
+):
+    for argv in VERIFY_ARGVS:
+        code, out, err = run(capsys, *argv)
+        assert code == 0 and "FAIL" not in out, (argv, out, err)
 
 
 def test_usage_error_exit_code(capsys):

@@ -1,10 +1,12 @@
 import math
+import time
 
 import pytest
 
 from cuspidal.cartan import CartanContext
 from cuspidal.classgroup import order
 from cuspidal.crosscheck import (
+    MAX_VALUE_BITS,
     CrosscheckRecord,
     bundled_fixture_path,
     fixture_identities_ok,
@@ -58,6 +60,33 @@ def test_load_rejects_bad_rows(tmp_path):
     assert any("+-1" in e for e in report.errors)
     # line numbers present
     assert all(e.startswith("line ") for e in report.errors)
+
+
+def test_parse_value_bounds_the_size_before_forming_it():
+    assert parse_value(f"2^{MAX_VALUE_BITS - 1}") == 2 ** (MAX_VALUE_BITS - 1)
+    assert parse_value("1^100000000000") == 1  # 1 adds no bits
+    for huge in (f"2^{MAX_VALUE_BITS}", "3^100000000000", "5*7^100000000000*2",
+                 "1" + "0" * MAX_VALUE_BITS):
+        with pytest.raises(ValueError, match=f"above the bound of {MAX_VALUE_BITS}"):
+            parse_value(huge)
+
+
+def test_huge_power_row_is_rejected_at_once(tmp_path, capsys):
+    from cuspidal.cli import main
+
+    f = tmp_path / "counts.csv"
+    f.write_text("p,q,label,value\n11,23,J,33\n11,23,J,3^100000000000\n11,43,J,11\n")
+    start = time.perf_counter()
+    report = load_records(f)
+    assert time.perf_counter() - start < 1
+    assert [(r.q, r.value) for r in report.records] == [(23, 33), (43, 11)]
+    assert report.errors == [
+        f"line 3: value has up to 200000000001 bits, above the bound of {MAX_VALUE_BITS}"
+    ]
+    assert main(["crosscheck", str(f)]) == 0
+    out, err = capsys.readouterr()
+    assert err == f"rejected row: {report.errors[0]}\n"
+    assert "J-level gcd 11" in out
 
 
 def test_load_missing_file():

@@ -40,12 +40,8 @@ def test_traced_verify_records_every_layer_span():
     names = {span[0] for span in result["spans"]}
     assert names >= {
         "cartan.context_ms",
-        "cartan.partition_ms",
-        "stickelberger.a_ms",
-        "stickelberger.theta_ms",
         "classgroup.det_ms",
         "arith.factor_ms",
-        "classgroup.lattice_ms",
         "classgroup.snf_ms",
         "classgroup.float_check_ms",
         "classgroup.bernoulli_ms",

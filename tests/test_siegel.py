@@ -4,7 +4,6 @@ from fractions import Fraction
 
 import pytest
 
-from cuspidal.arith import bernoulli2
 from cuspidal.cartan import CartanContext
 from cuspidal.siegel import (
     cartan_group_lift,
@@ -25,7 +24,7 @@ from cuspidal.siegel import (
     t_plus_eval,
 )
 from cuspidal.verify import ANALYTIC_MATRICES, ANALYTIC_TAUS
-from oracles import infinity_order_slope_fraction, klein_eval_fraction
+from oracles import bernoulli2, infinity_order_slope_fraction, klein_eval_fraction
 
 TAUS = (1j, 0.3 + 1j, 2j)
 MATRICES = (((1, 1), (0, 1)), ((0, -1), (1, 0)))
@@ -262,3 +261,19 @@ def test_th_ratio_signs_explicit():
 def test_t_plus_is_nonzero():
     ctx = CartanContext.create(5)
     assert abs(t_plus_eval(ctx, 1, 1j)) > 0
+
+
+@pytest.mark.parametrize("p,k", [(5, 1), (7, 1), (13, 1), (5, 2), (7, 2)])
+def test_t_plus_buckets_equal_the_partition(monkeypatch, p, k):
+    # the units of norm +-w^h, one per pair {s, -s}, are the classes of the
+    # dense partition's bucket h, in the same order
+    import cuspidal.siegel as sg
+    from cuspidal.cartan import norm_class_partition
+
+    ctx = CartanContext.create(p, k)
+    seen = []
+    monkeypatch.setattr(sg, "klein_eval", lambda a, den, tau: seen.append(tuple(a)) or 1.0)
+    for h, bucket in norm_class_partition(ctx).items():
+        seen.clear()
+        t_plus_eval(ctx, h, 1j)
+        assert seen == [tuple(c) for c in bucket], h

@@ -3,12 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from cuspidal.arith import bernoulli2
 from cuspidal.cartan import CartanContext, norm_class_partition
 from cuspidal.errors import InvariantViolation
 from cuspidal.stickelberger import (
     GroupRingElement,
     _fiber_square_sums,
+    _norm_counts,
     compute_a,
     d_value,
     e_value,
@@ -19,6 +19,7 @@ from cuspidal.stickelberger import (
     theta_prime_row,
 )
 from oracles import (
+    bernoulli2,
     context_with_generator,
     divisor_of_unit,
     fiber_sums_by_classes,
@@ -241,6 +242,17 @@ def test_fiber_square_sums_equal_the_class_scan(p, k):
         if r % p:
             c11, c22, _ = fiber_sums_by_classes(ctx, r)
             assert (s11[r], s22[r]) == (2 * c11 % m, 2 * c22 % m), r
+
+
+@pytest.mark.parametrize("p,k", [(5, 1), (7, 1), (13, 1), (5, 2), (7, 2)])
+def test_norm_counts_give_the_partition_bucket_sizes(p, k):
+    # bucket h holds the units of norm w^h and -w^h, s and -s one class
+    ctx = CartanContext.create(p, k)
+    m = ctx.modulus
+    count = _norm_counts(ctx)[0]
+    for h, bucket in norm_class_partition(ctx).items():
+        r = pow(ctx.w, h, m)
+        assert count[r] + count[m - r] == 2 * len(bucket), h
 
 
 @pytest.mark.parametrize("p,k", [(13, 2), (7, 3)])

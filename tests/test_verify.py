@@ -1,3 +1,5 @@
+from itertools import islice
+
 import pytest
 
 from cuspidal.verify import (
@@ -72,6 +74,42 @@ def test_quadratic_bucket_sums_check_names_a_failing_h(monkeypatch):
     monkeypatch.setattr(st, "_fiber_square_sums", perturbed)
     check = next(c for c in algebraic_checks(13) if c.name == "quadratic bucket sums (all h)")
     assert not check.passed and check.detail == "6 values of h checked; failing: [4]"
+
+
+def test_norm_buckets_check_fails_on_one_extra_unit(monkeypatch):
+    # one extra unit of norm 2 mod 13 leaves the bucket of +-2 half a class too big
+    import cuspidal.verify as v
+
+    real = v._norm_counts
+
+    def perturbed(ctx):
+        count, weights, minus_eps = real(ctx)
+        count[2] += 1
+        return count, weights, minus_eps
+
+    monkeypatch.setattr(v, "_norm_counts", perturbed)
+    checks = {c.name: c for c in algebraic_checks(13)}
+    assert not checks["norm buckets uniform"].passed
+    assert checks["norm buckets uniform"].detail == "6 buckets of 14"
+    assert all(c.passed for name, c in checks.items() if name != "norm buckets uniform")
+
+
+@pytest.mark.parametrize("p,k", [(13, 1), (5, 2)])
+def test_eps_independence_fails_on_a_perturbed_second_row(monkeypatch, p, k):
+    import cuspidal.verify as v
+    from cuspidal.cartan import valid_epsilons
+
+    real = v.theta_prime_row
+    _, eps2 = islice(valid_epsilons(p), 2)
+
+    def perturbed(ctx):
+        row = real(ctx)
+        return row if ctx.epsilon != eps2 else (row[0] + 1,) + row[1:]
+
+    assert all(c.passed for c in eps_independence_checks(p, k))
+    monkeypatch.setattr(v, "theta_prime_row", perturbed)
+    (check,) = eps_independence_checks(p, k)
+    assert not check.passed and f", {eps2}}}" in check.detail
 
 
 def test_observed_denominator_reported():
