@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from ._version import __version__
 from .arith import DEFAULT_RHO_BUDGET, Primality, is_prime
 from .cartan import _validate_pk, cusp_count_plus, genus_plus
-from .classgroup import compute_class_group
+from .classgroup import ClassGroupResult, compute_class_group
 from .crosscheck import (
     bundled_fixture_path,
     fixture_identities_ok,
@@ -90,10 +91,176 @@ def cmd_table(args) -> int:
         raise UsageError(
             f"--pmax {args.pmax} exceeds the guard {TABLE_GUARD}; pass --force to override"
         )
-    for p in _primes_in(5, args.pmax):
-        res = compute_class_group(p, 1, factor=True, rho_budget=args.rho_budget)
-        print(json.dumps(res.to_json_dict()) if args.json else table_row(res))
+    primes = _primes_in(5, args.pmax)
+    for row in _table_rows(primes, args.rho_budget):
+        if isinstance(row, BaseException):
+            raise row  # the rows below it are printed, as a sequential run would
+        print(json.dumps(row.to_json_dict()) if args.json else table_row(row))
     return 0
+
+
+_TOKEN_BYTES = 4  # one row index in the claim pipe
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity outside Linux
+        return os.cpu_count() or 1
+
+
+def _worker_count(rows: int) -> int:
+    """One process per usable CPU, at most one per row; one alone where
+    there is no fork, or where other threads run: a forked child has only
+    the calling thread, and a lock another thread holds stays held in it."""
+    threading = sys.modules.get("threading")
+    if not hasattr(os, "fork") or (threading is not None and threading.active_count() > 1):
+        return 1
+    return max(1, min(rows, _usable_cpus()))
+
+
+class _RowClaims:
+    """The table's row indices, largest p first (the costliest rows start
+    early), as fixed-width tokens in one pipe that every worker reads: a
+    worker claims a row by reading its token, so each row is claimed once.
+    The tokens are written before any worker starts; those that do not fit
+    in the pipe stay with the parent, which writes them as it claims."""
+
+    def __init__(self, rows: int):
+        self.read_fd, self.write_fd = os.pipe()
+        os.set_blocking(self.write_fd, False)
+        self.backlog = list(range(rows))  # popped from the end
+        self.refill()
+
+    def refill(self) -> None:
+        while self.backlog:
+            try:  # a write of at most PIPE_BUF bytes is whole or refused
+                os.write(self.write_fd, self.backlog[-1].to_bytes(_TOKEN_BYTES, "big"))
+            except BlockingIOError:
+                return
+            self.backlog.pop()
+        self.close_writer()
+
+    def close_writer(self) -> None:
+        if self.write_fd is not None:
+            os.close(self.write_fd)
+            self.write_fd = None
+
+    def close(self) -> None:
+        self.close_writer()
+        os.close(self.read_fd)
+
+    def claim(self) -> int | None:
+        """The next unclaimed row, or None once every row is claimed."""
+        if self.backlog:
+            self.refill()
+        token = os.read(self.read_fd, _TOKEN_BYTES)
+        return int.from_bytes(token, "big") if token else None
+
+
+def _read_pipe(fd: int, wait: bool) -> bytes:
+    """What the pipe holds: up to its end if wait, else what is there now."""
+    os.set_blocking(fd, wait)
+    chunks = []
+    try:
+        while chunk := os.read(fd, 1 << 16):
+            chunks.append(chunk)
+    except BlockingIOError:
+        pass
+    return b"".join(chunks)
+
+
+def _row_report(row: int, p: int, rho_budget: int) -> dict:
+    """One row as a worker process sends it to the parent."""
+    try:
+        res = compute_class_group(p, 1, factor=True, rho_budget=rho_budget)
+    except InvariantViolation as exc:
+        return {"row": row, "invariant": str(exc)}
+    except Exception:
+        import traceback
+
+        return {"row": row, "traceback": traceback.format_exc()}
+    return {"row": row, "result": res.to_json_dict()}
+
+
+def _from_report(report: dict, p: int):
+    if "result" in report:
+        return ClassGroupResult.from_json_dict(report["result"])
+    if "invariant" in report:
+        return InvariantViolation(report["invariant"])
+    return RuntimeError(f"table row p = {p} failed in a worker process:\n{report['traceback']}")
+
+
+def _table_rows(primes: list[int], rho_budget: int) -> list:
+    """Each prime's ClassGroupResult, or the exception its row raised.
+
+    The rows run on _worker_count processes: the parent and W - 1 children
+    forked once, before the first row, each claiming rows from one
+    _RowClaims.  A child sends each row back as one
+    JSON line and ends in os._exit, never writing to stdout or stderr.  Each
+    row is deterministic on its own (factoring seeds its own generator, the
+    caches are per level), so the rows do not depend on which process ran
+    them.  Restricting the CPUs (``taskset -c 0``) gives one process."""
+    workers = _worker_count(len(primes))
+    rows: list = [None] * len(primes)
+    claims = _RowClaims(len(primes))
+    children: dict[int, tuple[int, list[bytes]]] = {}  # pid -> result pipe, what it sent
+    try:
+        if workers > 1:
+            sys.stdout.flush()
+            sys.stderr.flush()
+        for _ in range(workers - 1):
+            read_fd, write_fd = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:  # no process to spare: the workers so far take the rows
+                os.close(read_fd)
+                os.close(write_fd)
+                break
+            if pid == 0:
+                status = 1
+                try:
+                    claims.close_writer()
+                    claims.backlog.clear()
+                    with open(write_fd, "w", encoding="utf-8") as out:
+                        while (row := claims.claim()) is not None:
+                            report = _row_report(row, primes[row], rho_budget)
+                            print(json.dumps(report), file=out, flush=True)
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(write_fd)
+            children[pid] = (read_fd, [])
+        while (row := claims.claim()) is not None:
+            try:
+                rows[row] = compute_class_group(primes[row], 1, factor=True, rho_budget=rho_budget)
+            except Exception as exc:
+                rows[row] = exc
+            for fd, sent in children.values():  # so that no child waits on a full pipe
+                sent.append(_read_pipe(fd, wait=False))
+        for fd, sent in children.values():
+            sent.append(_read_pipe(fd, wait=True))
+    except BaseException:
+        import signal
+
+        for pid in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        claims.close()
+        for pid, (fd, _) in children.items():
+            os.close(fd)
+            os.waitpid(pid, 0)
+    for _, sent in children.values():
+        for line in b"".join(sent).split(b"\n")[:-1]:  # a cut last line is unreported
+            report = json.loads(line)
+            rows[report["row"]] = _from_report(report, primes[report["row"]])
+    return [
+        RuntimeError(f"table row p = {p} was claimed by a worker process "
+                     "that exited without reporting it")
+        if row is None else row
+        for p, row in zip(primes, rows)
+    ]
 
 
 def cmd_verify(args) -> int:

@@ -48,13 +48,26 @@ def parse_value(text: str) -> int:
         raise ValueError(
             f"value has a {digits}-digit number, above the bound of {MAX_VALUE_BITS} bits"
         )
-    factors = [(int(b), int(e or 1)) for b, _, e in (f.partition("^") for f in s.split("*"))]
+    factors = [
+        (_from_digits(b), _from_digits(e or "1"))
+        for b, _, e in (f.partition("^") for f in s.split("*"))
+    ]
     bits = 1 + sum(e * (b - 1).bit_length() for b, e in factors)
     if bits > MAX_VALUE_BITS:
         raise ValueError(
             f"value has up to {brief_int(bits)} bits, above the bound of {MAX_VALUE_BITS}"
         )
     return math.prod(b**e for b, e in factors)
+
+
+def _from_digits(digits: str) -> int:
+    """int(digits) at any length, whatever int <-> str limit is in force,
+    without changing it: the digits are converted in runs of at most 640,
+    the lowest limit Python accepts."""
+    if len(digits) <= 640:
+        return int(digits)
+    half = len(digits) // 2
+    return _from_digits(digits[:-half]) * 10**half + _from_digits(digits[-half:])
 
 
 class CrosscheckRecord(NamedTuple):

@@ -422,7 +422,7 @@ def test_order_and_verify_never_request_the_trial_bound_sieve(argv, monkeypatch,
 def test_table_sieves_nothing_above_the_first_stage_2_bound(monkeypatch, capsys):
     # trial division stays within TRIAL_BOUND, and only the p = 83 row
     # reaches ECM, at its first level: the one sieve beyond 2^16 is B2 = 100 B1
-    from cuspidal import arith
+    from cuspidal import arith, cli
     from cuspidal.cli import main
 
     requested = []
@@ -439,6 +439,8 @@ def test_table_sieves_nothing_above_the_first_stage_2_bound(monkeypatch, capsys)
     monkeypatch.setattr(arith, "_chunk_products", spy(arith._chunk_products, requested))
     monkeypatch.setattr(arith, "_odd_flags", spy(arith._odd_flags, sieved))
     _ecm_plan.cache_clear()
+    # the spies see only this process: one worker runs every row
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
     assert main(["table", "--pmax", "101"]) == 0
     capsys.readouterr()
     b2 = 100 * arith.ECM_SCHEDULE[0][0]

@@ -1,4 +1,5 @@
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -7,6 +8,7 @@ import pytest
 from cuspidal.arith import DEFAULT_RHO_BUDGET
 from cuspidal.classgroup import ClassGroupResult
 from cuspidal.cli import main, table_row
+from cuspidal.errors import InvariantViolation
 from oracles import reference_order, reference_table
 
 
@@ -154,7 +156,8 @@ def test_table_matches_reference_prefix(capsys):
 
 
 def test_table_parallel_flag_is_gone(capsys):
-    # rows are pure-Python work: threads never sped them up, so the flag went
+    # threads never sped the pure-Python rows up, so the flag went; the rows
+    # now run on one process per usable CPU with no flag
     code, _, err = run(capsys, "table", "--pmax", "19", "--parallel", "4")
     assert code == 2 and "--parallel" in err
 
@@ -162,11 +165,9 @@ def test_table_parallel_flag_is_gone(capsys):
 def test_table_pmax_101_matches_goldens_with_bounded_caches(capsys):
     from cuspidal import cartan, classgroup, stickelberger
 
-    goldens_path = Path(__file__).parents[1] / "perfbench" / "goldens.json"
-    goldens = json.loads(goldens_path.read_text())
     code, out, _ = run(capsys, "table", "--pmax", "101")
     assert code == 0
-    assert out.splitlines() == goldens["table --pmax 101"]
+    assert out.splitlines() == table_goldens()
     caches = (
         cartan.find_generator_H,
         cartan.h_index_table,
@@ -182,6 +183,189 @@ def test_table_pmax_101_matches_goldens_with_bounded_caches(capsys):
         info = fn.cache_info()
         assert info.maxsize == cartan.CONTEXT_CACHE_SIZE, fn.__name__
         assert info.currsize <= info.maxsize, fn.__name__
+
+
+def table_goldens():
+    goldens_path = Path(__file__).parents[1] / "perfbench" / "goldens.json"
+    return json.loads(goldens_path.read_text())["table --pmax 101"]
+
+
+def rows_below_83():
+    return [line for line in table_goldens() if int(line.split("\t")[0]) < 83]
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def with_cpus(monkeypatch, cpus):
+    from cuspidal import cli
+
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+
+
+def without_timings(json_lines):
+    rows = [json.loads(line) for line in json_lines.splitlines()]
+    for row in rows:
+        assert set(row.pop("timings_ms")) == {"bucket_sums_ms", "order_ms", "factor_ms"}
+    return rows
+
+
+def test_table_rows_do_not_depend_on_the_worker_count(capsys, monkeypatch):
+    # two CPUs forks a worker even on a one-CPU host
+    outputs = {}
+    for cpus in (1, 2):
+        with_cpus(monkeypatch, cpus)
+        code, text, err = run(capsys, "table", "--pmax", "101")
+        assert code == 0 and err == ""
+        assert_no_child_left()
+        code, json_lines, err = run(capsys, "table", "--pmax", "101", "--json")
+        assert code == 0 and err == ""
+        assert_no_child_left()
+        outputs[cpus] = (text, without_timings(json_lines))
+    assert outputs[1] == outputs[2]
+    assert outputs[1][0].splitlines() == table_goldens()
+
+
+def test_table_forks_no_worker_while_other_threads_run(capsys, monkeypatch):
+    import threading
+
+    from cuspidal import cli
+
+    real = cli.compute_class_group
+    pids = []
+
+    def compute(*args, **kwargs):
+        pids.append(os.getpid())
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "compute_class_group", compute)
+    with_cpus(monkeypatch, 2)
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait, args=(60,))
+    thread.start()
+    try:
+        code, out, _ = run(capsys, "table", "--pmax", "23")
+    finally:
+        stop.set()
+        thread.join(60)
+    assert not thread.is_alive()
+    assert code == 0 and out.splitlines() == table_goldens()[:7]
+    assert pids == [os.getpid()] * 7  # every row ran here, none in a child
+    assert_no_child_left()
+
+
+def test_row_claims_hold_more_rows_than_one_pipe():
+    from cuspidal import cli
+
+    claims = cli._RowClaims(40000)  # 160 kB of tokens: the parent keeps a backlog
+    assert claims.backlog
+    claimed = []
+    while (row := claims.claim()) is not None:
+        claimed.append(row)
+    claims.close()
+    assert claimed == list(range(39999, -1, -1)) and claims.write_fd is None
+
+
+def fail_at_83(monkeypatch, fail):
+    """Make cli.compute_class_group call fail() at p = 83.  With a worker
+    forked, the parent's first row waits until no worker holds a pipe's
+    write end: a worker closes it on reaching p = 83, so that row is always
+    a worker's.  Returns the pipe's read end, for the caller to close."""
+    from cuspidal import cli
+
+    real = cli.compute_class_group
+    parent = os.getpid()
+    read_fd, write_fd = os.pipe()
+    waiting = [True]
+
+    def compute(p, *args, **kwargs):
+        if os.getpid() == parent and waiting:
+            waiting.clear()
+            os.close(write_fd)
+            os.read(read_fd, 1)  # end of file once no worker holds write_fd
+        if p == 83:
+            if os.getpid() != parent:
+                os.close(write_fd)
+            fail()
+        return real(p, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "compute_class_group", compute)
+    return read_fd
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_table_invariant_violation_prints_the_rows_below_it(capsys, monkeypatch, cpus):
+    def fail():
+        raise InvariantViolation("forced at p = 83")
+
+    with_cpus(monkeypatch, cpus)
+    read_fd = fail_at_83(monkeypatch, fail)
+    try:
+        code, out, err = run(capsys, "table", "--pmax", "101")
+    finally:
+        os.close(read_fd)
+    assert_no_child_left()
+    assert code == 3
+    assert err == "internal invariant violation: forced at p = 83\n"
+    assert out.splitlines() == rows_below_83()
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_table_error_keeps_its_traceback(capsys, monkeypatch, cpus):
+    def fail():
+        raise ValueError("forced at p = 83")
+
+    with_cpus(monkeypatch, cpus)
+    read_fd = fail_at_83(monkeypatch, fail)
+    try:
+        # one worker raises the row's own error, a forked one its traceback
+        with pytest.raises((ValueError, RuntimeError)) as info:
+            main(["table", "--pmax", "101"])
+    finally:
+        os.close(read_fd)
+    assert_no_child_left()
+    out, err = capsys.readouterr()
+    assert out.splitlines() == rows_below_83() and err == ""
+    if cpus == 1:
+        assert info.type is ValueError
+    else:
+        message = str(info.value)
+        assert info.type is RuntimeError and "table row p = 83" in message
+        assert "Traceback" in message and "ValueError: forced at p = 83" in message
+
+
+def test_a_spy_in_a_worker_still_fails_the_table(capsys, monkeypatch, no_class_enumeration):
+    # the spies of test_order_table_and_crosscheck_enumerate_no_class reach
+    # the rows a forked worker runs
+    from cuspidal import cartan
+
+    def enumerate_classes():
+        cartan.norm_class_partition(cartan.CartanContext.create(83, 1))
+
+    with_cpus(monkeypatch, 2)
+    read_fd = fail_at_83(monkeypatch, enumerate_classes)
+    try:
+        with pytest.raises(RuntimeError, match="the unit classes were enumerated"):
+            main(["table", "--pmax", "101"])
+    finally:
+        os.close(read_fd)
+    assert_no_child_left()
+    assert capsys.readouterr().out.splitlines() == rows_below_83()
+
+
+def test_table_fails_loudly_when_a_worker_dies(capsys, monkeypatch):
+    with_cpus(monkeypatch, 2)
+    read_fd = fail_at_83(monkeypatch, lambda: os._exit(9))
+    try:
+        with pytest.raises(RuntimeError, match="table row p = 83 .* without reporting it"):
+            main(["table", "--pmax", "101"])
+    finally:
+        os.close(read_fd)
+    assert_no_child_left()
+    out, err = capsys.readouterr()
+    assert out.splitlines() == rows_below_83() and err == ""
 
 
 def test_table_guard(capsys):

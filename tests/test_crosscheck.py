@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -87,6 +91,39 @@ def test_huge_power_row_is_rejected_at_once(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert err == f"rejected row: {report.errors[0]}\n"
     assert "J-level gcd 11" in out
+
+
+# run in a fresh interpreter, with the default int <-> str limit in force
+LONG_DIGIT_RUNS = """
+import sys
+from cuspidal.crosscheck import load_records, parse_value
+
+get_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
+limit = get_limit()
+assert limit == getattr(sys.int_info, "default_max_str_digits", 0), limit
+assert parse_value("9" * 5000) == 10**5000 - 1
+assert parse_value("1" + "0" * 5000 + "^2*3") == 3 * 10**10000
+path = sys.argv[1]
+with open(path, "w") as f:
+    f.write("p,q,label,value\\n11,23,J,3" + "0" * 4999 + "\\n")
+report = load_records(path)
+assert report.errors == [], report.errors
+assert [r.value for r in report.records] == [3 * 10**4999]
+assert get_limit() == limit
+print("ok")
+"""
+
+
+def test_long_digit_runs_parse_under_the_default_digit_limit(tmp_path):
+    env = dict(os.environ)
+    env.pop("PYTHONINTMAXSTRDIGITS", None)
+    src = str(Path(__file__).parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", LONG_DIGIT_RUNS, str(tmp_path / "counts.csv")],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0 and proc.stdout == "ok\n", proc.stderr
 
 
 def test_load_missing_file():

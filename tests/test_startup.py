@@ -58,3 +58,10 @@ def test_only_the_structure_loads_its_components():
     assert "cuspidal.components" not in loaded_modules("order", "-p", "13")
     assert "cuspidal.components" not in loaded_modules("table", "--pmax", "13")
     assert "cuspidal.components" in loaded_modules("verify", "-p", "13", "--structure")
+
+
+def test_table_forks_its_workers_with_no_new_import():
+    # the rows use os.fork and os pipes; signal and traceback are imported
+    # only when a row or the table fails
+    modules = loaded_modules("table", "--pmax", "101")
+    assert not modules & {"multiprocessing", "concurrent.futures", "signal", "traceback"}
