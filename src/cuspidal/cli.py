@@ -11,27 +11,41 @@ invariant violation.
 from __future__ import annotations
 
 import argparse
-import json
+import importlib.util
 import os
 import sys
 
 from ._version import __version__
-from .arith import DEFAULT_RHO_BUDGET, Primality, is_prime
-from .cartan import _validate_pk, cusp_count_plus, genus_plus
-from .classgroup import ClassGroupResult, compute_class_group
-from .crosscheck import (
-    bundled_fixture_path,
-    fixture_identities_ok,
-    gcd_harness,
-    load_records,
-)
 from .errors import SIZE_GUARD, InvariantViolation, brief_int
-from .verify import (
-    algebraic_checks,
-    analytic_checks,
-    eps_independence_checks,
-    structure_checks,
-)
+
+
+def _lazy_module(name: str):
+    """The package module ``name``, registered in sys.modules now and
+    compiled and run at the first read of one of its attributes, so a
+    command pays only for the modules it uses.  Every import of the module
+    returns this one object."""
+    fullname = f"{__package__}.{name}"
+    if fullname in sys.modules:
+        return sys.modules[fullname]
+    spec = importlib.util.find_spec(fullname)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[fullname] = module
+    spec.loader.exec_module(module)
+    setattr(sys.modules[__package__], name, module)
+    return module
+
+
+def _load(module) -> None:
+    """Compile and run a lazy module now rather than at its first use."""
+    module.__name__
+
+
+arith = _lazy_module("arith")
+cartan = _lazy_module("cartan")
+classgroup = _lazy_module("classgroup")
+crosscheck = _lazy_module("crosscheck")
+verify = _lazy_module("verify")
 
 TABLE_GUARD = 101
 
@@ -42,7 +56,7 @@ class UsageError(Exception):
 
 def _require_level(p: int, k: int = 1) -> None:
     try:
-        _validate_pk(p, k)
+        cartan._validate_pk(p, k)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -65,21 +79,32 @@ def _require_guarded_level(p: int, k: int, force: bool) -> None:
 
 
 def _primes_in(lo: int, hi: int) -> list[int]:
-    return [p for p in range(lo, hi + 1) if is_prime(p) is not Primality.COMPOSITE]
+    return [p for p in range(lo, hi + 1) if arith.is_prime(p) is not arith.Primality.COMPOSITE]
 
 
 def cmd_order(args) -> int:
     _require_guarded_level(args.p, args.k, args.force)
-    res = compute_class_group(
-        args.p, args.k, factor=args.factor or args.json, rho_budget=args.rho_budget
+    res = classgroup.compute_class_group(
+        args.p, args.k, factor=args.factor or args.json, rho_budget=_rho_budget(args)
     )
     if args.json:
-        print(json.dumps(res.to_json_dict()))
+        print(_json_record(res))
     elif args.factor:
         print(res.factored_str())
     else:
         print(res.order)
     return 0
+
+
+def _rho_budget(args) -> int:
+    # the parser leaves the default unset, so that building it loads no layer
+    return arith.DEFAULT_RHO_BUDGET if args.rho_budget is None else args.rho_budget
+
+
+def _json_record(res) -> str:
+    import json
+
+    return json.dumps(res.to_json_dict())
 
 
 def table_row(res) -> str:
@@ -92,10 +117,10 @@ def cmd_table(args) -> int:
             f"--pmax {args.pmax} exceeds the guard {TABLE_GUARD}; pass --force to override"
         )
     primes = _primes_in(5, args.pmax)
-    for row in _table_rows(primes, args.rho_budget):
+    for row in _table_rows(primes, _rho_budget(args)):
         if isinstance(row, BaseException):
             raise row  # the rows below it are printed, as a sequential run would
-        print(json.dumps(row.to_json_dict()) if args.json else table_row(row))
+        print(_json_record(row) if args.json else table_row(row))
     return 0
 
 
@@ -173,7 +198,7 @@ def _read_pipe(fd: int, wait: bool) -> bytes:
 def _row_report(row: int, p: int, rho_budget: int) -> dict:
     """One row as a worker process sends it to the parent."""
     try:
-        res = compute_class_group(p, 1, factor=True, rho_budget=rho_budget)
+        res = classgroup.compute_class_group(p, 1, factor=True, rho_budget=rho_budget)
     except InvariantViolation as exc:
         return {"row": row, "invariant": str(exc)}
     except Exception:
@@ -185,7 +210,7 @@ def _row_report(row: int, p: int, rho_budget: int) -> dict:
 
 def _from_report(report: dict, p: int):
     if "result" in report:
-        return ClassGroupResult.from_json_dict(report["result"])
+        return classgroup.ClassGroupResult.from_json_dict(report["result"])
     if "invariant" in report:
         return InvariantViolation(report["invariant"])
     return RuntimeError(f"table row p = {p} failed in a worker process:\n{report['traceback']}")
@@ -207,6 +232,11 @@ def _table_rows(primes: list[int], rho_budget: int) -> list:
     children: dict[int, tuple[int, list[bytes]]] = {}  # pid -> result pipe, what it sent
     try:
         if workers > 1:
+            # the report lines' codec and the rows' module, loaded once
+            # here rather than in every worker after the fork
+            import json
+
+            _load(classgroup)
             sys.stdout.flush()
             sys.stderr.flush()
         for _ in range(workers - 1):
@@ -233,7 +263,9 @@ def _table_rows(primes: list[int], rho_budget: int) -> list:
             children[pid] = (read_fd, [])
         while (row := claims.claim()) is not None:
             try:
-                rows[row] = compute_class_group(primes[row], 1, factor=True, rho_budget=rho_budget)
+                rows[row] = classgroup.compute_class_group(
+                    primes[row], 1, factor=True, rho_budget=rho_budget
+                )
             except Exception as exc:
                 rows[row] = exc
             for fd, sent in children.values():  # so that no child waits on a full pipe
@@ -274,13 +306,13 @@ def cmd_verify(args) -> int:
             "pass --force to override"
         )
 
-    checks = algebraic_checks(args.p, args.k)
+    checks = verify.algebraic_checks(args.p, args.k)
     if args.structure:
-        checks += structure_checks(args.p, args.k)
+        checks += verify.structure_checks(args.p, args.k)
     if args.eps_independence:
-        checks += eps_independence_checks(args.p, args.k)
+        checks += verify.eps_independence_checks(args.p, args.k)
     if args.analytic:
-        checks += analytic_checks(args.p)
+        checks += verify.analytic_checks(args.p)
 
     failed = 0
     for check in checks:
@@ -293,12 +325,15 @@ def cmd_verify(args) -> int:
 
 
 def cmd_crosscheck(args) -> int:
+    # the largest module is compiled first, on the smallest heap: compiled
+    # after the crosscheck module and its records, it sets a higher peak
+    _load(classgroup)
     bundled = args.path is None
-    path = bundled_fixture_path() if bundled else args.path
+    path = crosscheck.bundled_fixture_path() if bundled else args.path
     try:
         # crosscheck has no --force: a row above the size guard is rejected
         # outright, before its primality test and before any order is computed
-        report = load_records(path)
+        report = crosscheck.load_records(path)
     except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
     for err in report.errors:
@@ -315,8 +350,8 @@ def cmd_crosscheck(args) -> int:
 
     all_ok = True
     for p in levels:
-        order_p = compute_class_group(p, 1, factor=False).order
-        harness = gcd_harness(p, report.for_p(p), order_p)
+        order_p = classgroup.compute_class_group(p, 1, factor=False).order
+        harness = crosscheck.gcd_harness(p, report.for_p(p), order_p)
         print(f"p={p}: order {order_p}")
         if harness.j_gcd is not None:
             print(f"  J-level gcd {harness.j_gcd}  ratio {harness.j_ratio}")
@@ -329,7 +364,7 @@ def cmd_crosscheck(args) -> int:
                 f"  ratio {harness.newform_ratio}"
             )
         if bundled:
-            ok, problems = fixture_identities_ok(harness)
+            ok, problems = crosscheck.fixture_identities_ok(harness)
             for problem in problems:
                 print(f"  IDENTITY FAILED: {problem}")
             all_ok = all_ok and ok
@@ -338,8 +373,8 @@ def cmd_crosscheck(args) -> int:
 
 def cmd_genus(args) -> int:
     _require_guarded_level(args.p, 1, args.force)
-    print(f"genus {genus_plus(args.p)}")
-    print(f"cusps {cusp_count_plus(args.p)}")
+    print(f"genus {cartan.genus_plus(args.p)}")
+    print(f"cusps {cartan.cusp_count_plus(args.p)}")
     return 0
 
 
@@ -361,14 +396,14 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_order)
     p_order.add_argument("--factor", action="store_true", help="print the factored order")
     p_order.add_argument("--json", action="store_true", help="emit a JSON record")
-    p_order.add_argument("--rho-budget", type=int, default=DEFAULT_RHO_BUDGET,
+    p_order.add_argument("--rho-budget", type=int,
                          help="factoring step budget for the call (rho and ECM)")
     p_order.set_defaults(func=cmd_order)
 
     p_table = sub.add_parser("table", help="factored orders for primes 5..pmax")
     p_table.add_argument("--pmax", type=int, default=TABLE_GUARD)
     p_table.add_argument("--json", action="store_true", help="one JSON record per line")
-    p_table.add_argument("--rho-budget", type=int, default=DEFAULT_RHO_BUDGET,
+    p_table.add_argument("--rho-budget", type=int,
                          help="factoring step budget per level (rho and ECM)")
     p_table.add_argument("--force", action="store_true", help="override the pmax guard")
     p_table.set_defaults(func=cmd_table)

@@ -70,6 +70,17 @@ def _from_digits(digits: str) -> int:
     return _from_digits(digits[:-half]) * 10**half + _from_digits(digits[-half:])
 
 
+def _int_field(text: str) -> int:
+    """int(text), whatever int <-> str limit is in force: a field of more
+    than 640 decimal digits, with an optional sign, goes through
+    _from_digits, and anything else through int."""
+    sign, digits = (text[0], text[1:]) if text[:1] in ("+", "-") else ("", text)
+    if len(digits) > 640 and digits.isdecimal():
+        n = _from_digits(digits)
+        return -n if sign == "-" else n
+    return int(text)
+
+
 class CrosscheckRecord(NamedTuple):
     p: int
     q: int
@@ -114,7 +125,7 @@ def load_records(path) -> LoadReport:
             report.errors.append(f"line {lineno}: expected 4 fields, got {len(parts)}")
             continue
         try:
-            p, q = int(parts[0]), int(parts[1])
+            p, q = _int_field(parts[0]), _int_field(parts[1])
             value = parse_value(parts[3])
         except ValueError as exc:
             report.errors.append(f"line {lineno}: {exc}")

@@ -18,13 +18,15 @@ theta' are the row's rational forms, test oracles only.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .arith import packed_product
 from .cartan import CONTEXT_CACHE_SIZE, CartanContext
 from .errors import InvariantViolation
+
+if TYPE_CHECKING:  # fractions is imported where the group ring uses it
+    from fractions import Fraction
 
 
 class GroupRingElement:
@@ -35,6 +37,8 @@ class GroupRingElement:
     def __init__(self, ctx: CartanContext, coeffs: Sequence[Fraction | int]):
         if len(coeffs) != ctx.n:
             raise ValueError(f"need {ctx.n} coefficients, got {len(coeffs)}")
+        from fractions import Fraction
+
         self.ctx = ctx
         self.coeffs = tuple(Fraction(c) for c in coeffs)
 
@@ -69,6 +73,8 @@ class GroupRingElement:
         return GroupRingElement(self.ctx, tuple(-x for x in self.coeffs))
 
     def __mul__(self, other):
+        from fractions import Fraction
+
         if isinstance(other, GroupRingElement):
             self._same_group(other)
             n = self.ctx.n
@@ -91,7 +97,7 @@ class GroupRingElement:
         return GroupRingElement(self.ctx, self.coeffs[n - j :] + self.coeffs[: n - j])
 
     def degree(self) -> Fraction:
-        return sum(self.coeffs, Fraction(0))
+        return sum(self.coeffs, 0)
 
     def is_integral(self) -> bool:
         return all(c.denominator == 1 for c in self.coeffs)
@@ -211,6 +217,8 @@ def compute_a(ctx: CartanContext) -> tuple[Fraction, ...]:
     """Bucket sums a[j] = (p^k / 2) * sum over the w^j norm bucket of
     B2(<a1 / p^k>); exact rationals, and their total is 0.  Each is
     theta_prime_row's a'_j plus the shift (p+1) p^(2k-1) / 12."""
+    from fractions import Fraction
+
     p, k = ctx.p, ctx.k
     shift = Fraction((p + 1) * p ** (2 * k - 1), 12)
     out = tuple(shift + x for x in theta_prime_row(ctx))
@@ -231,6 +239,8 @@ def theta(ctx: CartanContext) -> GroupRingElement:
 def theta_prime(ctx: CartanContext) -> GroupRingElement:
     """theta shifted by the constant (p+1) p^(2k-1) / 12 on every coefficient;
     its degree must be -(p^2-1) p^(3k-2) / 24."""
+    from fractions import Fraction
+
     p, k = ctx.p, ctx.k
     const = Fraction((p + 1) * p ** (2 * k - 1), 12)
     out = GroupRingElement(ctx, tuple(c - const for c in theta(ctx).coeffs))

@@ -54,7 +54,7 @@ def test_order_factor_13_squared_completes(capsys):
 
 
 def test_size_guard_and_force(capsys, monkeypatch):
-    from cuspidal import cartan, cli
+    from cuspidal import arith, cartan
 
     code, _, err = run(capsys, "order", "-p", "101", "-k", "2")
     assert code == 2 and "--force" in err
@@ -72,7 +72,7 @@ def test_size_guard_and_force(capsys, monkeypatch):
     # and the message gives its digit count, not its 3001 digits
     huge = 10**3000 + 7
     tested = []
-    for module in (cartan, cli):
+    for module in (cartan, arith):
         real = module.is_prime
         monkeypatch.setattr(module, "is_prime", lambda n, real=real: tested.append(n) or real(n))
     for command in ("order", "verify", "genus"):
@@ -231,16 +231,16 @@ def test_table_rows_do_not_depend_on_the_worker_count(capsys, monkeypatch):
 def test_table_forks_no_worker_while_other_threads_run(capsys, monkeypatch):
     import threading
 
-    from cuspidal import cli
+    from cuspidal import classgroup
 
-    real = cli.compute_class_group
+    real = classgroup.compute_class_group
     pids = []
 
     def compute(*args, **kwargs):
         pids.append(os.getpid())
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "compute_class_group", compute)
+    monkeypatch.setattr(classgroup, "compute_class_group", compute)
     with_cpus(monkeypatch, 2)
     stop = threading.Event()
     thread = threading.Thread(target=stop.wait, args=(60,))
@@ -269,13 +269,13 @@ def test_row_claims_hold_more_rows_than_one_pipe():
 
 
 def fail_at_83(monkeypatch, fail):
-    """Make cli.compute_class_group call fail() at p = 83.  With a worker
+    """Make classgroup.compute_class_group call fail() at p = 83.  With a worker
     forked, the parent's first row waits until no worker holds a pipe's
     write end: a worker closes it on reaching p = 83, so that row is always
     a worker's.  Returns the pipe's read end, for the caller to close."""
-    from cuspidal import cli
+    from cuspidal import classgroup
 
-    real = cli.compute_class_group
+    real = classgroup.compute_class_group
     parent = os.getpid()
     read_fd, write_fd = os.pipe()
     waiting = [True]
@@ -291,7 +291,7 @@ def fail_at_83(monkeypatch, fail):
             fail()
         return real(p, *args, **kwargs)
 
-    monkeypatch.setattr(cli, "compute_class_group", compute)
+    monkeypatch.setattr(classgroup, "compute_class_group", compute)
     return read_fd
 
 
@@ -458,10 +458,10 @@ def test_crosscheck_user_file_reports_bad_rows(capsys, tmp_path):
 
 
 def test_crosscheck_refuses_a_level_above_the_size_guard(capsys, monkeypatch, tmp_path):
-    from cuspidal import cli
+    from cuspidal import classgroup
 
     calls = []
-    monkeypatch.setattr(cli, "compute_class_group", lambda *a, **kw: calls.append(a))
+    monkeypatch.setattr(classgroup, "compute_class_group", lambda *a, **kw: calls.append(a))
     # 240169 = 24 * 10007 + 1 is prime, so the row itself is well formed
     f = tmp_path / "big.csv"
     f.write_text("10007,240169,J,12\n")
@@ -521,24 +521,24 @@ def test_table_row_format():
 
 
 def test_failed_check_maps_to_exit_1(capsys, monkeypatch):
-    from cuspidal import cli
+    from cuspidal import verify
     from cuspidal.verify import Check
 
     monkeypatch.setattr(
-        cli, "algebraic_checks", lambda p, k: [Check("forced failure", False, "")]
+        verify, "algebraic_checks", lambda p, k: [Check("forced failure", False, "")]
     )
     code, out, _ = run(capsys, "verify", "-p", "11")
     assert code == 1 and "FAIL" in out
 
 
 def test_internal_violation_maps_to_exit_3(capsys, monkeypatch):
-    from cuspidal import cli
+    from cuspidal import classgroup
     from cuspidal.errors import InvariantViolation
 
     def boom(*args, **kwargs):
         raise InvariantViolation("forced")
 
-    monkeypatch.setattr(cli, "compute_class_group", boom)
+    monkeypatch.setattr(classgroup, "compute_class_group", boom)
     code, _, err = run(capsys, "order", "-p", "5")
     assert code == 3 and "invariant violation" in err
 

@@ -113,17 +113,51 @@ assert get_limit() == limit
 print("ok")
 """
 
+# the same for a p or q field of 5000 digits, and for its digit count
+LONG_P_AND_Q = """
+import sys
+from cuspidal.crosscheck import load_records
+from cuspidal.errors import brief_int
 
-def test_long_digit_runs_parse_under_the_default_digit_limit(tmp_path):
+get_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
+limit = get_limit()
+assert limit == getattr(sys.int_info, "default_max_str_digits", 0), limit
+assert brief_int(10**5000) == "<5001 digits>"
+assert brief_int(1 - 10**5000) == "<5000 digits>"
+path = sys.argv[1]
+with open(path, "w") as f:
+    f.write("1" + "0" * 4999 + ",29,J,12\\n")
+    f.write("11,1" + "0" * 4998 + "1,J,12\\n")  # q = 10^4999 + 1 = 0 mod 11
+report = load_records(path)
+assert report.records == [], report.records
+assert report.errors == [
+    "line 1: p = <5000 digits> exceeds the size guard 10000",
+    "line 2: q = <5000 digits> is not +-1 mod 11",
+], report.errors
+assert get_limit() == limit
+print("ok")
+"""
+
+
+def run_fresh(script, tmp_path):
+    """Run script in a new interpreter that never lifts the int <-> str limit."""
     env = dict(os.environ)
     env.pop("PYTHONINTMAXSTRDIGITS", None)
     src = str(Path(__file__).parents[1] / "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", LONG_DIGIT_RUNS, str(tmp_path / "counts.csv")],
+        [sys.executable, "-c", script, str(tmp_path / "counts.csv")],
         capture_output=True, text=True, env=env, timeout=60,
     )
     assert proc.returncode == 0 and proc.stdout == "ok\n", proc.stderr
+
+
+def test_long_digit_runs_parse_under_the_default_digit_limit(tmp_path):
+    run_fresh(LONG_DIGIT_RUNS, tmp_path)
+
+
+def test_long_p_and_q_fields_are_refused_under_the_default_digit_limit(tmp_path):
+    run_fresh(LONG_P_AND_Q, tmp_path)
 
 
 def test_load_missing_file():

@@ -49,6 +49,29 @@ def test_traced_verify_records_every_layer_span():
     }
 
 
+def traced_span_names(*argv):
+    env = dict(os.environ)
+    src = str(TRACED.parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(TRACED), *argv],
+        capture_output=True, text=True, env=env, timeout=120, check=True,
+    )
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["rc"] == 0, result["stderr"]
+    return {span[0] for span in result["spans"]}
+
+
+def test_traced_crosscheck_records_the_harness_span():
+    # cli loads crosscheck lazily; the tracer must still rebind it
+    assert "crosscheck.harness_ms" in traced_span_names("crosscheck")
+
+
+def test_traced_analytic_verify_records_its_spans():
+    names = traced_span_names("verify", "-p", "7", "--analytic")
+    assert names >= {"verify.algebraic_ms", "siegel.analytic_ms"}
+
+
 RUN = TRACED.with_name("run.py")
 GOLDENS = json.loads(TRACED.with_name("goldens.json").read_text())
 

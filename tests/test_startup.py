@@ -1,9 +1,18 @@
-"""What a command-line process loads: no ``dataclasses`` (which pulls in
-``inspect``, ``ast``, ``dis`` and ``tokenize``) in any command, the
-q-series layer ``cuspidal.siegel`` only for ``verify --analytic``, and the
-Smith-form components ``cuspidal.components`` only for ``--structure``."""
+"""What a command-line process executes.  ``cuspidal.cli`` registers its
+layer modules as lazy modules: each is in sys.modules from the start but
+is compiled and run only when a command first reads one of its
+attributes.  So a module counts here once it has executed, and a
+sys.modules entry that is still a lazy module does not.
 
-import json
+Pinned: ``--version`` executes no layer module; ``order`` and ``table``
+execute neither the check layers (``verify``, ``crosscheck``, ``siegel``)
+nor the Smith-form components, and import no ``fractions``; ``verify``
+and ``crosscheck`` do not execute each other; ``table`` forks its workers
+only after ``cuspidal.classgroup`` has executed, so that no worker
+compiles it again.  No command imports ``dataclasses`` (which pulls in
+``inspect``, ``ast``, ``dis`` and ``tokenize``)."""
+
+import ast
 import os
 import subprocess
 import sys
@@ -12,25 +21,50 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).parents[1] / "src"
-# run the command as ``python -m cuspidal.cli`` would, then report sys.modules
-PROBE = (
-    "import json, sys\n"
-    "from cuspidal.cli import main\n"
-    "rc = main(sys.argv[1:])\n"
-    "print(json.dumps([rc, sorted(sys.modules)]))\n"
-)
+# run the command as ``python -m cuspidal.cli`` would, then report the
+# modules that executed and, for each os.fork call, whether
+# cuspidal.classgroup had executed by then
+PROBE = """\
+import importlib.util, os, sys
+
+def executed(name):
+    module = sys.modules.get(name)
+    return module is not None and type(module) is not importlib.util._LazyModule
+
+forks = []
+real_fork = os.fork
+
+def fork():
+    forks.append(executed("cuspidal.classgroup"))
+    return real_fork()
+
+os.fork = fork
+import cuspidal.cli
+if {cpus}:
+    cuspidal.cli._usable_cpus = lambda: {cpus}
+rc = cuspidal.cli.main(sys.argv[1:])
+print(repr([rc, sorted(filter(executed, list(sys.modules))), forks]))
+"""
 
 
-def loaded_modules(*argv):
+def run_probe(*argv, cpus=0):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", PROBE, *argv],
+        [sys.executable, "-c", PROBE.format(cpus=cpus), *argv],
         capture_output=True, text=True, env=env, timeout=120, check=True,
     )
-    rc, modules = json.loads(proc.stdout.splitlines()[-1])
+    rc, modules, forks = ast.literal_eval(proc.stdout.splitlines()[-1])
     assert rc == 0, proc.stderr
-    return set(modules)
+    return set(modules), forks
+
+
+def loaded_modules(*argv):
+    return run_probe(*argv)[0]
+
+
+def package_modules(modules):
+    return {m for m in modules if m.split(".")[0] == "cuspidal"}
 
 
 @pytest.mark.parametrize(
@@ -44,8 +78,36 @@ def loaded_modules(*argv):
 )
 def test_commands_load_neither_dataclasses_nor_siegel(argv):
     modules = loaded_modules(*argv)
-    assert "cuspidal.cli" in modules and "cuspidal.verify" in modules
+    assert "cuspidal.cli" in modules
     assert not modules & {"dataclasses", "inspect", "cuspidal.siegel"}
+
+
+def test_version_executes_no_layer_module():
+    assert package_modules(loaded_modules("--version")) == {
+        "cuspidal", "cuspidal._version", "cuspidal.cli", "cuspidal.errors"
+    }
+
+
+@pytest.mark.parametrize("argv", [("order", "-p", "13", "-k", "2"), ("table", "--pmax", "31")])
+def test_order_and_table_execute_no_check_layer(argv):
+    modules = loaded_modules(*argv)
+    assert "cuspidal.classgroup" in modules
+    assert not modules & {
+        "cuspidal.verify", "cuspidal.crosscheck", "cuspidal.components", "cuspidal.siegel",
+        "fractions", "decimal",
+    }
+
+
+def test_verify_and_crosscheck_do_not_execute_each_other():
+    modules = loaded_modules("verify", "-p", "13")
+    assert "cuspidal.verify" in modules and "cuspidal.crosscheck" not in modules
+    modules = loaded_modules("crosscheck")
+    assert "cuspidal.crosscheck" in modules and "cuspidal.verify" not in modules
+
+
+def test_table_forks_after_its_module_has_executed():
+    _, forks = run_probe("table", "--pmax", "31", cpus=2)
+    assert forks == [True]
 
 
 def test_analytic_suite_loads_siegel():
