@@ -230,21 +230,10 @@ def iroot(n: int, k: int) -> int:
 
 def _perfect_power(n: int) -> tuple[int, int] | None:
     """Return (base, k) with base**k == n and prime k, or None."""
-    for k in _SMALL_PRIMES:
-        if k > n.bit_length():
-            break
+    for k in _sieve(n.bit_length()):
         r = iroot(n, k)
         if r > 1 and r**k == n:
             return r, k
-    # prime exponents beyond 47 would need n >= 2**53; not reachable at the
-    # sizes this package produces, but stay correct anyway
-    k = 53
-    while k <= n.bit_length():
-        if is_prime(k) is not Primality.COMPOSITE:
-            r = iroot(n, k)
-            if r > 1 and r**k == n:
-                return r, k
-        k += 2
     return None
 
 

@@ -466,11 +466,12 @@ def _fft(x: Sequence[complex], roots: Sequence[complex]) -> list[complex]:
     """sum_j x_j w^(jm) for m in Z/NZ, N = len(x) a power of two and w a
     primitive N-th root of unity, by radix-2 decimation in time; roots holds
     the powers of a primitive R-th root for some multiple R of N, so that
-    w^k is roots[k R / N].  Sizes up to 4 are written out (w = i at N = 4),
-    which about halves the time of the recursion in Python."""
+    w^k is roots[k R / N].  N = 4 is written out (w = i), which about halves
+    the time of the recursion in Python; N = 2 never comes up, as _dft
+    transforms 1 point or at least 4."""
     n = len(x)
-    if n <= 2:
-        return list(x) if n == 1 else [x[0] + x[1], x[0] - x[1]]
+    if n == 1:
+        return list(x)
     if n == 4:
         a, b, c, d = x
         s, t, u, v = a + c, b + d, a - c, (b - d) * 1j
@@ -481,16 +482,13 @@ def _fft(x: Sequence[complex], roots: Sequence[complex]) -> list[complex]:
 
 
 def _dft(x: Sequence[float]) -> list[complex]:
-    """sum_j x_j exp(2 pi i j m / n) for m in Z/nZ, n = len(x), in floats:
-    radix 2 when n is a power of two, otherwise Bluestein's chirp,
-    jm = (j^2 + m^2 - (m - j)^2) / 2, which turns the sum into a linear
-    convolution of length 2n - 1 taken by a power-of-two FFT.  The chirp
-    exponents are reduced modulo 2n as integers before the float exp.  This
-    is the float route of float_crosscheck, so it shares nothing with the
-    exact transform of _values_mod."""
+    """sum_j x_j exp(2 pi i j m / n) for m in Z/nZ, n = len(x), in floats, by
+    Bluestein's chirp, jm = (j^2 + m^2 - (m - j)^2) / 2, which turns the sum
+    into a linear convolution of length 2n - 1 taken by the power-of-two FFT
+    _fft, at every n.  The chirp exponents are reduced modulo 2n as integers
+    before the float exp.  This is the float route of float_crosscheck, so it
+    shares nothing with the exact transform of _values_mod."""
     n = len(x)
-    if n & (n - 1) == 0:
-        return _fft(x, [cmath.exp(2j * math.pi * k / n) for k in range(n)])
     size = 1 << (2 * n - 2).bit_length()
     roots = [cmath.exp(2j * math.pi * k / size) for k in range(size)]
     chirp = [cmath.exp(1j * math.pi * (t * t % (2 * n)) / n) for t in range(n)]
@@ -653,7 +651,6 @@ def compute_class_group(
     k: int = 1,
     *,
     factor: bool = True,
-    with_structure: bool = False,
     rho_budget: int = DEFAULT_RHO_BUDGET,
 ) -> ClassGroupResult:
     ctx = CartanContext.create(p, k)
@@ -675,17 +672,6 @@ def compute_class_group(
             raise InvariantViolation("factorization does not reassemble")
         timings["factor_ms"] = (time.perf_counter() - t0) * 1000
 
-    invariant_factors = None
-    if with_structure:
-        t0 = time.perf_counter()
-        invariant_factors = structure(ctx)
-        product = math.prod(invariant_factors)
-        if product != value:
-            raise InvariantViolation(
-                f"invariant factors multiply to {product}, order is {value}"
-            )
-        timings["structure_ms"] = (time.perf_counter() - t0) * 1000
-
     return ClassGroupResult(
         p=p,
         k=k,
@@ -695,6 +681,5 @@ def compute_class_group(
         generator=ctx.w,
         genus=genus_plus(p) if k == 1 else None,
         factorization=factorization,
-        invariant_factors=invariant_factors,
         timings_ms=timings,
     )

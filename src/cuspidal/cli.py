@@ -117,10 +117,16 @@ def cmd_table(args) -> int:
             f"--pmax {args.pmax} exceeds the guard {TABLE_GUARD}; pass --force to override"
         )
     primes = _primes_in(5, args.pmax)
-    for row in _table_rows(primes, _rho_budget(args)):
-        if isinstance(row, BaseException):
-            raise row  # the rows below it are printed, as a sequential run would
-        print(_json_record(row) if args.json else table_row(row))
+    for p, report in zip(primes, _table_rows(primes, _rho_budget(args), args.json)):
+        # the rows below a failed one are printed, as a sequential run would
+        if report is None:
+            raise RuntimeError(f"table row p = {p} was claimed by a worker process "
+                               "that exited without reporting it")
+        if "invariant" in report:
+            raise InvariantViolation(report["invariant"])
+        if "traceback" in report:
+            raise RuntimeError(f"table row p = {p} failed:\n{report['traceback']}")
+        print(report["line"])
     return 0
 
 
@@ -136,51 +142,18 @@ def _usable_cpus() -> int:
 
 def _worker_count(rows: int) -> int:
     """One process per usable CPU, at most one per row; one alone where
-    there is no fork, or where other threads run: a forked child has only
-    the calling thread, and a lock another thread holds stays held in it."""
+    there is no fork, where other threads run (a forked child has only the
+    calling thread, and a lock another thread holds stays held in it), or
+    where the rows' tokens do not fit in one atomic write to the claim pipe
+    (PIPE_BUF bytes, 1024 rows on Linux)."""
     threading = sys.modules.get("threading")
     if not hasattr(os, "fork") or (threading is not None and threading.active_count() > 1):
         return 1
+    import select
+
+    if rows > select.PIPE_BUF // _TOKEN_BYTES:
+        return 1
     return max(1, min(rows, _usable_cpus()))
-
-
-class _RowClaims:
-    """The table's row indices, largest p first (the costliest rows start
-    early), as fixed-width tokens in one pipe that every worker reads: a
-    worker claims a row by reading its token, so each row is claimed once.
-    The tokens are written before any worker starts; those that do not fit
-    in the pipe stay with the parent, which writes them as it claims."""
-
-    def __init__(self, rows: int):
-        self.read_fd, self.write_fd = os.pipe()
-        os.set_blocking(self.write_fd, False)
-        self.backlog = list(range(rows))  # popped from the end
-        self.refill()
-
-    def refill(self) -> None:
-        while self.backlog:
-            try:  # a write of at most PIPE_BUF bytes is whole or refused
-                os.write(self.write_fd, self.backlog[-1].to_bytes(_TOKEN_BYTES, "big"))
-            except BlockingIOError:
-                return
-            self.backlog.pop()
-        self.close_writer()
-
-    def close_writer(self) -> None:
-        if self.write_fd is not None:
-            os.close(self.write_fd)
-            self.write_fd = None
-
-    def close(self) -> None:
-        self.close_writer()
-        os.close(self.read_fd)
-
-    def claim(self) -> int | None:
-        """The next unclaimed row, or None once every row is claimed."""
-        if self.backlog:
-            self.refill()
-        token = os.read(self.read_fd, _TOKEN_BYTES)
-        return int.from_bytes(token, "big") if token else None
 
 
 def _read_pipe(fd: int, wait: bool) -> bytes:
@@ -195,8 +168,9 @@ def _read_pipe(fd: int, wait: bool) -> bytes:
     return b"".join(chunks)
 
 
-def _row_report(row: int, p: int, rho_budget: int) -> dict:
-    """One row as a worker process sends it to the parent."""
+def _row_report(row: int, p: int, rho_budget: int, as_json: bool) -> dict:
+    """Table row ``row``, level p: its output line, or the message of its
+    invariant violation, or the traceback of any other error."""
     try:
         res = classgroup.compute_class_group(p, 1, factor=True, rho_budget=rho_budget)
     except InvariantViolation as exc:
@@ -205,40 +179,39 @@ def _row_report(row: int, p: int, rho_budget: int) -> dict:
         import traceback
 
         return {"row": row, "traceback": traceback.format_exc()}
-    return {"row": row, "result": res.to_json_dict()}
+    return {"row": row, "line": _json_record(res) if as_json else table_row(res)}
 
 
-def _from_report(report: dict, p: int):
-    if "result" in report:
-        return classgroup.ClassGroupResult.from_json_dict(report["result"])
-    if "invariant" in report:
-        return InvariantViolation(report["invariant"])
-    return RuntimeError(f"table row p = {p} failed in a worker process:\n{report['traceback']}")
-
-
-def _table_rows(primes: list[int], rho_budget: int) -> list:
-    """Each prime's ClassGroupResult, or the exception its row raised.
+def _table_rows(primes: list[int], rho_budget: int, as_json: bool) -> list:
+    """Each prime's _row_report, or None for a row that a worker process
+    claimed and did not report.
 
     The rows run on _worker_count processes: the parent and W - 1 children
-    forked once, before the first row, each claiming rows from one
-    _RowClaims.  A child sends each row back as one
-    JSON line and ends in os._exit, never writing to stdout or stderr.  Each
-    row is deterministic on its own (factoring seeds its own generator, the
-    caches are per level), so the rows do not depend on which process ran
-    them.  Restricting the CPUs (``taskset -c 0``) gives one process."""
+    forked once, before the first row.  Every row's token, largest p first
+    (the costliest rows start early), is written to one claim pipe before
+    the first fork, and a process claims a row by reading its token, so each
+    row is claimed once.  A child sends each report back as one JSON line
+    and ends in os._exit, never writing to stdout or stderr.  Each row is
+    deterministic on its own (factoring seeds its own generator, the caches
+    are per level), so the rows do not depend on which process ran them.
+    Restricting the CPUs (``taskset -c 0``) gives one process."""
     workers = _worker_count(len(primes))
-    rows: list = [None] * len(primes)
-    claims = _RowClaims(len(primes))
+    if workers == 1:
+        return [_row_report(row, p, rho_budget, as_json) for row, p in enumerate(primes)]
+    # the report lines' codec and the rows' module, loaded once here rather
+    # than in every worker after the fork
+    import json
+
+    _load(classgroup)
+    sys.stdout.flush()
+    sys.stderr.flush()
+    reports: list = [None] * len(primes)
+    claims, write_fd = os.pipe()
+    tokens = (row.to_bytes(_TOKEN_BYTES, "big") for row in reversed(range(len(primes))))
+    os.write(write_fd, b"".join(tokens))  # at most PIPE_BUF bytes: written whole
+    os.close(write_fd)
     children: dict[int, tuple[int, list[bytes]]] = {}  # pid -> result pipe, what it sent
     try:
-        if workers > 1:
-            # the report lines' codec and the rows' module, loaded once
-            # here rather than in every worker after the fork
-            import json
-
-            _load(classgroup)
-            sys.stdout.flush()
-            sys.stderr.flush()
         for _ in range(workers - 1):
             read_fd, write_fd = os.pipe()
             try:
@@ -250,24 +223,19 @@ def _table_rows(primes: list[int], rho_budget: int) -> list:
             if pid == 0:
                 status = 1
                 try:
-                    claims.close_writer()
-                    claims.backlog.clear()
                     with open(write_fd, "w", encoding="utf-8") as out:
-                        while (row := claims.claim()) is not None:
-                            report = _row_report(row, primes[row], rho_budget)
+                        while token := os.read(claims, _TOKEN_BYTES):
+                            row = int.from_bytes(token, "big")
+                            report = _row_report(row, primes[row], rho_budget, as_json)
                             print(json.dumps(report), file=out, flush=True)
                     status = 0
                 finally:
                     os._exit(status)
             os.close(write_fd)
             children[pid] = (read_fd, [])
-        while (row := claims.claim()) is not None:
-            try:
-                rows[row] = classgroup.compute_class_group(
-                    primes[row], 1, factor=True, rho_budget=rho_budget
-                )
-            except Exception as exc:
-                rows[row] = exc
+        while token := os.read(claims, _TOKEN_BYTES):
+            row = int.from_bytes(token, "big")
+            reports[row] = _row_report(row, primes[row], rho_budget, as_json)
             for fd, sent in children.values():  # so that no child waits on a full pipe
                 sent.append(_read_pipe(fd, wait=False))
         for fd, sent in children.values():
@@ -279,20 +247,15 @@ def _table_rows(primes: list[int], rho_budget: int) -> list:
             os.kill(pid, signal.SIGKILL)
         raise
     finally:
-        claims.close()
+        os.close(claims)
         for pid, (fd, _) in children.items():
             os.close(fd)
             os.waitpid(pid, 0)
     for _, sent in children.values():
         for line in b"".join(sent).split(b"\n")[:-1]:  # a cut last line is unreported
             report = json.loads(line)
-            rows[report["row"]] = _from_report(report, primes[report["row"]])
-    return [
-        RuntimeError(f"table row p = {p} was claimed by a worker process "
-                     "that exited without reporting it")
-        if row is None else row
-        for p, row in zip(primes, rows)
-    ]
+            reports[report["row"]] = report
+    return reports
 
 
 def cmd_verify(args) -> int:

@@ -24,7 +24,9 @@ import math
 from typing import Sequence
 
 from .cartan import CartanContext
-from .classgroup import _CHECK_PRIME, _det_mod, _part_with_primes_of, lattice_index, snf_mod
+from .classgroup import (
+    _CHECK_PRIME, _det_mod, _fold, _part_with_primes_of, lattice_index, snf_mod,
+)
 from .errors import InvariantViolation
 from .stickelberger import d_value, theta_prime_row
 
@@ -115,10 +117,7 @@ def _theta_image(ctx: CartanContext, size: int) -> list[int]:
     C_size: coefficient i sums those of w^j in theta' over j = i (mod size).
     pi is the identity at size n."""
     a = theta_prime_row(ctx)
-    t = [0] * size
-    for j in range(ctx.n):
-        t[j % size] += a[-j]  # theta'_j = a'_(-j)
-    return t
+    return _fold(a[:1] + a[:0:-1], size)  # theta'_j = a'_(-j)
 
 
 def d_theta_row(ctx: CartanContext, size: int) -> list[int]:

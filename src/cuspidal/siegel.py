@@ -226,7 +226,8 @@ def lift_to_sl2(m: Matrix, modulus: int) -> tuple[tuple[int, int], tuple[int, in
     else:
         raise InvariantViolation("no coprime lift of the bottom row exists")
     # u*d0 + v*c0 = 1  ->  det [[u, -v], [c0, d0]] = 1
-    u, v = _bezout(d0, c0)
+    u = pow(d0, -1, c0)
+    v = (1 - u * d0) // c0
     a0, b0 = u, -v
     # m * B^(-1) is unipotent upper-triangular mod modulus; read off its y
     y = (a * -b0 + b * a0) % modulus
@@ -239,19 +240,6 @@ def lift_to_sl2(m: Matrix, modulus: int) -> tuple[tuple[int, int], tuple[int, in
     ):
         raise InvariantViolation("lift is not congruent to the target")
     return lift
-
-
-def _bezout(x: int, y: int) -> tuple[int, int]:
-    """(u, v) with u*x + v*y = gcd(x, y)."""
-    old_r, r = x, y
-    old_u, u = 1, 0
-    old_v, v = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_u, u = u, old_u - q * u
-        old_v, v = v, old_v - q * v
-    return old_u, old_v
 
 
 def cartan_group_lift(ctx: CartanContext) -> tuple[tuple[int, int], tuple[int, int]]:

@@ -228,9 +228,9 @@ def test_table_rows_do_not_depend_on_the_worker_count(capsys, monkeypatch):
     assert outputs[1][0].splitlines() == table_goldens()
 
 
-def test_table_forks_no_worker_while_other_threads_run(capsys, monkeypatch):
-    import threading
-
+def row_pids(monkeypatch):
+    """A list of the pid that computed each row; a forked worker's rows are
+    not in it, as a worker appends to its own copy."""
     from cuspidal import classgroup
 
     real = classgroup.compute_class_group
@@ -241,6 +241,13 @@ def test_table_forks_no_worker_while_other_threads_run(capsys, monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(classgroup, "compute_class_group", compute)
+    return pids
+
+
+def test_table_forks_no_worker_while_other_threads_run(capsys, monkeypatch):
+    import threading
+
+    pids = row_pids(monkeypatch)
     with_cpus(monkeypatch, 2)
     stop = threading.Event()
     thread = threading.Thread(target=stop.wait, args=(60,))
@@ -256,16 +263,17 @@ def test_table_forks_no_worker_while_other_threads_run(capsys, monkeypatch):
     assert_no_child_left()
 
 
-def test_row_claims_hold_more_rows_than_one_pipe():
-    from cuspidal import cli
+def test_table_forks_no_worker_when_its_tokens_outgrow_one_pipe_write(capsys, monkeypatch):
+    import select
 
-    claims = cli._RowClaims(40000)  # 160 kB of tokens: the parent keeps a backlog
-    assert claims.backlog
-    claimed = []
-    while (row := claims.claim()) is not None:
-        claimed.append(row)
-    claims.close()
-    assert claimed == list(range(39999, -1, -1)) and claims.write_fd is None
+    pids = row_pids(monkeypatch)
+    with_cpus(monkeypatch, 2)
+    # room for 6 row tokens in one atomic write: the 7 rows of --pmax 23 run here
+    monkeypatch.setattr(select, "PIPE_BUF", 6 * 4)
+    code, out, _ = run(capsys, "table", "--pmax", "23")
+    assert code == 0 and out.splitlines() == table_goldens()[:7]
+    assert pids == [os.getpid()] * 7  # every row ran here, none in a child
+    assert_no_child_left()
 
 
 def fail_at_83(monkeypatch, fail):
@@ -320,20 +328,17 @@ def test_table_error_keeps_its_traceback(capsys, monkeypatch, cpus):
     with_cpus(monkeypatch, cpus)
     read_fd = fail_at_83(monkeypatch, fail)
     try:
-        # one worker raises the row's own error, a forked one its traceback
-        with pytest.raises((ValueError, RuntimeError)) as info:
+        # the row's traceback, whichever process ran it
+        with pytest.raises(RuntimeError) as info:
             main(["table", "--pmax", "101"])
     finally:
         os.close(read_fd)
     assert_no_child_left()
     out, err = capsys.readouterr()
     assert out.splitlines() == rows_below_83() and err == ""
-    if cpus == 1:
-        assert info.type is ValueError
-    else:
-        message = str(info.value)
-        assert info.type is RuntimeError and "table row p = 83" in message
-        assert "Traceback" in message and "ValueError: forced at p = 83" in message
+    message = str(info.value)
+    assert "table row p = 83" in message
+    assert "Traceback" in message and "ValueError: forced at p = 83" in message
 
 
 def test_a_spy_in_a_worker_still_fails_the_table(capsys, monkeypatch, no_class_enumeration):
