@@ -2,8 +2,9 @@
 
 Every number is a plain Python int, exact at any size.  This module
 provides Legendre/Jacobi symbols, a primality test with an explicit
-certainty level, the packed big-integer product that every convolution in
-the package goes through, and an integer factorizer.
+certainty level, the integer kernels that two layers share (the packed
+cyclic product every convolution in the package goes through, fold and
+part_with_primes_of), and an integer factorizer.
 
 The factorizer runs trial division in bulk up to TRIAL_BOUND = 2^16 (one
 gcd of the input with the product of each run of TRIAL_CHUNK consecutive
@@ -202,6 +203,34 @@ def packed_product(a: Sequence[int], b: Sequence[int], width: int) -> list[int]:
     y = int.from_bytes(b"".join(c.to_bytes(width, "little") for c in b), "little")
     buf = (x * y).to_bytes((len(a) + len(b)) * width, "little")
     return [int.from_bytes(buf[i : i + width], "little") for i in range(0, len(buf), width)]
+
+
+def cyclic_product(a: Sequence[int], b: Sequence[int], sign: int = 1) -> list[int]:
+    """a * b modulo x^n - sign, sign = +-1, for nonnegative integer vectors
+    of one length n: one packed product, folded at n.  Each coefficient
+    before the fold is at most max(a) * sum(b), and a slot must also hold
+    every entry of a and b, which sets the width."""
+    top = max(max(a) * sum(b), max(a), max(b))
+    coef = packed_product(a, b, (top.bit_length() + 7) // 8 or 1)
+    n = len(a)
+    return [x + sign * y for x, y in zip(coef[:n], coef[n:])]
+
+
+def fold(f: Sequence[int], d: int) -> list[int]:
+    """F mod (x^d - 1) for F = sum_j f_j x^j: coefficient j goes to j mod d."""
+    folded = [0] * d
+    for j, c in enumerate(f):
+        folded[j % d] += c
+    return folded
+
+
+def part_with_primes_of(m: int, x: int) -> int:
+    """The largest divisor of m made of the primes of gcd(x, m)."""
+    g = math.gcd(x, m)
+    rest = m
+    while (h := math.gcd(rest, g)) > 1:
+        rest //= h
+    return m // rest
 
 
 # ---------------------------------------------------------------------------

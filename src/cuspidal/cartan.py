@@ -15,7 +15,7 @@ CartanContext.classes() and norm_class_partition() enumerate those
 (p^2 - 1) p^(2k-2) / 2 classes densely, quadratic in p^k in time and
 memory.  They are test oracles, which no command reads: stickelberger
 convolves the theta' row and verify's bucket sizes and fiber sums, and
-siegel takes each bucket from the units of two norms (_units_of_norm).
+siegel takes each bucket from the units of two norms (units_of_norm).
 """
 
 from __future__ import annotations
@@ -39,13 +39,13 @@ class CartanClass(NamedTuple):
 
 def cusp_count_plus(p: int, k: int = 1) -> int:
     """Number of cusps of the plus-curve at level p^k: (p-1) p^(k-1) / 2."""
-    _validate_pk(p, k)
+    validate_pk(p, k)
     return (p - 1) * p ** (k - 1) // 2
 
 
 def genus_plus(p: int) -> int:
     """Genus of the plus-curve at prime level, from the Hurwitz count."""
-    _validate_pk(p, 1)
+    validate_pk(p, 1)
     value = p * p - 10 * p + 23 + 6 * legendre(-1, p) + 4 * legendre(-3, p)
     if value % 24 or value < 0:
         raise InvariantViolation(f"genus formula gave non-integer {value}/24 for p={p}")
@@ -58,7 +58,7 @@ def genus_plus(p: int) -> int:
 CONTEXT_CACHE_SIZE = 2
 
 
-def _validate_pk(p: int, k: int) -> None:
+def validate_pk(p: int, k: int) -> None:
     if k < 1:
         raise ValueError("k must be a positive integer")
     if p < 5 or is_prime(p) is Primality.COMPOSITE:
@@ -79,7 +79,7 @@ def is_valid_epsilon(p: int, eps: int) -> bool:
 def valid_epsilons(p: int) -> Iterator[int]:
     """Valid eps in the fixed deterministic order: -1 first when p = 3 mod 4,
     then positive candidates 3, 7, 11, ... (squarefree non-residues only)."""
-    _validate_pk(p, 1)
+    validate_pk(p, 1)
     if p % 4 == 3:
         yield -1
     c = 3
@@ -96,7 +96,7 @@ def choose_epsilon(p: int) -> int:
 @lru_cache(maxsize=CONTEXT_CACHE_SIZE)
 def find_generator_H(p: int, k: int = 1) -> int:
     """Smallest positive integer whose class generates H = (Z/p^k Z)*/{+-1}."""
-    _validate_pk(p, k)
+    validate_pk(p, k)
     m = p**k
     n = (p - 1) * p ** (k - 1) // 2
     prime_divs = [e.prime for e in factorize(n).entries]
@@ -121,7 +121,7 @@ class CartanContext(NamedTuple):
 
     @classmethod
     def create(cls, p: int, k: int = 1, epsilon: int | None = None) -> "CartanContext":
-        _validate_pk(p, k)
+        validate_pk(p, k)
         if epsilon is None:
             epsilon = choose_epsilon(p)
         elif not is_valid_epsilon(p, epsilon):
@@ -225,7 +225,7 @@ def norm_class_partition(ctx: CartanContext) -> dict[int, tuple[CartanClass, ...
     return {i: tuple(b) for i, b in buckets.items()}
 
 
-def _units_of_norm(ctx: CartanContext, target: int) -> Iterator[CartanElement]:
+def units_of_norm(ctx: CartanContext, target: int) -> Iterator[CartanElement]:
     """Every unit s = a1 + a2 sqrt(eps) of norm exactly ``target``, in the
     order a1 = 0, 1, ..., then a2 = 0, 1, ...; the a2 for each a1 are
     looked up by the value of eps * a2^2."""
@@ -246,7 +246,7 @@ def find_norm_one_generator(ctx: CartanContext) -> CartanElement:
     target = ctx.bucket_size()
     prime_divs = [e.prime for e in factorize(target).entries]
     one = CartanElement(1, 0)
-    for s in _units_of_norm(ctx, 1):
+    for s in units_of_norm(ctx, 1):
         if ctx.power(s, target) != one:
             raise InvariantViolation("norm-one element order does not divide group order")
         if all(ctx.power(s, target // q) != one for q in prime_divs):
@@ -256,7 +256,7 @@ def find_norm_one_generator(ctx: CartanContext) -> CartanElement:
 
 def find_norm_minus_one_element(ctx: CartanContext) -> CartanElement:
     """Some unit of norm exactly -1 (the norm map onto (Z/p^k Z)* is onto)."""
-    s = next(_units_of_norm(ctx, -1), None)
+    s = next(units_of_norm(ctx, -1), None)
     if s is None:
         raise InvariantViolation("norm map missed -1; it must be surjective")
     return s

@@ -21,11 +21,9 @@ Two independent exact routes plus a floating cross-check:
     the p-part comes from a split of Z_p[H] by the characters of the
     prime-to-p part of H, the rest of T_S from the C_m quotient,
     m = (p-1)/2, and each prime outside S from the orbit pairs
-    (Phi_d, F mod Phi_d) of the theta' row (orbit_blocks), all in
-    components.py.  One kernel, snf_mod(), takes every matrix modulo m: it
-    pivots on units, keeps each entry below its modulus, and where no unit
-    is left divides out a common factor or splits the modulus into coprime
-    parts by a gcd.
+    (Phi_d, F mod Phi_d) of the theta' row (orbit_blocks), each reduced
+    to its invariant factors in components.py, whose one Smith-form kernel,
+    snf_mod(), takes every matrix modulo m.
   * bernoulli_formula_k1(): for k = 1, the same order through an explicit
     determinant of B2 sums over the norm classes of F_{p^2}*, enumerated
     pair by pair (theta' takes the same row by convolution).
@@ -55,9 +53,11 @@ from .arith import (
     DEFAULT_RHO_BUDGET,
     Factorization,
     Primality,
+    cyclic_product,
     factorize,
+    fold,
     is_prime,
-    packed_product,
+    part_with_primes_of,
 )
 from .cartan import (
     CONTEXT_CACHE_SIZE,
@@ -66,25 +66,17 @@ from .cartan import (
     genus_plus,
 )
 from .errors import InvariantViolation
-from .stickelberger import e_value, theta_prime_degree, theta_prime_row
+from .stickelberger import d_theta_row, e_value, theta_prime_degree, theta_prime_row
 
 FLOAT_TOL = 1e-9  # relative tolerance of float_crosscheck
 _PRIME_TOP = 1 << 62  # CRT primes are the proven primes = 1 (mod 2n) below it
-
-
-def _fold(f: Sequence[int], d: int) -> list[int]:
-    """F mod (x^d - 1) for F = sum_j f_j x^j: coefficient j goes to j mod d."""
-    folded = [0] * d
-    for j, c in enumerate(f):
-        folded[j % d] += c
-    return folded
 
 
 def _norm_bound(f: Sequence[int], d: int, phi: int) -> int:
     """B with |N_d| <= B: with G = F mod (x^d - 1), AM-GM over the primitive
     d-th roots and Parseval over all d-th roots give
     |N_d|^2 <= (d ||G||_2^2 / phi(d))^phi(d)."""
-    num = (d * sum(c * c for c in _fold(f, d))) ** phi
+    num = (d * sum(c * c for c in fold(f, d))) ** phi
     den = phi**phi
     return math.isqrt(-(-num // den))
 
@@ -110,20 +102,18 @@ def _values_mod(f: Sequence[int], ell: int, h: int) -> list[int]:
     g^(ij) = h^(i^2) h^(j^2) h^(-(i-j)^2), so the values come from one
     convolution of (f_j h^(j^2)) with (h^(-m^2)).  As h^(-(m+n)^2) =
     (-1)^n h^(-m^2), it is cyclic (n even) or negacyclic (n odd) of length
-    n: one big-integer product of packed residues, folded at n."""
+    n: one arith.cyclic_product of the residues."""
     n = len(f)
     step = 2 * n
     hp = [1] * step  # h^e for e in Z/2nZ
     for e in range(1, step):
         hp[e] = hp[e - 1] * h % ell
-    w = (2 * ell.bit_length() + n.bit_length() + 7) // 8  # bytes per slot
-    coef = packed_product(
+    conv = cyclic_product(
         [c * hp[j * j % step] % ell for j, c in enumerate(f)],
         [hp[-j * j % step] for j in range(n)],
-        w,
+        -1 if n % 2 else 1,
     )
-    sign = -1 if n % 2 else 1
-    return [(coef[i] + sign * coef[i + n]) * hp[i * i % step] % ell for i in range(n)]
+    return [c * hp[i * i % step] % ell for i, c in enumerate(conv)]
 
 
 def _norms_mod(f: Sequence[int], ell: int, h: int) -> dict[int, int]:
@@ -207,7 +197,7 @@ def orbit_blocks(f: Sequence[int]) -> dict[int, tuple[list[int], list[int]]]:
                 phi, rem = _divmod_monic(phi, phi_e)
                 if any(rem):
                     raise InvariantViolation(f"Phi_{e} does not divide x^{d} - 1")
-        blocks[d] = phi, _divmod_monic(_fold(f, d), phi)[1]
+        blocks[d] = phi, _divmod_monic(fold(f, d), phi)[1]
     return blocks
 
 
@@ -236,7 +226,7 @@ def order(ctx: CartanContext) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Smith normal form
+# structure
 
 def _divisibility_chain(diag: Sequence[int]) -> tuple[int, ...]:
     """The invariant factors of the diagonal matrix diag, sorted: gcd/lcm
@@ -284,117 +274,6 @@ def lattice_index(ctx: CartanContext, size: int) -> int:
     return index
 
 
-_CHECK_PRIME = 1073741789  # largest prime below 2^30
-
-
-def _det_mod(rows: Sequence[Sequence[int]], q: int) -> int:
-    """Determinant of a square integer matrix modulo the prime q."""
-    a = [[x % q for x in row] for row in rows]
-    det = 1
-    for c in range(len(a)):
-        piv = next((i for i in range(c, len(a)) if a[i][c]), None)
-        if piv is None:
-            return 0
-        if piv != c:
-            a[c], a[piv] = a[piv], a[c]
-            det = -det
-        prow = a[c]
-        det = det * prow[c] % q
-        inv = pow(prow[c], -1, q)
-        tail = prow[c + 1 :]
-        for row in a[c + 1 :]:
-            f = row[c] * inv % q
-            if f:
-                row[c + 1 :] = [(x - f * y) % q for x, y in zip(row[c + 1 :], tail)]
-    return det % q
-
-
-def _pivot_out_units(rows: list[list[int]], mod: int) -> int:
-    """Pivot on entries that are units mod ``mod`` until none is left.
-
-    Each pivot clears its column from the other rows (row operations mod
-    ``mod``), then its row and column go: it is an invariant factor 1 of
-    the quotient module.  The pivot column is swapped to the end of every
-    row and popped, so the rows are updated in place and their columns
-    reordered alike.  Zero rows are dropped.  Returns the pivot count."""
-    pivots = 0
-    while True:
-        rows[:] = [row for row in rows if any(row)]
-        hit = next(
-            (
-                (i, j)
-                for i, row in enumerate(rows)
-                for j, x in enumerate(row)
-                if math.gcd(x, mod) == 1
-            ),
-            None,
-        )
-        if hit is None:
-            return pivots
-        i, j = hit
-        prow = rows[i]
-        rows[i] = rows[-1]
-        rows.pop()
-        inv = pow(prow[j], -1, mod)
-        prow[j] = prow[-1]
-        prow.pop()
-        prow[:] = [y * inv % mod for y in prow]
-        for row in rows:
-            f = row[j]
-            row[j] = row[-1]
-            row.pop()
-            if f:
-                row[:] = [(x - f * y) % mod for x, y in zip(row, prow)]
-        pivots += 1
-
-
-def _part_with_primes_of(m: int, x: int) -> int:
-    """The largest divisor of m made of the primes of gcd(x, m)."""
-    g = math.gcd(x, m)
-    rest = m
-    while (h := math.gcd(rest, g)) > 1:
-        rest //= h
-    return m // rest
-
-
-def snf_mod(matrix: Sequence[Sequence[int]], modulus: int) -> tuple[int, ...]:
-    """Invariant factors d1 | ... | dc of Z^c modulo the rows of an integer
-    matrix with c columns and modulus * Z^c, the 1s included.  When the row
-    span contains modulus * Z^c, they are the row span's own; otherwise they
-    are its parts at the primes of the modulus, cut at the modulus.
-
-    Elimination over Z/m, every entry below m, with no factorization of m
-    (dynamic evaluation): units mod m are pivoted out.  If the entries left
-    share a factor g > 1 with m, each remaining factor gains g, the block
-    is divided by g in place, and m drops to m/g.  Otherwise an entry whose
-    gcd with m misses a prime of m splits m into coprime parts m1 m2; the
-    quotient is the sum of its reductions mod m1 and mod m2, whose factors
-    multiply position by position."""
-    ncols = len(matrix[0])
-    block = [[x % modulus for x in row] for row in matrix]
-    factors: list[int] = []
-    scale, m = 1, modulus
-    while True:
-        factors += [scale] * _pivot_out_units(block, m)
-        if not block:  # the columns no row reaches take the full modulus
-            return tuple(factors + [scale * m] * (ncols - len(factors)))
-        g = m
-        for row in block:
-            g = math.gcd(g, *row)
-        if g == 1:
-            break
-        scale *= g
-        m //= g
-        for row in block:
-            row[:] = [x // g for x in row]
-    # no unit and no common factor: some entry misses a prime of m
-    m1 = next(
-        d for row in block for x in row if (d := _part_with_primes_of(m, x)) < m
-    )
-    chains = zip(snf_mod(block, m1), snf_mod(block, m // m1))
-    return tuple(factors + [scale * a * b for a, b in chains])
-
-
 def structure(ctx: CartanContext) -> tuple[int, ...]:
     """Invariant factors (> 1) of the cuspidal class group I/L, one
     component of the group ring at a time (components.py); the product
@@ -419,13 +298,13 @@ def structure(ctx: CartanContext) -> tuple[int, ...]:
     and factors multiplying to M_d; the M_d must multiply to T'.  The block
     factors are merged into one chain and multiplied into the S-parts
     position by position, the two being coprime."""
-    from .components import d_theta_row, euclid_mod, p_part_mod, quotient_mod
+    from .components import euclid_mod, p_part_mod, quotient_mod
 
     index = lattice_index(ctx, ctx.n)
     norms = theta_prime_norms(ctx)
     six_pn = 6 * ctx.p * ctx.n
-    index_s = _part_with_primes_of(index, six_pn)
-    p_top = _part_with_primes_of(index_s, ctx.p)
+    index_s = part_with_primes_of(index, six_pn)
+    p_top = part_with_primes_of(index_s, ctx.p)
     rest_s = index_s // p_top
     # the p-part modulo p^s, s = 2, 4, 8, ...: once every factor is below
     # p^s, none was cut off.  They stay far below p_top (at most p^5 at every
@@ -447,7 +326,7 @@ def structure(ctx: CartanContext) -> tuple[int, ...]:
             continue
         if _norms_mod(r + [0] * (ctx.n - len(r)), ell, h)[d] != norms[d] % ell:
             raise InvariantViolation(f"orbit block {d} does not have resultant N_{d}")
-        m = abs(norms[d]) // _part_with_primes_of(abs(norms[d]), six_pn)
+        m = abs(norms[d]) // part_with_primes_of(abs(norms[d]), six_pn)
         factors = euclid_mod(phi, r, m)
         if math.prod(factors) != m:
             raise InvariantViolation(f"orbit block {d} factors do not multiply to M_{d}")

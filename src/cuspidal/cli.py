@@ -56,7 +56,7 @@ class UsageError(Exception):
 
 def _require_level(p: int, k: int = 1) -> None:
     try:
-        cartan._validate_pk(p, k)
+        cartan.validate_pk(p, k)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 

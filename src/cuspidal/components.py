@@ -11,11 +11,11 @@ lattice.
     p, from the lattice pushed forward to Z[C_m], m = (p-1)/2: the same
     split, by the idempotent of the trivial character of C_q.
 
-It also builds the lattice rows, those of the C_m quotient and those of the
-whole lattice that classgroup.generator_matrix() returns, from the integer
-row of theta' (stickelberger.theta_prime_row).  structure(),
-generator_matrix() and verify's lattice check load this module when they
-run, so order and table do not compile it.
+Each reduces a matrix modulo m by snf_mod(), the one Smith-form kernel.
+The module also builds the lattice rows of the C_m quotient and of the
+whole lattice (classgroup.generator_matrix) from stickelberger's theta'
+rows.  Only structure() and generator_matrix() load it: order, table and
+verify without --structure do not compile it.
 """
 
 from __future__ import annotations
@@ -23,12 +23,11 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
+from .arith import part_with_primes_of
 from .cartan import CartanContext
-from .classgroup import (
-    _CHECK_PRIME, _det_mod, _fold, _part_with_primes_of, lattice_index, snf_mod,
-)
+from .classgroup import lattice_index
 from .errors import InvariantViolation
-from .stickelberger import d_value, theta_prime_row
+from .stickelberger import d_theta_row, theta_image
 
 
 def euclid_mod(phi: Sequence[int], f: Sequence[int], m: int) -> tuple[int, ...]:
@@ -66,7 +65,7 @@ def euclid_mod(phi: Sequence[int], f: Sequence[int], m: int) -> tuple[int, ...]:
             a, b = b, [x % m for x in a[:deg]]
         if not b:
             factors = (1,) * (c + 1 - len(a)) + (m,) * (len(a) - 1)
-        elif (m1 := _part_with_primes_of(m, b[-1])) < m:
+        elif (m1 := part_with_primes_of(m, b[-1])) < m:
             parts += [(a, b, m1), (a, b, m // m1)]
             continue
         else:  # every prime of m divides the leading coefficient
@@ -112,27 +111,6 @@ def p_part_mod(v: Sequence[int], p: int, w: int, modulus: int) -> tuple[int, ...
     return tuple(sorted(factors))
 
 
-def _theta_image(ctx: CartanContext, size: int) -> list[int]:
-    """pi(theta') in Z[C_size] for size | n, pi taking w to the generator of
-    C_size: coefficient i sums those of w^j in theta' over j = i (mod size).
-    pi is the identity at size n."""
-    a = theta_prime_row(ctx)
-    return _fold(a[:1] + a[:0:-1], size)  # theta'_j = a'_(-j)
-
-
-def d_theta_row(ctx: CartanContext, size: int) -> list[int]:
-    """d * pi(theta) in Z[C_size], every coefficient (of w^0 too), for
-    d = d_value(p); O(n).  theta - theta' is (p+1) p^(2k-1) / 12 on every
-    coefficient, so pi adds n / size times that, and d times it is an
-    integer."""
-    p = ctx.p
-    d_shift = (p + 1) // math.gcd(12, p + 1) * p ** (2 * ctx.k - 1) * (ctx.n // size)
-    row = [d_value(p) * x + d_shift for x in _theta_image(ctx, size)]
-    if sum(row):
-        raise InvariantViolation("lattice generator does not have degree zero")
-    return row
-
-
 def lattice_rows(ctx: CartanContext, size: int) -> list[list[int]]:
     """Generators of the lattice of pi(theta) in the degree-zero part of
     Z[C_size], size | n, in the basis {w^i - 1 : i = 1..size-1}: the rows
@@ -141,7 +119,7 @@ def lattice_rows(ctx: CartanContext, size: int) -> list[list[int]]:
     the C_m quotient of quotient_mod().  The shift rows are read off
     pi(theta'): w^j - 1 kills the norm element, by which theta' and theta
     differ."""
-    t = _theta_image(ctx, size)
+    t = theta_image(ctx, size)
     # coefficient i of w^j pi(theta') is t_(i-j); a negative index wraps
     rows = [[t[i - j] - t[i] for i in range(1, size)] for j in range(1, size)]
     return rows + [d_theta_row(ctx, size)[1:]]
@@ -174,3 +152,106 @@ def quotient_mod(ctx: CartanContext, index: int, modulus: int) -> tuple[int, ...
             "reach a prime of 6n other than p"
         )
     return (1,) * (ctx.n - m) + snf_mod(rows, modulus)
+
+
+# ---------------------------------------------------------------------------
+# Smith form modulo m
+
+_CHECK_PRIME = 1073741789  # largest prime below 2^30
+
+
+def _det_mod(rows: Sequence[Sequence[int]], q: int) -> int:
+    """Determinant of a square integer matrix modulo the prime q."""
+    a = [[x % q for x in row] for row in rows]
+    det = 1
+    for c in range(len(a)):
+        piv = next((i for i in range(c, len(a)) if a[i][c]), None)
+        if piv is None:
+            return 0
+        if piv != c:
+            a[c], a[piv] = a[piv], a[c]
+            det = -det
+        prow = a[c]
+        det = det * prow[c] % q
+        inv = pow(prow[c], -1, q)
+        tail = prow[c + 1 :]
+        for row in a[c + 1 :]:
+            f = row[c] * inv % q
+            if f:
+                row[c + 1 :] = [(x - f * y) % q for x, y in zip(row[c + 1 :], tail)]
+    return det % q
+
+
+def _pivot_out_units(rows: list[list[int]], mod: int) -> int:
+    """Pivot on entries that are units mod ``mod`` until none is left.
+
+    Each pivot clears its column from the other rows (row operations mod
+    ``mod``), then its row and column go: it is an invariant factor 1 of
+    the quotient module.  The pivot column is swapped to the end of every
+    row and popped, so the rows are updated in place and their columns
+    reordered alike.  Zero rows are dropped.  Returns the pivot count."""
+    pivots = 0
+    while True:
+        rows[:] = [row for row in rows if any(row)]
+        hit = next(
+            (
+                (i, j)
+                for i, row in enumerate(rows)
+                for j, x in enumerate(row)
+                if math.gcd(x, mod) == 1
+            ),
+            None,
+        )
+        if hit is None:
+            return pivots
+        i, j = hit
+        prow = rows[i]
+        rows[i] = rows[-1]
+        rows.pop()
+        inv = pow(prow[j], -1, mod)
+        prow[j] = prow[-1]
+        prow.pop()
+        prow[:] = [y * inv % mod for y in prow]
+        for row in rows:
+            f = row[j]
+            row[j] = row[-1]
+            row.pop()
+            if f:
+                row[:] = [(x - f * y) % mod for x, y in zip(row, prow)]
+        pivots += 1
+
+
+def snf_mod(matrix: Sequence[Sequence[int]], modulus: int) -> tuple[int, ...]:
+    """Invariant factors d1 | ... | dc of Z^c modulo the rows of an integer
+    matrix with c columns and modulus * Z^c, the 1s included.  When the row
+    span contains modulus * Z^c, they are the row span's own; otherwise they
+    are its parts at the primes of the modulus, cut at the modulus.
+
+    Elimination over Z/m, every entry below m, with no factorization of m
+    (dynamic evaluation): units mod m are pivoted out.  If the entries left
+    share a factor g > 1 with m, each remaining factor gains g, the block
+    is divided by g in place, and m drops to m/g.  Otherwise an entry whose
+    gcd with m misses a prime of m splits m into coprime parts m1 m2; the
+    quotient is the sum of its reductions mod m1 and mod m2, whose factors
+    multiply position by position."""
+    ncols = len(matrix[0])
+    block = [[x % modulus for x in row] for row in matrix]
+    factors: list[int] = []
+    scale, m = 1, modulus
+    while True:
+        factors += [scale] * _pivot_out_units(block, m)
+        if not block:  # the columns no row reaches take the full modulus
+            return tuple(factors + [scale * m] * (ncols - len(factors)))
+        g = m
+        for row in block:
+            g = math.gcd(g, *row)
+        if g == 1:
+            break
+        scale *= g
+        m //= g
+        for row in block:
+            row[:] = [x // g for x in row]
+    # no unit and no common factor: some entry misses a prime of m
+    m1 = next(d for row in block for x in row if (d := part_with_primes_of(m, x)) < m)
+    chains = zip(snf_mod(block, m1), snf_mod(block, m // m1))
+    return tuple(factors + [scale * a * b for a, b in chains])

@@ -37,9 +37,9 @@ from typing import Sequence
 
 from .cartan import (
     CartanContext,
-    _units_of_norm,
     find_norm_minus_one_element,
     find_norm_one_generator,
+    units_of_norm,
 )
 from .errors import InvariantViolation
 
@@ -87,7 +87,7 @@ def _checked(a: Index, den: int) -> tuple[int, int]:
     return x1, x2
 
 
-def _b2(x: int, den: int) -> float:
+def b2(x: int, den: int) -> float:
     """B2(x / den) = (6x^2 - 6x den + den^2) / (6 den^2)."""
     return (6 * x * x - 6 * x * den + den * den) / (6 * den * den)
 
@@ -111,7 +111,7 @@ def _siegel_product(x1: int, x2: int, den: int, tau: complex, lead: complex) -> 
 
 
 def _siegel_reduced(x1: int, x2: int, den: int, tau: complex) -> complex:
-    lead = -cmath.exp(1j * math.pi * tau * _b2(x1, den))
+    lead = -cmath.exp(1j * math.pi * tau * b2(x1, den))
     lead *= cmath.exp(1j * math.pi * (x2 * (x1 - den) / (den * den)))
     return _siegel_product(x1, x2, den, tau, lead)
 
@@ -195,7 +195,7 @@ def infinity_order_slope(
     xs, ls = [], []
     for y in ys:
         rest = _siegel_product(r1, x2, den, complex(0.0, y), 1.0)
-        ls.append(-math.pi * y * _b2(r1, den) + math.log(abs(rest)))
+        ls.append(-math.pi * y * b2(r1, den) + math.log(abs(rest)))
         xs.append(-2 * math.pi * y)
     n = len(xs)
     mean_x = sum(xs) / n
@@ -285,7 +285,7 @@ def t_plus_eval(ctx: CartanContext, h_index: int, tau: complex) -> complex:
     when a1 = 0, in increasing (a1, a2)."""
     m = ctx.modulus
     r = pow(ctx.w, h_index, m)
-    units = (s for t in (r, m - r) for s in _units_of_norm(ctx, t))
+    units = (s for t in (r, m - r) for s in units_of_norm(ctx, t))
     bucket = sorted(s for s in units if 2 * s.a1 < m and (s.a1 or 2 * s.a2 < m))
     return math.prod((klein_eval(s, m, tau) for s in bucket), start=1.0 + 0j)
 

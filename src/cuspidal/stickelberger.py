@@ -7,12 +7,13 @@ identity.  The vector ``a`` of bucket sums is indexed the same way
 w^(-j), i.e. ``theta.coeffs[m] = a[(-m) mod n]``.
 
 The integer row of theta' (theta_prime_row), the unit counts per norm
-(_norm_counts) and the quadratic sums over every exact-norm fiber
+(norm_counts) and the quadratic sums over every exact-norm fiber
 (somme_identities_check) are cyclic convolutions over Z/p^k of the same
-root tables (_root_tables), in O(p^k) integer operations and one packed
-big-integer product each; no unit class is enumerated.  The commands read
-these; the bucket sums (compute_a) and the group-ring elements theta and
-theta' are the row's rational forms, test oracles only.
+root tables (_root_tables), in O(p^k) integer operations and one
+arith.cyclic_product each; no unit class is enumerated.  theta_image and
+d_theta_row push the row to Z[C_size] for the lattice rows.  The commands
+read these; the bucket sums (compute_a) and the group-ring elements theta
+and theta' are the row's rational forms, test oracles only.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import math
 from functools import lru_cache
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
-from .arith import packed_product
+from .arith import cyclic_product, fold
 from .cartan import CONTEXT_CACHE_SIZE, CartanContext
 from .errors import InvariantViolation
 
@@ -129,16 +130,6 @@ def e_value(p: int, k: int) -> int:
     return e
 
 
-def _cyclic_product(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    """Cyclic convolution of two nonnegative integer vectors of one length:
-    one packed product, folded at the length.  Each coefficient before the
-    fold is at most max(a) * sum(b), which sets the slot width."""
-    width = ((max(a) * sum(b)).bit_length() + 7) // 8
-    coef = packed_product(a, b, width)
-    n = len(a)
-    return [x + y for x, y in zip(coef[:n], coef[n:])]
-
-
 def _root_tables(ctx: CartanContext) -> tuple[list[int], list[int], list[int]]:
     """Over Z/m, m = p^k: S[t] = #{a : a^2 = t}, U[t] = sum of a (m - a)
     over a^2 = t, and C[u] = #{b : -eps b^2 = u}, the factors of the
@@ -153,11 +144,11 @@ def _root_tables(ctx: CartanContext) -> tuple[list[int], list[int], list[int]]:
     return squares, weights, minus_eps
 
 
-def _norm_counts(ctx: CartanContext) -> tuple[list[int], list[int], list[int]]:
+def norm_counts(ctx: CartanContext) -> tuple[list[int], list[int], list[int]]:
     """N = S * C, N[r] the number of units of norm r at a unit r, with U
     and C for theta_prime_row's V = U * C; verify reads N alone."""
     squares, weights, minus_eps = _root_tables(ctx)
-    return _cyclic_product(squares, minus_eps), weights, minus_eps
+    return cyclic_product(squares, minus_eps), weights, minus_eps
 
 
 @lru_cache(maxsize=CONTEXT_CACHE_SIZE)
@@ -191,11 +182,11 @@ def theta_prime_row(ctx: CartanContext) -> tuple[int, ...]:
     (mod m), which cancels between r and -r.  A remainder is still an
     InvariantViolation."""
     m = ctx.modulus
-    count, weights, minus_eps = _norm_counts(ctx)
+    count, weights, minus_eps = norm_counts(ctx)
     fiber = ctx.bucket_size()
     if any(count[r] != fiber for r in range(m) if r % ctx.p):
         raise InvariantViolation(f"a unit norm fiber does not have {fiber} elements")
-    weighted = _cyclic_product(weights, minus_eps)
+    weighted = cyclic_product(weights, minus_eps)
     out = []
     r = 1  # w^j
     for _ in range(ctx.n):
@@ -210,6 +201,27 @@ def theta_prime_row(ctx: CartanContext) -> tuple[int, ...]:
 def theta_prime_degree(p: int, k: int) -> int:
     """deg theta' = -(p^2-1)/24 * p^(3k-2), the trivial character's value."""
     return -((p * p - 1) // 24) * p ** (3 * k - 2)
+
+
+def theta_image(ctx: CartanContext, size: int) -> list[int]:
+    """pi(theta') in Z[C_size] for size | n, pi taking w to the generator of
+    C_size: coefficient i sums those of w^j in theta' over j = i (mod size).
+    pi is the identity at size n."""
+    a = theta_prime_row(ctx)
+    return fold(a[:1] + a[:0:-1], size)  # theta'_j = a'_(-j)
+
+
+def d_theta_row(ctx: CartanContext, size: int) -> list[int]:
+    """d * pi(theta) in Z[C_size], every coefficient (of w^0 too), for
+    d = d_value(p); O(n).  theta - theta' is (p+1) p^(2k-1) / 12 on every
+    coefficient, so pi adds n / size times that, and d times it is an
+    integer."""
+    p = ctx.p
+    d_shift = (p + 1) // math.gcd(12, p + 1) * p ** (2 * ctx.k - 1) * (ctx.n // size)
+    row = [d_value(p) * x + d_shift for x in theta_image(ctx, size)]
+    if sum(row):
+        raise InvariantViolation("lattice generator does not have degree zero")
+    return row
 
 
 @lru_cache(maxsize=CONTEXT_CACHE_SIZE)
@@ -282,8 +294,8 @@ def _fiber_square_sums(ctx: CartanContext) -> tuple[list[int], list[int]]:
     as a1^2 = t and -eps a2^2 = u over the pairs counted at t + u = r."""
     m = ctx.modulus
     squares, _, minus_eps = _root_tables(ctx)
-    s11 = _cyclic_product([t * c for t, c in enumerate(squares)], minus_eps)
-    s22 = _cyclic_product(squares, [u * c for u, c in enumerate(minus_eps)])
+    s11 = cyclic_product([t * c for t, c in enumerate(squares)], minus_eps)
+    s22 = cyclic_product(squares, [u * c for u, c in enumerate(minus_eps)])
     inv_eps = pow(ctx.epsilon % m, -1, m)
     return [x % m for x in s11], [-inv_eps * x % m for x in s22]
 

@@ -6,9 +6,10 @@ structure suite the cross-route order equality, and the analytic suite the
 desk-scale q-series verification.
 
 The algebraic and eps-independence suites read theta' as its integer row
-(stickelberger.theta_prime_row), with the unit-norm counts (_norm_counts)
-and the row d theta (components.d_theta_row), all O(p^k): the dense class
-partition, the Fraction group ring and the n-row lattice are test oracles.
+(stickelberger.theta_prime_row), with the unit-norm counts (norm_counts)
+and the row d theta (d_theta_row), all O(p^k) and all in stickelberger:
+the dense class partition, the Fraction group ring and the n-row lattice
+are test oracles, and only the structure suite runs components.
 """
 
 from __future__ import annotations
@@ -21,8 +22,9 @@ from .cartan import CartanContext, valid_epsilons
 from .classgroup import FLOAT_TOL, bernoulli_formula_k1, float_crosscheck, order, structure
 from .errors import InvariantViolation
 from .stickelberger import (
-    _norm_counts,
+    d_theta_row,
     d_value,
+    norm_counts,
     somme_identities_check,
     theta_prime_degree,
     theta_prime_row,
@@ -61,9 +63,6 @@ def algebraic_checks(p: int, k: int = 1) -> list[Check]:
         return d % denom == 0, f"d = {d}, observed a_i denominator lcm = {denom}"
 
     def lattice_rows():
-        # imported here as in structure(), so order and table never compile it
-        from .components import d_theta_row
-
         # d theta, which raises unless of degree 0, and the n - 1 shifts
         # (w^j - 1) theta' of the integer theta' row
         d_theta_row(ctx, ctx.n)
@@ -85,7 +84,7 @@ def algebraic_checks(p: int, k: int = 1) -> list[Check]:
 
     def buckets():
         # the bucket of w^i: the units of norm +-w^i, two (s and -s) per class
-        count, m = _norm_counts(ctx)[0], ctx.modulus
+        count, m = norm_counts(ctx)[0], ctx.modulus
         sizes = {count[r] + count[m - r] for r in (pow(ctx.w, i, m) for i in range(ctx.n))}
         return sizes == {2 * ctx.bucket_size()}, f"{ctx.n} buckets of {ctx.bucket_size()}"
 
@@ -146,7 +145,7 @@ def analytic_checks(p: int) -> list[Check]:
     slope, and (for p = 5, 7) the dihedral sign of the bucket products."""
     # only this suite needs the q-series layer: other commands skip loading it
     from .siegel import (
-        _b2,
+        b2,
         cartan_group_lift,
         check_Th_weight,
         infinity_order_slope,
@@ -188,7 +187,7 @@ def analytic_checks(p: int) -> list[Check]:
         ys = tuple(c * p / 5 for c in (8.0, 10.0, 12.0))
         worst = 0.0
         for a in grid:
-            target = _b2(a[0], p) / 2
+            target = b2(a[0], p) / 2
             got = infinity_order_slope(a, p, ys=ys)
             worst = max(worst, abs(got - target) / abs(target))
         return worst <= 0.01, f"worst relative error {worst:.2%}"

@@ -7,7 +7,7 @@ block_matrix builds from the pair (Phi_d, F mod Phi_d) of
 classgroup.orbit_blocks (no command builds it), taken by fraction-free
 (Bareiss) elimination.
 
-classgroup.snf_mod eliminates modulo a multiple of the lattice index; snf
+components.snf_mod eliminates modulo a multiple of the lattice index; snf
 is the dense Smith form over Z with minimal pivots, which no command runs.
 
 arith.factorize divides out the trial primes by one gcd per run of primes;

@@ -20,6 +20,7 @@ from cuspidal.arith import (
     TRIAL_CHUNK,
     Factorization,
     Primality,
+    cyclic_product,
     factorize,
     iroot,
     is_prime,
@@ -481,3 +482,25 @@ def test_packed_product_is_the_polynomial_product(la, lb):
     width = (max(want).bit_length() + 7) // 8
     assert packed_product(a, b, width) == want
     assert packed_product(a, b, width + 3) == want
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_cyclic_product_is_the_schoolbook_product_modulo_x_n_minus_sign(sign):
+    # random nonnegative vectors of 1 to 130 bits and an all-zero vector, on
+    # either side: with a zero vector the product is 0, and the slot width
+    # must still hold every entry of the other one
+    def schoolbook(a, b):
+        n = len(a)
+        out = [0] * n
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[(i + j) % n] += x * y if i + j < n else sign * x * y
+        return out
+
+    rng = random.Random(sign)
+    for n in (1, 2, 7, 30):
+        vectors = [[rng.randrange(2**bits) for _ in range(n)] for bits in (1, 8, 64, 130)]
+        vectors.append([0] * n)
+        for a in vectors:
+            for b in vectors:
+                assert cyclic_product(a, b, sign) == schoolbook(a, b), (n, a, b)

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import sys
 
 import pytest
 
@@ -18,9 +19,9 @@ from cuspidal.classgroup import (
     lattice_index,
     orbit_norms,
     order,
-    snf_mod,
     structure,
 )
+from cuspidal.components import snf_mod
 from cuspidal.errors import InvariantViolation
 from cuspidal.stickelberger import d_value, theta, theta_prime_degree, theta_prime_row
 from oracles import (
@@ -526,12 +527,12 @@ def test_lattice_index_is_the_determinant_of_the_shift_rows(p, k):
 
 
 def test_snf_mod_matches_snf_on_random_lattices(monkeypatch):
-    import cuspidal.classgroup as cg
+    import cuspidal.components as co
 
     # count the two ways the kernel goes on when no unit is left: a
     # recursive call is a coprime split of the modulus, and a pivot search
     # below the call's own modulus follows a division by a common factor
-    real_snf_mod, real_pivot = cg.snf_mod, cg._pivot_out_units
+    real_snf_mod, real_pivot = co.snf_mod, co._pivot_out_units
     moduli, paths = [], {"split": 0, "scale": 0}
 
     def snf_mod_spy(rows, m):
@@ -546,8 +547,8 @@ def test_snf_mod_matches_snf_on_random_lattices(monkeypatch):
         paths["scale"] += m != moduli[-1]
         return real_pivot(rows, m)
 
-    monkeypatch.setattr(cg, "snf_mod", snf_mod_spy)
-    monkeypatch.setattr(cg, "_pivot_out_units", pivot_spy)
+    monkeypatch.setattr(co, "snf_mod", snf_mod_spy)
+    monkeypatch.setattr(co, "_pivot_out_units", pivot_spy)
     rng = random.Random(5)
     cases = 0
     while cases < 60:
@@ -565,11 +566,11 @@ def test_snf_mod_matches_snf_on_random_lattices(monkeypatch):
         rows.append([rng.randrange(-50, 51) for _ in range(n)])  # one more row
         det = abs(bareiss_det(rows[:-1]))
         want = snf(rows)
-        assert cg.snf_mod(rows, det) == want
+        assert co.snf_mod(rows, det) == want
         # any multiple of the index also lies in the row span, among them
         # products of coprime parts and squares of a prime above 10^6
         for extra in (p**3 * 35, q * q, 999983**2 * 1000003**2 * 6):
-            assert cg.snf_mod(rows, det * extra) == want
+            assert co.snf_mod(rows, det * extra) == want
         cases += 1
     assert paths["split"] > 0 and paths["scale"] > 0, paths
 
@@ -586,20 +587,23 @@ def test_euclid_mod_matches_snf_mod_on_random_rows(monkeypatch):
 
     # count the ways Euclid goes on at a non-unit leading coefficient: a
     # part below the modulus is a coprime split, and snf_mod is the no-split
-    # path
-    real_part, real_snf_mod = co._part_with_primes_of, co.snf_mod
+    # path; snf_mod's own calls, which share the module, are not counted
+    real_part, real_snf_mod = co.part_with_primes_of, co.snf_mod
     paths = {"split": 0, "no split": 0}
+
+    def from_euclid():
+        return sys._getframe(2).f_code is co.euclid_mod.__code__
 
     def part_spy(m, x):
         part = real_part(m, x)
-        paths["split"] += part < m
+        paths["split"] += part < m and from_euclid()
         return part
 
     def snf_mod_spy(block, m):
-        paths["no split"] += 1
+        paths["no split"] += from_euclid()
         return real_snf_mod(block, m)
 
-    monkeypatch.setattr(co, "_part_with_primes_of", part_spy)
+    monkeypatch.setattr(co, "part_with_primes_of", part_spy)
     monkeypatch.setattr(co, "snf_mod", snf_mod_spy)
     rng = random.Random(15)
     for case in range(40):
@@ -978,9 +982,8 @@ def test_structure_builds_no_n_row_matrix(monkeypatch, p, k):
         return lambda rows, m: seen.append(len(rows)) or real(rows, m)
 
     monkeypatch.setattr(cg, "generator_matrix", never)
-    for module in (cg, co):
-        for name, seen in sizes.items():
-            monkeypatch.setattr(module, name, spy(getattr(module, name), seen))
+    for name, seen in sizes.items():
+        monkeypatch.setattr(co, name, spy(getattr(co, name), seen))
     assert math.prod(structure(ctx)) == order(ctx)
     every = sizes["snf_mod"] + sizes["_det_mod"]
     assert max(every) < ctx.n - 1, (max(every), ctx.n)

@@ -7,7 +7,8 @@ sys.modules entry that is still a lazy module does not.
 Pinned: ``--version`` executes no layer module; ``order`` and ``table``
 execute neither the check layers (``verify``, ``crosscheck``, ``siegel``)
 nor the Smith-form components, and import no ``fractions``; ``verify``
-and ``crosscheck`` do not execute each other; ``table`` forks its workers
+executes the components only with ``--structure``; ``verify`` and
+``crosscheck`` do not execute each other; ``table`` forks its workers
 only after ``cuspidal.classgroup`` has executed, so that no worker
 compiles it again.  No command imports ``dataclasses`` (which pulls in
 ``inspect``, ``ast``, ``dis`` and ``tokenize``)."""
@@ -119,6 +120,7 @@ def test_analytic_suite_loads_siegel():
 def test_only_the_structure_loads_its_components():
     assert "cuspidal.components" not in loaded_modules("order", "-p", "13")
     assert "cuspidal.components" not in loaded_modules("table", "--pmax", "13")
+    assert "cuspidal.components" not in loaded_modules("verify", "-p", "13")
     assert "cuspidal.components" in loaded_modules("verify", "-p", "13", "--structure")
 
 

@@ -8,10 +8,10 @@ from cuspidal.errors import InvariantViolation
 from cuspidal.stickelberger import (
     GroupRingElement,
     _fiber_square_sums,
-    _norm_counts,
     compute_a,
     d_value,
     e_value,
+    norm_counts,
     somme_identities_check,
     stickelberger_data,
     theta,
@@ -91,7 +91,7 @@ def test_theta_prime_row_rejects_a_weighted_sum_off_by_one(monkeypatch, capsys):
 
     ctx = CartanContext.create(13, 2)
     weights = st._root_tables(ctx)[1]
-    product = st._cyclic_product
+    product = st.cyclic_product
 
     def bumped(a, b):
         out = product(a, b)
@@ -99,7 +99,7 @@ def test_theta_prime_row_rejects_a_weighted_sum_off_by_one(monkeypatch, capsys):
             out[2] += 1
         return out
 
-    monkeypatch.setattr(st, "_cyclic_product", bumped)
+    monkeypatch.setattr(st, "cyclic_product", bumped)
     theta_prime_row.cache_clear()
     theta_prime_norms.cache_clear()
     with pytest.raises(InvariantViolation, match="theta' is not integral"):
@@ -249,7 +249,7 @@ def test_norm_counts_give_the_partition_bucket_sizes(p, k):
     # bucket h holds the units of norm w^h and -w^h, s and -s one class
     ctx = CartanContext.create(p, k)
     m = ctx.modulus
-    count = _norm_counts(ctx)[0]
+    count = norm_counts(ctx)[0]
     for h, bucket in norm_class_partition(ctx).items():
         r = pow(ctx.w, h, m)
         assert count[r] + count[m - r] == 2 * len(bucket), h
@@ -266,7 +266,7 @@ def test_somme_identities_check_reports_a_perturbed_h(monkeypatch, p, k, call, r
     # the fiber of r, which belongs to h = +-r
     import cuspidal.stickelberger as st
 
-    real, calls = st._cyclic_product, []
+    real, calls = st.cyclic_product, []
 
     def perturbed(a, b):
         out = real(a, b)
@@ -275,7 +275,7 @@ def test_somme_identities_check_reports_a_perturbed_h(monkeypatch, p, k, call, r
         calls.append(None)
         return out
 
-    monkeypatch.setattr(st, "_cyclic_product", perturbed)
+    monkeypatch.setattr(st, "cyclic_product", perturbed)
     m = p**k
     assert somme_identities_check(CartanContext.create(p, k)) == (min(r, m - r),)
 
