@@ -2,11 +2,29 @@
 modular curves: orders, factored orders, abelian-group structure, and the
 numerical verification layer for the underlying modular units.
 
-Importing the package runs none of its layer modules: each public name
-below is imported from its module on first access (PEP 562), so a command
-compiles only the modules it uses."""
+This is the one place that decides when a module of the package runs.
+Importing the package registers every layer module as a lazy module
+(``importlib.util.LazyLoader``): each is in sys.modules and is a package
+attribute from the start, but is compiled and run only at the first read
+of one of its attributes.  So a command compiles only the modules it uses,
+and the modules import each other at their tops: no function imports a
+package module.  Each public name below resolves from its module on first
+access (PEP 562)."""
+
+import importlib.util
+import sys
 
 from ._version import __version__
+
+for _name in (
+    "arith", "cartan", "classgroup", "components", "crosscheck", "errors", "siegel",
+    "stickelberger", "verify",
+):
+    _spec = importlib.util.find_spec(f"{__name__}.{_name}")
+    _spec.loader = importlib.util.LazyLoader(_spec.loader)
+    globals()[_name] = sys.modules[_spec.name] = importlib.util.module_from_spec(_spec)
+    _spec.loader.exec_module(sys.modules[_spec.name])
+del _name, _spec
 
 # public name -> the module that defines it
 _EXPORTS = {
@@ -46,9 +64,7 @@ def __getattr__(name: str):
         module = _EXPORTS[name]
     except KeyError:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
-    from importlib import import_module
-
-    value = getattr(import_module(f".{module}", __name__), name)
+    value = getattr(globals()[module], name)
     globals()[name] = value
     return value
 

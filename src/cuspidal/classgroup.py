@@ -48,9 +48,11 @@ from functools import lru_cache
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Sequence
 
+from . import components
 from ._version import __version__
 from .arith import (
     DEFAULT_RHO_BUDGET,
+    FactorEntry,
     Factorization,
     Primality,
     cyclic_product,
@@ -250,9 +252,7 @@ def _divisibility_chain(diag: Sequence[int]) -> tuple[int, ...]:
 def generator_matrix(ctx: CartanContext) -> list[list[int]]:
     """The unit-divisor lattice rows (w^j - 1) theta, j = 1..n-1, and
     d * theta: components.lattice_rows at size n, for the tests."""
-    from .components import lattice_rows
-
-    return lattice_rows(ctx, ctx.n)
+    return components.lattice_rows(ctx, ctx.n)
 
 
 def lattice_index(ctx: CartanContext, size: int) -> int:
@@ -298,8 +298,6 @@ def structure(ctx: CartanContext) -> tuple[int, ...]:
     and factors multiplying to M_d; the M_d must multiply to T'.  The block
     factors are merged into one chain and multiplied into the S-parts
     position by position, the two being coprime."""
-    from .components import euclid_mod, p_part_mod, quotient_mod
-
     index = lattice_index(ctx, ctx.n)
     norms = theta_prime_norms(ctx)
     six_pn = 6 * ctx.p * ctx.n
@@ -312,11 +310,11 @@ def structure(ctx: CartanContext) -> tuple[int, ...]:
     d_theta = d_theta_row(ctx, ctx.n)
     q = min(ctx.p**2, p_top)
     while True:
-        p_part = p_part_mod(d_theta, ctx.p, ctx.w, q)
+        p_part = components.p_part_mod(d_theta, ctx.p, ctx.w, q)
         if q == p_top or p_part[-1] < q:
             break
         q = min(q * q, p_top)
-    joint = [a * b for a, b in zip(p_part, quotient_mod(ctx, index, rest_s))]
+    joint = [a * b for a, b in zip(p_part, components.quotient_mod(ctx, index, rest_s))]
 
     pieces: list[int] = []
     m_product = 1
@@ -327,7 +325,7 @@ def structure(ctx: CartanContext) -> tuple[int, ...]:
         if _norms_mod(r + [0] * (ctx.n - len(r)), ell, h)[d] != norms[d] % ell:
             raise InvariantViolation(f"orbit block {d} does not have resultant N_{d}")
         m = abs(norms[d]) // part_with_primes_of(abs(norms[d]), six_pn)
-        factors = euclid_mod(phi, r, m)
+        factors = components.euclid_mod(phi, r, m)
         if math.prod(factors) != m:
             raise InvariantViolation(f"orbit block {d} factors do not multiply to M_{d}")
         pieces += factors
@@ -497,8 +495,6 @@ class ClassGroupResult(NamedTuple):
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ClassGroupResult":
-        from .arith import FactorEntry, Primality
-
         fz = data.get("factorization")
         factorization = (
             None

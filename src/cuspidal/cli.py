@@ -6,46 +6,26 @@ suites), ``crosscheck`` (the gcd harness over point-count data), and
 ``genus`` (genus / cusp count).  Exit codes are a stable contract:
 0 success, 1 verification failure, 2 usage or input error, 3 internal
 invariant violation.
+
+The layer modules are the package's lazy modules (``cuspidal/__init__``):
+importing them here runs none, and a command runs only those it reads.
 """
 
 from __future__ import annotations
 
 import argparse
-import importlib.util
 import os
 import sys
 
+from . import arith, cartan, classgroup, crosscheck, verify
 from ._version import __version__
 from .errors import SIZE_GUARD, InvariantViolation, brief_int
-
-
-def _lazy_module(name: str):
-    """The package module ``name``, registered in sys.modules now and
-    compiled and run at the first read of one of its attributes, so a
-    command pays only for the modules it uses.  Every import of the module
-    returns this one object."""
-    fullname = f"{__package__}.{name}"
-    if fullname in sys.modules:
-        return sys.modules[fullname]
-    spec = importlib.util.find_spec(fullname)
-    spec.loader = importlib.util.LazyLoader(spec.loader)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[fullname] = module
-    spec.loader.exec_module(module)
-    setattr(sys.modules[__package__], name, module)
-    return module
 
 
 def _load(module) -> None:
     """Compile and run a lazy module now rather than at its first use."""
     module.__name__
 
-
-arith = _lazy_module("arith")
-cartan = _lazy_module("cartan")
-classgroup = _lazy_module("classgroup")
-crosscheck = _lazy_module("crosscheck")
-verify = _lazy_module("verify")
 
 TABLE_GUARD = 101
 

@@ -14,8 +14,9 @@ lattice.
 Each reduces a matrix modulo m by snf_mod(), the one Smith-form kernel.
 The module also builds the lattice rows of the C_m quotient and of the
 whole lattice (classgroup.generator_matrix) from stickelberger's theta'
-rows.  Only structure() and generator_matrix() load it: order, table and
-verify without --structure do not compile it.
+rows.  classgroup imports it as a lazy package module, and only
+structure() and generator_matrix() read it: order, table and verify
+without --structure do not compile it.
 """
 
 from __future__ import annotations

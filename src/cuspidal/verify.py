@@ -9,7 +9,9 @@ The algebraic and eps-independence suites read theta' as its integer row
 (stickelberger.theta_prime_row), with the unit-norm counts (norm_counts)
 and the row d theta (d_theta_row), all O(p^k) and all in stickelberger:
 the dense class partition, the Fraction group ring and the n-row lattice
-are test oracles, and only the structure suite runs components.
+are test oracles.  ``components`` and ``siegel`` are lazy package modules:
+only the structure suite runs the first and only the analytic suite the
+second.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import math
 from itertools import islice
 from typing import NamedTuple
 
+from . import siegel
 from .cartan import CartanContext, valid_epsilons
 from .classgroup import FLOAT_TOL, bernoulli_formula_k1, float_crosscheck, order, structure
 from .errors import InvariantViolation
@@ -143,30 +146,18 @@ def _grid(den: int) -> list[tuple[int, int]]:
 def analytic_checks(p: int) -> list[Check]:
     """Klein-form laws on the level-p index grid, the order-at-infinity
     slope, and (for p = 5, 7) the dihedral sign of the bucket products."""
-    # only this suite needs the q-series layer: other commands skip loading it
-    from .siegel import (
-        b2,
-        cartan_group_lift,
-        check_Th_weight,
-        infinity_order_slope,
-        klein_modular_residual,
-        klein_negation_residual,
-        klein_translation_residual,
-        normalizer_coset_lift,
-    )
-
     out = []
     grid = _grid(p)
 
     def negation():
         worst = max(
-            klein_negation_residual(a, p, tau) for a in grid for tau in ANALYTIC_TAUS
+            siegel.klein_negation_residual(a, p, tau) for a in grid for tau in ANALYTIC_TAUS
         )
         return worst < ANALYTIC_TOL, f"worst residual {worst:.2e}"
 
     def translation():
         worst = max(
-            klein_translation_residual(a, p, b, tau)
+            siegel.klein_translation_residual(a, p, b, tau)
             for a in grid
             for b in ((1, 0), (0, 1), (1, 1))
             for tau in ANALYTIC_TAUS
@@ -175,7 +166,7 @@ def analytic_checks(p: int) -> list[Check]:
 
     def modular():
         worst = max(
-            klein_modular_residual(a, p, g, tau)
+            siegel.klein_modular_residual(a, p, g, tau)
             for a in grid
             for g in ANALYTIC_MATRICES
             for tau in ANALYTIC_TAUS
@@ -187,8 +178,8 @@ def analytic_checks(p: int) -> list[Check]:
         ys = tuple(c * p / 5 for c in (8.0, 10.0, 12.0))
         worst = 0.0
         for a in grid:
-            target = b2(a[0], p) / 2
-            got = infinity_order_slope(a, p, ys=ys)
+            target = siegel.b2(a[0], p) / 2
+            got = siegel.infinity_order_slope(a, p, ys=ys)
             worst = max(worst, abs(got - target) / abs(target))
         return worst <= 0.01, f"worst relative error {worst:.2%}"
 
@@ -201,10 +192,10 @@ def analytic_checks(p: int) -> list[Check]:
         def dihedral():
             ctx = CartanContext.create(p)
             tau = 0.3 + 1j
-            gr = cartan_group_lift(ctx)
-            gc = normalizer_coset_lift(ctx)
+            gr = siegel.cartan_group_lift(ctx)
+            gc = siegel.normalizer_coset_lift(ctx)
             ok = all(
-                check_Th_weight(ctx, h, g, tau)
+                siegel.check_Th_weight(ctx, h, g, tau)
                 for h in range(1, ctx.n + 1)
                 for g in (gr, gc)
             )

@@ -1,13 +1,31 @@
-"""The package's public names resolve on first access (PEP 562), and no
-module of the package reads another's private names."""
+"""The package's public names resolve on first access (PEP 562), no
+module of the package reads another's private names, and no function
+imports a package module: the package registers each one as a lazy module
+(``cuspidal/__init__``), so the modules import each other at their tops."""
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import cuspidal
+
+# in a fresh interpreter that imports only the package, read the public
+# name argv[1] first, before any module has run, then every other; print the
+# public names that dir() misses and the registration loop's names left in
+# the namespace
+FRESH = """\
+import sys
+import cuspidal
+for name in [sys.argv[1], *cuspidal.__all__]:
+    getattr(cuspidal, name)
+print(repr([sorted(set(cuspidal.__all__) - set(dir(cuspidal))),
+            sorted({"_name", "_spec"} & set(vars(cuspidal)))]))
+"""
 
 
 def test_every_public_name_resolves():
@@ -16,6 +34,22 @@ def test_every_public_name_resolves():
         if name != "__version__":
             module = importlib.import_module(f"cuspidal.{cuspidal._EXPORTS[name]}")
             assert value is getattr(module, name), name
+
+
+def test_a_fresh_interpreter_resolves_every_public_name():
+    # here the other tests may have run every module already; there none
+    # has, and a module that another one imports is a package attribute
+    # once that one has run: so each name is read first in an interpreter
+    src = Path(cuspidal.__file__).parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    for name in cuspidal.__all__:
+        proc = subprocess.run(
+            [sys.executable, "-c", FRESH, name],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 0, (name, proc.stderr)
+        assert ast.literal_eval(proc.stdout) == [[], []], name
 
 
 def test_star_import_binds_every_public_name():
@@ -59,3 +93,22 @@ def test_no_module_reads_another_modules_private_names():
             ):
                 found.append(f"{path.name}:{node.lineno} {node.value.id}.{node.attr}")
     assert not found, found
+
+
+def test_no_function_imports_a_package_module():
+    src = Path(cuspidal.__file__).parent
+    found = set()
+    for path in sorted(src.glob("*.py")):
+        for scope in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            for node in ast.walk(scope):
+                if isinstance(node, ast.ImportFrom):
+                    modules = ["." * node.level + (node.module or "")]
+                elif isinstance(node, ast.Import):
+                    modules = [alias.name for alias in node.names]
+                else:
+                    continue
+                if any(m.startswith(".") or m.split(".")[0] == "cuspidal" for m in modules):
+                    found.add(f"{path.name}:{node.lineno}")
+    assert not found, sorted(found)

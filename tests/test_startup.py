@@ -1,12 +1,14 @@
-"""What a command-line process executes.  ``cuspidal.cli`` registers its
-layer modules as lazy modules: each is in sys.modules from the start but
-is compiled and run only when a command first reads one of its
+"""What a command-line process executes.  Importing ``cuspidal`` registers
+every layer module as a lazy module: each is in sys.modules from the start
+but is compiled and run only when a command first reads one of its
 attributes.  So a module counts here once it has executed, and a
 sys.modules entry that is still a lazy module does not.
 
-Pinned: ``--version`` executes no layer module; ``order`` and ``table``
-execute neither the check layers (``verify``, ``crosscheck``, ``siegel``)
-nor the Smith-form components, and import no ``fractions``; ``verify``
+Pinned: importing ``cuspidal.cli`` registers every module of the package
+and executes only the command line and the errors it names; ``--version``
+executes no layer module; ``order`` and ``table`` execute neither the
+check layers (``verify``, ``crosscheck``, ``siegel``) nor the Smith-form
+components, and import no ``fractions``; ``verify``
 executes the components only with ``--structure``; ``verify`` and
 ``crosscheck`` do not execute each other; ``table`` forks its workers
 only after ``cuspidal.classgroup`` has executed, so that no worker
@@ -48,15 +50,31 @@ print(repr([rc, sorted(filter(executed, list(sys.modules))), forks]))
 """
 
 
-def run_probe(*argv, cpus=0):
+# import the command line only, then report each module of the package
+# in sys.modules and whether it has executed
+REGISTERED = """\
+import importlib.util, sys
+import cuspidal.cli
+print(repr([(name, type(module) is not importlib.util._LazyModule)
+            for name, module in list(sys.modules.items())
+            if name.split(".")[0] == "cuspidal"]))
+"""
+
+
+def run_python(code, *argv):
+    """The last line that ``python -c code argv...`` prints, as a literal."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", PROBE.format(cpus=cpus), *argv],
+        [sys.executable, "-c", code, *argv],
         capture_output=True, text=True, env=env, timeout=120, check=True,
     )
-    rc, modules, forks = ast.literal_eval(proc.stdout.splitlines()[-1])
-    assert rc == 0, proc.stderr
+    return ast.literal_eval(proc.stdout.splitlines()[-1]), proc.stderr
+
+
+def run_probe(*argv, cpus=0):
+    (rc, modules, forks), stderr = run_python(PROBE.format(cpus=cpus), *argv)
+    assert rc == 0, stderr
     return set(modules), forks
 
 
@@ -81,6 +99,17 @@ def test_commands_load_neither_dataclasses_nor_siegel(argv):
     modules = loaded_modules(*argv)
     assert "cuspidal.cli" in modules
     assert not modules & {"dataclasses", "inspect", "cuspidal.siegel"}
+
+
+def test_importing_the_command_line_registers_every_module():
+    registered = dict(run_python(REGISTERED)[0])
+    assert set(registered) == {"cuspidal"} | {
+        f"cuspidal.{path.stem}" for path in (SRC / "cuspidal").glob("*.py")
+        if path.stem != "__init__"
+    }
+    assert {name for name, executed in registered.items() if executed} == {
+        "cuspidal", "cuspidal._version", "cuspidal.cli", "cuspidal.errors"
+    }
 
 
 def test_version_executes_no_layer_module():
