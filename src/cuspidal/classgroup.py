@@ -21,9 +21,9 @@ Two independent exact routes plus a floating cross-check:
     the p-part comes from a split of Z_p[H] by the characters of the
     prime-to-p part of H, the rest of T_S from the C_m quotient,
     m = (p-1)/2, and each prime outside S from the orbit pairs
-    (Phi_d, F mod Phi_d) of the theta' row (orbit_blocks), each reduced
-    to its invariant factors in components.py, whose one Smith-form kernel,
-    snf_mod(), takes every matrix modulo m.
+    (Phi_d, F mod Phi_d) of the theta' row.  structure() makes every level
+    decision, and the integer kernels of components.py, whose one Smith-form
+    kernel snf_mod() takes every matrix modulo m, know no level.
   * bernoulli_formula_k1(): for k = 1, the same order through an explicit
     determinant of B2 sums over the norm classes of F_{p^2}*, enumerated
     pair by pair (theta' takes the same row by convolution).
@@ -68,7 +68,9 @@ from .cartan import (
     genus_plus,
 )
 from .errors import InvariantViolation
-from .stickelberger import d_theta_row, e_value, theta_prime_degree, theta_prime_row
+from .stickelberger import (
+    d_theta_row, e_value, theta_image, theta_prime_degree, theta_prime_row,
+)
 
 FLOAT_TOL = 1e-9  # relative tolerance of float_crosscheck
 _PRIME_TOP = 1 << 62  # CRT primes are the proven primes = 1 (mod 2n) below it
@@ -166,43 +168,6 @@ def orbit_norms(f: Sequence[int]) -> dict[int, int]:
     return norms
 
 
-def _divmod_monic(num: Sequence[int], den: Sequence[int]) -> tuple[list[int], list[int]]:
-    """Quotient and remainder of integer polynomials (coefficients from the
-    constant term up) by a monic divisor; both stay integral."""
-    rem = list(num)
-    deg = len(den) - 1
-    quot = [0] * max(len(rem) - deg, 0)
-    for i in range(len(quot) - 1, -1, -1):
-        c = rem[i + deg]
-        quot[i] = c
-        if c:
-            for j, dj in enumerate(den):
-                rem[i + j] -= c * dj
-    return quot, rem[:deg]
-
-
-def orbit_blocks(f: Sequence[int]) -> dict[int, tuple[list[int], list[int]]]:
-    """{d: (Phi_d, F mod Phi_d)} for every d | n = len(f), F = sum_j f_j x^j:
-    the pair that fixes the orbit component Z[x]/(Phi_d, F), whose order
-    is |N_d| = |Res(Phi_d, F mod Phi_d)|.
-
-    Phi_d comes from x^d - 1 = prod_{e | d} Phi_e by exact division, and
-    F mod Phi_d from F mod (x^d - 1), which Phi_d divides."""
-    n = len(f)
-    blocks: dict[int, tuple[list[int], list[int]]] = {}
-    for d in range(1, n + 1):
-        if n % d:
-            continue
-        phi = [-1] + [0] * (d - 1) + [1]
-        for e, (phi_e, _) in blocks.items():
-            if d % e == 0:
-                phi, rem = _divmod_monic(phi, phi_e)
-                if any(rem):
-                    raise InvariantViolation(f"Phi_{e} does not divide x^{d} - 1")
-        blocks[d] = phi, _divmod_monic(fold(f, d), phi)[1]
-    return blocks
-
-
 @lru_cache(maxsize=CONTEXT_CACHE_SIZE)
 def theta_prime_norms(ctx: CartanContext) -> MappingProxyType:
     """Read-only {d: N_d} of A_theta', computed once per context for
@@ -230,29 +195,10 @@ def order(ctx: CartanContext) -> int:
 # ---------------------------------------------------------------------------
 # structure
 
-def _divisibility_chain(diag: Sequence[int]) -> tuple[int, ...]:
-    """The invariant factors of the diagonal matrix diag, sorted: gcd/lcm
-    exchanges (diag(a, b) ~ diag(gcd, lcm)) until each divides the next."""
-    diag = list(diag)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(diag)):
-            if diag[i] == 1:  # divides everything
-                continue
-            for j in range(i + 1, len(diag)):
-                if diag[j] % diag[i]:
-                    g = math.gcd(diag[i], diag[j])
-                    diag[i], diag[j] = g, diag[i] * diag[j] // g
-                    changed = True
-    diag.sort()
-    return tuple(diag)
-
-
 def generator_matrix(ctx: CartanContext) -> list[list[int]]:
     """The unit-divisor lattice rows (w^j - 1) theta, j = 1..n-1, and
     d * theta: components.lattice_rows at size n, for the tests."""
-    return components.lattice_rows(ctx, ctx.n)
+    return components.lattice_rows(theta_image(ctx, ctx.n), d_theta_row(ctx, ctx.n))
 
 
 def lattice_index(ctx: CartanContext, size: int) -> int:
@@ -260,7 +206,7 @@ def lattice_index(ctx: CartanContext, size: int) -> int:
     ideal of Z[C_size] and pi taking w to its generator: the index of the
     span of the rows (w^j - 1) pi(theta), j = 1..size-1, in the degree-zero
     part.  At size n it is T = [I : theta I]; at m = (p-1)/2, the T_0 of
-    components.quotient_mod().
+    structure()'s C_m quotient.
 
     It is |prod_{d | size, d > 1} N_d| over the theta' orbit norms, the
     characters of H of order d | size being those that factor through
@@ -284,7 +230,12 @@ def structure(ctx: CartanContext) -> tuple[int, ...]:
         p^s: over Z_p, L = Z[H] d theta, d = d_value(p) being a p-unit, so
         p_part_mod() splits the O(n) row d theta (d_theta_row) by the
         characters of the prime-to-p part of H;
-      * the rest of T_S from the C_m quotient, m = (p-1)/2, by quotient_mod();
+      * the rest of T_S from the C_m quotient, m = (p-1)/2: for a prime
+        l != p the idempotent e_0 of the trivial character of C_q, n = m q,
+        is l-integral, so (I/L)_l is the group of the lattice of pi(theta)
+        in Z[C_m] (lattice_rows(), quotient_mod()) plus (1 - e_0)(I/L)_l,
+        whose order divides T/T_0, T_0 = lattice_index(ctx, m).  So T_0 must
+        divide T and gcd(T/T_0, rest of T_S) must be 1;
       * for a prime l outside S, Z_l[H] = prod_{d | n} Z_l[x]/Phi_d; d is
         an l-unit, theta has degree 0, and theta' - theta is a multiple of
         the norm element, 0 in every factor with d > 1.  So the l-part is
@@ -295,15 +246,24 @@ def structure(ctx: CartanContext) -> tuple[int, ...]:
 
     Each pair must have resultant N_d modulo the first CRT prime l, the
     product of the remainder's values at the roots of order d (_norms_mod),
-    and factors multiplying to M_d; the M_d must multiply to T'.  The block
-    factors are merged into one chain and multiplied into the S-parts
-    position by position, the two being coprime."""
+    and factors multiplying to M_d; the M_d must multiply to T'.  The parts
+    are coprime, so one divisibility_chain() of all their factors is the
+    group's."""
     index = lattice_index(ctx, ctx.n)
     norms = theta_prime_norms(ctx)
     six_pn = 6 * ctx.p * ctx.n
     index_s = part_with_primes_of(index, six_pn)
     p_top = part_with_primes_of(index_s, ctx.p)
     rest_s = index_s // p_top
+    m = (ctx.p - 1) // 2
+    t0 = lattice_index(ctx, m)
+    if index % t0:
+        raise InvariantViolation("T_0 does not divide T = [I : theta I]")
+    if math.gcd(index // t0, rest_s) > 1:
+        raise InvariantViolation(
+            "gcd(T/T_0, rest of T_S) > 1: the characters nontrivial on C_q "
+            "reach a prime of 6n other than p"
+        )
     # the p-part modulo p^s, s = 2, 4, 8, ...: once every factor is below
     # p^s, none was cut off.  They stay far below p_top (at most p^5 at every
     # tested level, where p_top reaches p^79), so the entries stay small.
@@ -314,26 +274,25 @@ def structure(ctx: CartanContext) -> tuple[int, ...]:
         if q == p_top or p_part[-1] < q:
             break
         q = min(q * q, p_top)
-    joint = [a * b for a, b in zip(p_part, components.quotient_mod(ctx, index, rest_s))]
+    rows = components.lattice_rows(theta_image(ctx, m), d_theta_row(ctx, m))
+    pieces = [*p_part, *components.quotient_mod(rows, t0, rest_s)]
 
-    pieces: list[int] = []
     m_product = 1
     ell, h = next(_crt_primes(ctx.n))
-    for d, (phi, r) in orbit_blocks(theta_prime_row(ctx)).items():
+    for d, (phi, r) in components.orbit_blocks(theta_prime_row(ctx)).items():
         if d == 1:
             continue
         if _norms_mod(r + [0] * (ctx.n - len(r)), ell, h)[d] != norms[d] % ell:
             raise InvariantViolation(f"orbit block {d} does not have resultant N_{d}")
-        m = abs(norms[d]) // part_with_primes_of(abs(norms[d]), six_pn)
-        factors = components.euclid_mod(phi, r, m)
-        if math.prod(factors) != m:
+        m_d = abs(norms[d]) // part_with_primes_of(abs(norms[d]), six_pn)
+        factors = components.euclid_mod(phi, r, m_d)
+        if math.prod(factors) != m_d:
             raise InvariantViolation(f"orbit block {d} factors do not multiply to M_{d}")
         pieces += factors
-        m_product *= m
+        m_product *= m_d
     if m_product != index // index_s:
         raise InvariantViolation("the M_d do not multiply to the part of T prime to 6pn")
-    chain = _divisibility_chain(pieces)  # n - 1 entries, like joint
-    return tuple(f for f in (a * b for a, b in zip(joint, chain)) if f != 1)
+    return tuple(f for f in components.divisibility_chain(pieces) if f != 1)
 
 
 # ---------------------------------------------------------------------------

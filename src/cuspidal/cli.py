@@ -268,8 +268,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_crosscheck(args) -> int:
-    # the largest module is compiled first, on the smallest heap: compiled
-    # after the crosscheck module and its records, it sets a higher peak
+    # classgroup is compiled first, on the smallest heap: compiled after the
+    # crosscheck module and its records, it sets a higher peak
     _load(classgroup)
     bundled = args.path is None
     path = crosscheck.bundled_fixture_path() if bundled else args.path
@@ -354,7 +354,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run invariant suites")
     add_common(p_verify)
     p_verify.add_argument("--structure", action="store_true",
-                          help="also check the invariant-factor and Bernoulli routes")
+                          help="also check the invariant-factor route, and at k = 1 "
+                          "the Bernoulli route")
     p_verify.add_argument("--eps-independence", action="store_true",
                           help="also check theta over a second ring constant")
     p_verify.add_argument("--analytic", action="store_true",

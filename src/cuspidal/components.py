@@ -1,22 +1,25 @@
-"""Smith forms of the structure() components, none of them on the whole
-lattice.
+"""Smith-form kernels over integer data: rows, polynomials and moduli.
+The module knows no level: it imports only arith and errors, and
+classgroup.structure() makes every level decision (T_0, the index checks,
+which rows and moduli go where) and hands it integer data.
 
-  * euclid_mod(): the orbit component (Z/M_d)[x]/(Phi_d, F) from the pair
-    (Phi_d, F mod Phi_d), by polynomial Euclid over Z/M_d with dynamic
-    evaluation (Della Dora, Dicrescenzo and Duval, EUROCAL 1985).
+  * orbit_blocks(): the orbit pairs (Phi_d, F mod Phi_d) of an integer row F.
+  * euclid_mod(): the orbit component (Z/M_d)[x]/(Phi_d, F) from its pair,
+    by polynomial Euclid over Z/M_d with dynamic evaluation (Della Dora,
+    Dicrescenzo and Duval, EUROCAL 1985).
   * p_part_mod(): the p-part of the unit-divisor lattice, split by the
     characters of the prime-to-p part of the group (the eigenspace method,
     Washington, Introduction to Cyclotomic Fields, GTM 83).
-  * quotient_mod(): the parts of the group at the primes of 6n other than
-    p, from the lattice pushed forward to Z[C_m], m = (p-1)/2: the same
-    split, by the idempotent of the trivial character of C_q.
+  * lattice_rows() and quotient_mod(): the lattice of pi(theta) in
+    Z[C_size] from the rows pi(theta') and d pi(theta), and its invariant
+    factors modulo a part of T_S once its shift rows have determinant
+    +-T_0.
+  * divisibility_chain(): the invariant factors of a diagonal matrix, which
+    merges the factors of coprime parts.
 
-Each reduces a matrix modulo m by snf_mod(), the one Smith-form kernel.
-The module also builds the lattice rows of the C_m quotient and of the
-whole lattice (classgroup.generator_matrix) from stickelberger's theta'
-rows.  classgroup imports it as a lazy package module, and only
-structure() and generator_matrix() read it: order, table and verify
-without --structure do not compile it.
+Every matrix here is reduced modulo m by snf_mod(), the one Smith-form kernel.
+Only classgroup's structure() and generator_matrix() read the module, so
+order, table and verify without --structure do not compile it.
 """
 
 from __future__ import annotations
@@ -24,17 +27,51 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from .arith import part_with_primes_of
-from .cartan import CartanContext
-from .classgroup import lattice_index
+from .arith import fold, part_with_primes_of
 from .errors import InvariantViolation
-from .stickelberger import d_theta_row, theta_image
+
+
+def _divmod_monic(num: Sequence[int], den: Sequence[int]) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of integer polynomials (coefficients from the
+    constant term up) by a monic divisor; both stay integral."""
+    rem = list(num)
+    deg = len(den) - 1
+    quot = [0] * max(len(rem) - deg, 0)
+    for i in range(len(quot) - 1, -1, -1):
+        c = rem[i + deg]
+        quot[i] = c
+        if c:
+            for j, dj in enumerate(den):
+                rem[i + j] -= c * dj
+    return quot, rem[:deg]
+
+
+def orbit_blocks(f: Sequence[int]) -> dict[int, tuple[list[int], list[int]]]:
+    """{d: (Phi_d, F mod Phi_d)} for every d | n = len(f), F = sum_j f_j x^j:
+    the pair that fixes the orbit component Z[x]/(Phi_d, F), whose order
+    is |N_d| = |Res(Phi_d, F mod Phi_d)|.
+
+    Phi_d comes from x^d - 1 = prod_{e | d} Phi_e by exact division, and
+    F mod Phi_d from F mod (x^d - 1), which Phi_d divides."""
+    n = len(f)
+    blocks: dict[int, tuple[list[int], list[int]]] = {}
+    for d in range(1, n + 1):
+        if n % d:
+            continue
+        phi = [-1] + [0] * (d - 1) + [1]
+        for e, (phi_e, _) in blocks.items():
+            if d % e == 0:
+                phi, rem = _divmod_monic(phi, phi_e)
+                if any(rem):
+                    raise InvariantViolation(f"Phi_{e} does not divide x^{d} - 1")
+        blocks[d] = phi, _divmod_monic(fold(f, d), phi)[1]
+    return blocks
 
 
 def euclid_mod(phi: Sequence[int], f: Sequence[int], m: int) -> tuple[int, ...]:
     """Invariant factors, deg phi of them with the 1s, of the module
     (Z/m)[x]/(phi, f), phi monic and deg f < deg phi, such as an orbit
-    pair (Phi_d, F mod Phi_d) of classgroup.orbit_blocks().
+    pair (Phi_d, F mod Phi_d) of orbit_blocks().
 
     Polynomial Euclid over Z/m on (a, b) = (phi, f), in O(deg phi ^ 2) ring
     operations: a unit leading coefficient of b is inverted once and scales
@@ -91,7 +128,7 @@ def p_part_mod(v: Sequence[int], p: int, w: int, modulus: int) -> tuple[int, ...
 
     Character split: Z_p[C_n] = prod_i Z_p[C_q] by w -> zeta^i y, zeta a
     Teichmuller m-th root of unity, w^(2 p^(s-1)) modulo p^s for w given
-    as an integer whose class generates (Z/p)*/+-1 (ctx.w does).
+    as an integer whose class generates (Z/p)*/+-1 (the generator of H does).
     Component i != 0 is Z_p[C_q]/(v_i), a q x q cyclic matrix; component 0
     takes I to the augmentation ideal of Z_p[C_q], which v_0 lies in: q
     rows y^r v_0 in the basis {y^c - 1}."""
@@ -112,47 +149,45 @@ def p_part_mod(v: Sequence[int], p: int, w: int, modulus: int) -> tuple[int, ...
     return tuple(sorted(factors))
 
 
-def lattice_rows(ctx: CartanContext, size: int) -> list[list[int]]:
+def lattice_rows(t: Sequence[int], d_row: Sequence[int]) -> list[list[int]]:
     """Generators of the lattice of pi(theta) in the degree-zero part of
-    Z[C_size], size | n, in the basis {w^i - 1 : i = 1..size-1}: the rows
-    (w^j - 1) pi(theta), j = 1..size-1, and d * pi(theta).  At size n this
-    is the unit-divisor lattice (classgroup.generator_matrix); at size m,
-    the C_m quotient of quotient_mod().  The shift rows are read off
-    pi(theta'): w^j - 1 kills the norm element, by which theta' and theta
-    differ."""
-    t = theta_image(ctx, size)
+    Z[C_size], size = len(t), in the basis {w^i - 1 : i = 1..size-1}, from
+    t = pi(theta') and d_row = d * pi(theta): the rows (w^j - 1) pi(theta),
+    j = 1..size-1, and d * pi(theta).  The shift rows are read off t: w^j - 1
+    kills the norm element, by which theta' and theta differ."""
+    size = len(t)
     # coefficient i of w^j pi(theta') is t_(i-j); a negative index wraps
     rows = [[t[i - j] - t[i] for i in range(1, size)] for j in range(1, size)]
-    return rows + [d_theta_row(ctx, size)[1:]]
+    return rows + [list(d_row[1:])]
 
 
-def quotient_mod(ctx: CartanContext, index: int, modulus: int) -> tuple[int, ...]:
-    """Invariant factors, the 1s included and n - 1 entries, of the parts
-    of I/L at the primes of modulus, for modulus prime to p and dividing
-    T = index = [I : theta I], from the C_m quotient.
-
-    Let n = m q, q = p^(k-1), C_q the subgroup of order q and pi the map
-    onto Z[C_m].  For a prime l != p, e_0 = (1/q) sum_{y in C_q} y is an
-    l-integral idempotent and L a Z[H]-module, so (I/L)_l is the sum of
-    e_0 (I/L)_l, the group of the lattice of pi(theta) in Z[C_m], and
-    (1 - e_0)(I/L)_l, whose order divides T/T_0 for T_0 = lattice_index(ctx,
-    m).  The m - 1 shift rows of the quotient must have determinant +-T_0
-    modulo the check prime, T_0 must divide T, and gcd(T/T_0, modulus) must
-    be 1; then the factors are snf_mod() of the m x (m-1) quotient matrix."""
-    m = (ctx.p - 1) // 2
-    t0 = lattice_index(ctx, m)
-    rows = lattice_rows(ctx, m)
+def quotient_mod(rows: Sequence[Sequence[int]], t0: int, modulus: int) -> tuple[int, ...]:
+    """Invariant factors, the 1s included, of the lattice_rows() of the C_m
+    quotient modulo modulus, once its m - 1 shift rows are checked to have
+    determinant +-t0 modulo a 30-bit prime: snf_mod() of the m x (m-1)
+    matrix."""
     if _det_mod(rows[:-1], _CHECK_PRIME) not in (t0 % _CHECK_PRIME, -t0 % _CHECK_PRIME):
         raise InvariantViolation("C_m quotient rows do not have determinant +-T_0")
-    cofactor, rem = divmod(index, t0)
-    if rem:
-        raise InvariantViolation("T_0 does not divide T = [I : theta I]")
-    if math.gcd(cofactor, modulus) > 1:
-        raise InvariantViolation(
-            "gcd(T/T_0, rest of T_S) > 1: the characters nontrivial on C_q "
-            "reach a prime of 6n other than p"
-        )
-    return (1,) * (ctx.n - m) + snf_mod(rows, modulus)
+    return snf_mod(rows, modulus)
+
+
+def divisibility_chain(diag: Sequence[int]) -> tuple[int, ...]:
+    """The invariant factors of the diagonal matrix diag, sorted: gcd/lcm
+    exchanges (diag(a, b) ~ diag(gcd, lcm)) until each divides the next."""
+    diag = list(diag)
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(diag)):
+            if diag[i] == 1:  # divides everything
+                continue
+            for j in range(i + 1, len(diag)):
+                if diag[j] % diag[i]:
+                    g = math.gcd(diag[i], diag[j])
+                    diag[i], diag[j] = g, diag[i] * diag[j] // g
+                    changed = True
+    diag.sort()
+    return tuple(diag)
 
 
 # ---------------------------------------------------------------------------

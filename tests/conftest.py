@@ -69,8 +69,11 @@ def no_group_ring_fractions(monkeypatch):
 
 @pytest.fixture
 def no_dense_lattice(monkeypatch):
-    """Make the n-row unit-divisor lattice fail: classgroup.generator_matrix,
-    in every cuspidal module that binds it."""
+    """Make classgroup.generator_matrix fail, in every cuspidal module that
+    binds it.  That is the n-row unit-divisor lattice at every k, but not
+    its only builder: at k = 1, m = (p-1)/2 = n, so structure() builds the
+    same n - 1 shift rows and d theta as its C_m quotient, which this
+    fixture does not block."""
     from cuspidal import classgroup
 
     _refuse_in_cuspidal(

@@ -4,7 +4,7 @@ The orbit norms of classgroup.orbit_norms come from a multi-modular
 transform; here each N_d = Res(Phi_d, F) is instead the determinant of
 multiplication by F on Z[x]/Phi_d, the phi(d) x phi(d) integer matrix
 block_matrix builds from the pair (Phi_d, F mod Phi_d) of
-classgroup.orbit_blocks (no command builds it), taken by fraction-free
+components.orbit_blocks (no command builds it), taken by fraction-free
 (Bareiss) elimination.
 
 components.snf_mod eliminates modulo a multiple of the lattice index; snf
@@ -69,7 +69,7 @@ from cuspidal.cartan import (
     h_index_table,
     norm_class_partition,
 )
-from cuspidal.classgroup import _divisibility_chain, orbit_blocks
+from cuspidal.components import divisibility_chain, orbit_blocks
 from cuspidal.crosscheck import parse_value
 from cuspidal.errors import InvariantViolation
 from cuspidal.siegel import eta_sq, required_terms
@@ -186,7 +186,7 @@ def snf(matrix: Sequence[Sequence[int]]) -> tuple[int, ...]:
             continue
         t += 1
 
-    return _divisibility_chain([abs(a[i][i]) for i in range(min(nr, nc)) if a[i][i]])
+    return divisibility_chain([abs(a[i][i]) for i in range(min(nr, nc)) if a[i][i]])
 
 
 def factorize_prime_by_prime(n: int, *, rho_budget: int) -> Factorization:

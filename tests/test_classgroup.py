@@ -23,7 +23,9 @@ from cuspidal.classgroup import (
 )
 from cuspidal.components import snf_mod
 from cuspidal.errors import InvariantViolation
-from cuspidal.stickelberger import d_value, theta, theta_prime_degree, theta_prime_row
+from cuspidal.stickelberger import (
+    d_theta_row, d_value, theta, theta_image, theta_prime_degree, theta_prime_row,
+)
 from oracles import (
     bareiss_det,
     block_matrix,
@@ -582,7 +584,6 @@ def test_snf_mod_column_reached_by_no_row_takes_the_full_exponent():
 
 
 def test_euclid_mod_matches_snf_mod_on_random_rows(monkeypatch):
-    import cuspidal.classgroup as cg
     import cuspidal.components as co
 
     # count the ways Euclid goes on at a non-unit leading coefficient: a
@@ -617,7 +618,7 @@ def test_euclid_mod_matches_snf_mod_on_random_rows(monkeypatch):
             # coefficient is divisible by q once, and q^2 divides the modulus
             f = [rng.randrange(-30, 31) for _ in range(deg - 1)]
             f += [q * rng.randrange(1, 30)] + [0] * (n - len(f) - 1)
-        phi, r = cg.orbit_blocks(f)[d]
+        phi, r = co.orbit_blocks(f)[d]
         block = block_matrix(phi, r)
         det = abs(bareiss_det(block))
         for m in (det, det * 35, det * q * q, q * q * 6, q * q, 2**5 * 3**4):
@@ -695,8 +696,8 @@ def test_structure_rejects_a_doubled_lattice_row(monkeypatch):
 
     real = co.lattice_rows
 
-    def doubled(ctx, size):
-        rows = real(ctx, size)
+    def doubled(t, d_row):
+        rows = real(t, d_row)
         rows[0] = [2 * x for x in rows[0]]
         return rows
 
@@ -717,8 +718,9 @@ def test_quotient_index_is_the_determinant_of_the_quotient_shift_rows(p, k):
     from cuspidal.components import lattice_rows
 
     ctx = CartanContext.create(p, k)
-    t0 = lattice_index(ctx, (p - 1) // 2)
-    assert t0 == abs(bareiss_det(lattice_rows(ctx, (p - 1) // 2)[:-1]))
+    m = (p - 1) // 2
+    t0 = lattice_index(ctx, m)
+    assert t0 == abs(bareiss_det(lattice_rows(theta_image(ctx, m), d_theta_row(ctx, m))[:-1]))
     assert lattice_index(ctx, ctx.n) % t0 == 0
 
 
@@ -921,14 +923,14 @@ def test_structure_rejects_a_scaled_orbit_block_row(monkeypatch, p, k):
     # F mod Phi_d, row 0 of the block matrix, times a prime l outside 6pn
     # and T leaves the block's factors modulo M_d unchanged; only its
     # resultant shows it
-    import cuspidal.classgroup as cg
+    import cuspidal.components as co
 
     ctx = CartanContext.create(p, k)
     index = lattice_index(ctx, ctx.n)
     bad = _primes_of_6pn(ctx)
     ell = next(q for q in range(5, 1000) if is_prime(q) is Primality.PROVEN
                and q not in bad and index % q)
-    real = cg.orbit_blocks
+    real = co.orbit_blocks
     d = max(real(theta_prime_row(ctx)))
 
     def scaled(f):
@@ -937,7 +939,7 @@ def test_structure_rejects_a_scaled_orbit_block_row(monkeypatch, p, k):
         blocks[d] = phi, [ell * x for x in r]
         return blocks
 
-    monkeypatch.setattr(cg, "orbit_blocks", scaled)
+    monkeypatch.setattr(co, "orbit_blocks", scaled)
     with pytest.raises(InvariantViolation):
         structure(ctx)
 

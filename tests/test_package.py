@@ -1,9 +1,12 @@
 """The package's public names resolve on first access (PEP 562), no
 module of the package reads another's private names, and no function
 imports a package module: the package registers each one as a lazy module
-(``cuspidal/__init__``), so the modules import each other at their tops."""
+(``cuspidal/__init__``), so the modules import each other at their tops.
+Those imports form no cycle, and the Smith-form kernels (``components``)
+import only ``arith`` and ``errors``."""
 
 import ast
+import graphlib
 import importlib
 import os
 import subprocess
@@ -112,3 +115,22 @@ def test_no_function_imports_a_package_module():
                 if any(m.startswith(".") or m.split(".")[0] == "cuspidal" for m in modules):
                     found.add(f"{path.name}:{node.lineno}")
     assert not found, sorted(found)
+
+
+def test_module_imports_form_no_cycle_and_components_knows_no_level():
+    # each module's top-level relative imports; components takes integer
+    # rows, polynomials and moduli, so it imports no cartan, stickelberger
+    # or classgroup
+    src = Path(cuspidal.__file__).parent
+    graph = {}
+    for path in sorted(src.glob("*.py")):
+        graph[path.stem] = set()
+        for node in ast.parse(path.read_text(), str(path)).body:
+            if isinstance(node, ast.ImportFrom) and node.level:
+                names = [node.module] if node.module else [a.name for a in node.names]
+                graph[path.stem].update(names)
+    assert graph["components"] <= {"arith", "errors"}, graph["components"]
+    try:
+        graphlib.TopologicalSorter(graph).prepare()
+    except graphlib.CycleError as exc:
+        pytest.fail(f"import cycle {exc.args[1]}")
