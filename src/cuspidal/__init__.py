@@ -18,7 +18,7 @@ from ._version import __version__
 
 for _name in (
     "arith", "cartan", "classgroup", "components", "crosscheck", "errors", "siegel",
-    "stickelberger", "verify",
+    "stickelberger", "verify", "workers",
 ):
     _spec = importlib.util.find_spec(f"{__name__}.{_name}")
     _spec.loader = importlib.util.LazyLoader(_spec.loader)

@@ -15,12 +15,17 @@ up to about ten digits; a prime in (2^16, 10^6) takes it about 1600 steps
 on average) and Lenstra's elliptic-curve method (ECM): Montgomery curves in x/z
 coordinates with Suyama's parametrisation, a Montgomery-ladder stage 1 and a
 baby-step/giant-step stage 2 with one batched gcd, whose primes are read
-off an odd-only sieve up to min(100 B1, ECM_B2_BOUND).  One step budget per
-call is shared by rho and ECM; it is counted in Brent-rho iterations, never
-in wall-clock time.  The default, DEFAULT_RHO_BUDGET = 10^7 steps, is enough
-for every order of the reference table and for 13^2 (under 10^6 steps), and
-gives up a cofactor ECM cannot split (the 62-digit one at 11^2) after about
-ten seconds on a 2-vCPU x86-64 VM rather than after minutes.  A step is a
+off an odd-only sieve up to min(100 B1, ECM_B2_BOUND).  The curves run on
+the usable CPUs (workers.run) once at least two are affordable: their sigmas
+are drawn in order from one generator before any fork, and the curve of
+lowest index that splits the cofactor wins, so every result, and the state
+the generator is left in for the next split, is the one a single CPU gives.
+One step budget per call is shared by rho and ECM; it is counted in
+Brent-rho iterations, never in wall-clock time.  The default,
+DEFAULT_RHO_BUDGET = 10^7 steps, is enough for every order of the reference
+table and for 13^2 (under 10^6 steps), and gives up a cofactor ECM cannot
+split (the 62-digit one at 11^2) after about 10 s on one CPU and 5-6 s on
+both CPUs of a 2-vCPU x86-64 VM, rather than after minutes.  A step is a
 multiplication modulo the cofactor, so its cost grows with the cofactor's
 size: at 43^2 trial division leaves a 9600-bit cofactor, and the default
 budget there runs for more than ten minutes.  Whatever the budget leaves
@@ -35,6 +40,8 @@ from functools import lru_cache
 from itertools import compress
 from random import Random
 from typing import NamedTuple, Sequence
+
+from . import workers
 
 DEFAULT_RHO_BUDGET = 10**7  # steps per factorize call, rho and ECM together
 TRIAL_BOUND = 1 << 16  # trial division limit; rho splits the primes above it
@@ -463,9 +470,9 @@ def _ecm_plan(b1: int) -> _EcmPlan:
     return _EcmPlan(scalar, first, tuple(babies), pairs, (mults + 1) // 2)
 
 
-def _ecm_curve(n: int, plan: _EcmPlan, rng: Random) -> int | None:
-    """One ECM curve on odd composite n; a proper factor or None."""
-    sigma = rng.randrange(6, n - 1)
+def _ecm_curve(n: int, plan: _EcmPlan, sigma: int) -> int | None:
+    """One ECM curve on odd composite n, Suyama's with parameter sigma; a
+    proper factor or None."""
     u = (sigma * sigma - 5) % n
     v = 4 * sigma % n
     x0 = u * u * u % n
@@ -539,16 +546,46 @@ def _split(n: int, rng: Random, budget: int) -> tuple[int | None, int]:
             return d, used
     for b1, curves in ECM_SCHEDULE:
         plan = _ecm_plan(b1)
-        tried = 0
-        while curves is None or tried < curves:
-            if used + plan.cost > budget:
-                return None, used
-            used += plan.cost
-            tried += 1
-            d = _ecm_curve(n, plan, rng)
+        affordable = (budget - used) // plan.cost
+        count = affordable if curves is None else min(curves, affordable)
+        while count:
+            batch = min(count, workers.max_tasks())
+            d, tried = _ecm_batch(n, b1, rng, batch)
+            used += tried * plan.cost
             if d is not None:
                 return d, used
+            count -= batch
+        if curves is None or affordable < curves:  # the budget is spent
+            return None, used
     return None, used
+
+
+def _ecm_batch(n: int, b1: int, rng: Random, count: int) -> tuple[int | None, int]:
+    """The factor found by the first of ``count`` curves at one B1 level
+    that splits n, and how many curves that took: (factor | None, curves).
+
+    The curves run on the usable CPUs (workers.run).  Their sigmas are drawn
+    in order from rng before any fork, so curve i is the one a single
+    process would run i-th, and rng is left as one process leaves it: past
+    the sigmas of the curves up to the one that split n, or of all."""
+    plan = _ecm_plan(b1)
+    start = rng.getstate()
+    sigmas = [rng.randrange(6, n - 1) for _ in range(count)]
+    found = workers.run(
+        lambda i: _ecm_curve(n, plan, sigmas[i]), count, until=lambda d: d is not None
+    )
+    for i in range(count):
+        if i not in found:
+            raise RuntimeError(
+                f"ECM curve {i} of {count} at B1 = {b1} was claimed by a helper "
+                "process that exited without reporting it"
+            )
+        if found[i] is not None:
+            rng.setstate(start)
+            for _ in range(i + 1):
+                rng.randrange(6, n - 1)
+            return found[i], i + 1
+    return None, count
 
 
 class FactorEntry(NamedTuple):
@@ -615,6 +652,8 @@ def factorize(
     the budget is spent, every unsplit composite is an entry flagged
     COMPOSITE and ``budget_exhausted`` is set.  The result depends only on
     the arguments: curves and rho constants come from ``Random(SEED)``.
+    The ECM curves run on the usable CPUs, and the result, ``steps_used``
+    and ``budget_exhausted`` included, is the one a single CPU gives.
     """
     if n < 1:
         raise ValueError("factorize needs n >= 1")

@@ -234,8 +234,9 @@ def structure(ctx: CartanContext) -> tuple[int, ...]:
         l != p the idempotent e_0 of the trivial character of C_q, n = m q,
         is l-integral, so (I/L)_l is the group of the lattice of pi(theta)
         in Z[C_m] (lattice_rows(), quotient_mod()) plus (1 - e_0)(I/L)_l,
-        whose order divides T/T_0, T_0 = lattice_index(ctx, m).  So T_0 must
-        divide T and gcd(T/T_0, rest of T_S) must be 1;
+        whose order divides T/T_0, T_0 = lattice_index(ctx, m).  T/T_0 is
+        |prod N_d| over the d | n that do not divide m, so T_0 divides T by
+        construction, and gcd(T/T_0, rest of T_S) must be 1;
       * for a prime l outside S, Z_l[H] = prod_{d | n} Z_l[x]/Phi_d; d is
         an l-unit, theta has degree 0, and theta' - theta is a multiple of
         the norm element, 0 in every factor with d > 1.  So the l-part is
@@ -257,9 +258,9 @@ def structure(ctx: CartanContext) -> tuple[int, ...]:
     rest_s = index_s // p_top
     m = (ctx.p - 1) // 2
     t0 = lattice_index(ctx, m)
-    if index % t0:
-        raise InvariantViolation("T_0 does not divide T = [I : theta I]")
-    if math.gcd(index // t0, rest_s) > 1:
+    # T/T_0, the orbits of the characters that do not factor through C_m
+    beyond_m = abs(math.prod(v for d, v in norms.items() if m % d))
+    if math.gcd(beyond_m, rest_s) > 1:
         raise InvariantViolation(
             "gcd(T/T_0, rest of T_S) > 1: the characters nontrivial on C_q "
             "reach a prime of 6n other than p"

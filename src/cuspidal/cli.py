@@ -14,10 +14,9 @@ importing them here runs none, and a command runs only those it reads.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
-from . import arith, cartan, classgroup, crosscheck, verify
+from . import arith, cartan, classgroup, crosscheck, verify, workers
 from ._version import __version__
 from .errors import SIZE_GUARD, InvariantViolation, brief_int
 
@@ -97,8 +96,10 @@ def cmd_table(args) -> int:
             f"--pmax {args.pmax} exceeds the guard {TABLE_GUARD}; pass --force to override"
         )
     primes = _primes_in(5, args.pmax)
-    for p, report in zip(primes, _table_rows(primes, _rho_budget(args), args.json)):
+    reports = _table_rows(primes, _rho_budget(args), args.json)
+    for row, p in enumerate(primes):
         # the rows below a failed one are printed, as a sequential run would
+        report = reports.get(row)
         if report is None:
             raise RuntimeError(f"table row p = {p} was claimed by a worker process "
                                "that exited without reporting it")
@@ -110,132 +111,33 @@ def cmd_table(args) -> int:
     return 0
 
 
-_TOKEN_BYTES = 4  # one row index in the claim pipe
-
-
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no CPU affinity outside Linux
-        return os.cpu_count() or 1
-
-
-def _worker_count(rows: int) -> int:
-    """One process per usable CPU, at most one per row; one alone where
-    there is no fork, where other threads run (a forked child has only the
-    calling thread, and a lock another thread holds stays held in it), or
-    where the rows' tokens do not fit in one atomic write to the claim pipe
-    (PIPE_BUF bytes, 1024 rows on Linux)."""
-    threading = sys.modules.get("threading")
-    if not hasattr(os, "fork") or (threading is not None and threading.active_count() > 1):
-        return 1
-    import select
-
-    if rows > select.PIPE_BUF // _TOKEN_BYTES:
-        return 1
-    return max(1, min(rows, _usable_cpus()))
-
-
-def _read_pipe(fd: int, wait: bool) -> bytes:
-    """What the pipe holds: up to its end if wait, else what is there now."""
-    os.set_blocking(fd, wait)
-    chunks = []
-    try:
-        while chunk := os.read(fd, 1 << 16):
-            chunks.append(chunk)
-    except BlockingIOError:
-        pass
-    return b"".join(chunks)
-
-
-def _row_report(row: int, p: int, rho_budget: int, as_json: bool) -> dict:
-    """Table row ``row``, level p: its output line, or the message of its
-    invariant violation, or the traceback of any other error."""
+def _row_report(p: int, rho_budget: int, as_json: bool) -> dict:
+    """Table row p: its output line, or the message of its invariant
+    violation, or the traceback of any other error."""
     try:
         res = classgroup.compute_class_group(p, 1, factor=True, rho_budget=rho_budget)
     except InvariantViolation as exc:
-        return {"row": row, "invariant": str(exc)}
+        return {"invariant": str(exc)}
     except Exception:
         import traceback
 
-        return {"row": row, "traceback": traceback.format_exc()}
-    return {"row": row, "line": _json_record(res) if as_json else table_row(res)}
+        return {"traceback": traceback.format_exc()}
+    return {"line": _json_record(res) if as_json else table_row(res)}
 
 
-def _table_rows(primes: list[int], rho_budget: int, as_json: bool) -> list:
-    """Each prime's _row_report, or None for a row that a worker process
-    claimed and did not report.
-
-    The rows run on _worker_count processes: the parent and W - 1 children
-    forked once, before the first row.  Every row's token, largest p first
-    (the costliest rows start early), is written to one claim pipe before
-    the first fork, and a process claims a row by reading its token, so each
-    row is claimed once.  A child sends each report back as one JSON line
-    and ends in os._exit, never writing to stdout or stderr.  Each row is
-    deterministic on its own (factoring seeds its own generator, the caches
-    are per level), so the rows do not depend on which process ran them.
-    Restricting the CPUs (``taskset -c 0``) gives one process."""
-    workers = _worker_count(len(primes))
-    if workers == 1:
-        return [_row_report(row, p, rho_budget, as_json) for row, p in enumerate(primes)]
-    # the report lines' codec and the rows' module, loaded once here rather
-    # than in every worker after the fork
-    import json
-
-    _load(classgroup)
-    sys.stdout.flush()
-    sys.stderr.flush()
-    reports: list = [None] * len(primes)
-    claims, write_fd = os.pipe()
-    tokens = (row.to_bytes(_TOKEN_BYTES, "big") for row in reversed(range(len(primes))))
-    os.write(write_fd, b"".join(tokens))  # at most PIPE_BUF bytes: written whole
-    os.close(write_fd)
-    children: dict[int, tuple[int, list[bytes]]] = {}  # pid -> result pipe, what it sent
-    try:
-        for _ in range(workers - 1):
-            read_fd, write_fd = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:  # no process to spare: the workers so far take the rows
-                os.close(read_fd)
-                os.close(write_fd)
-                break
-            if pid == 0:
-                status = 1
-                try:
-                    with open(write_fd, "w", encoding="utf-8") as out:
-                        while token := os.read(claims, _TOKEN_BYTES):
-                            row = int.from_bytes(token, "big")
-                            report = _row_report(row, primes[row], rho_budget, as_json)
-                            print(json.dumps(report), file=out, flush=True)
-                    status = 0
-                finally:
-                    os._exit(status)
-            os.close(write_fd)
-            children[pid] = (read_fd, [])
-        while token := os.read(claims, _TOKEN_BYTES):
-            row = int.from_bytes(token, "big")
-            reports[row] = _row_report(row, primes[row], rho_budget, as_json)
-            for fd, sent in children.values():  # so that no child waits on a full pipe
-                sent.append(_read_pipe(fd, wait=False))
-        for fd, sent in children.values():
-            sent.append(_read_pipe(fd, wait=True))
-    except BaseException:
-        import signal
-
-        for pid in children:
-            os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        os.close(claims)
-        for pid, (fd, _) in children.items():
-            os.close(fd)
-            os.waitpid(pid, 0)
-    for _, sent in children.values():
-        for line in b"".join(sent).split(b"\n")[:-1]:  # a cut last line is unreported
-            report = json.loads(line)
-            reports[report["row"]] = report
-    return reports
+def _table_rows(primes: list[int], rho_budget: int, as_json: bool) -> dict:
+    """Each prime's _row_report by its row, run on the usable CPUs
+    (workers.run), largest p first so that the costliest rows start early;
+    a row that a worker process claimed and did not report is missing.
+    Each row is deterministic on its own (factoring seeds its own
+    generator, the caches are per level), so the rows do not depend on
+    which process ran them.  Restricting the CPUs (``taskset -c 0``) gives
+    one process."""
+    _load(classgroup)  # once here rather than in every worker after the fork
+    return workers.run(
+        lambda row: _row_report(primes[row], rho_budget, as_json), len(primes),
+        largest_first=True,
+    )
 
 
 def cmd_verify(args) -> int:

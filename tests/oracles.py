@@ -36,14 +36,16 @@ frac_part and bernoulli2 are the exact Fraction helpers of the *_fraction
 evaluators and of the tests' Bernoulli targets; no command calls them.
 
 The remaining helpers read the bundled reference table, brute-force orders
-in H and in the Cartan ring, and build a context over a chosen generator w
-of H.
+in H and in the Cartan ring, build a context over a chosen generator w of
+H, set the fork helper's count of usable CPUs (with_cpus) and check that
+every forked process was reaped (assert_no_child_left).
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import os
 from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
@@ -51,6 +53,7 @@ from itertools import compress
 from pathlib import Path
 from typing import Mapping, Sequence
 
+from cuspidal import workers
 from cuspidal.arith import (
     ECM_B2_BOUND,
     FactorEntry,
@@ -457,3 +460,18 @@ def context_with_generator(p: int, k: int, w: int) -> CartanContext:
     if order_in_H(p, k, w) != ctx.n:
         raise ValueError(f"w = {w} does not generate H (order != {ctx.n})")
     return ctx._replace(w=w)
+
+
+def with_cpus(monkeypatch, cpus: int) -> None:
+    """Make workers.run see ``cpus`` usable CPUs: two or more fork even on a
+    host with one."""
+    monkeypatch.setattr(workers, "_usable_cpus", lambda: cpus)
+
+
+def assert_no_child_left() -> None:
+    """Fail if this process has a child that was not reaped."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    raise AssertionError("a forked process was left unreaped")

@@ -1,4 +1,5 @@
 import math
+import os
 import random
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ from cuspidal.arith import (
     _sieve,
     _small_primes,
     _strong_probable_prime,
+    DEFAULT_RHO_BUDGET,
     ECM_B2_BOUND,
     ECM_SCHEDULE,
     RHO_STAGE_STEPS,
@@ -29,10 +31,12 @@ from cuspidal.arith import (
     packed_product,
 )
 from oracles import (
+    assert_no_child_left,
     bernoulli2,
     ecm_plan_by_primes,
     factorize_prime_by_prime,
     frac_part,
+    with_cpus,
 )
 
 rationals = st.fractions(
@@ -237,10 +241,13 @@ def test_factorize_budget_exhaustion_is_flagged():
     assert str(f) == f"[{a * b}]"
 
 
+P83_COFACTOR = (18934761332741, 48833370476331324749419)
+
+
 def test_factorize_ecm_splits_the_p83_cofactor():
     # rho alone needed about 4 * 10^6 steps here; the rho stage gives up
     # and ECM splits it
-    a, b = 18934761332741, 48833370476331324749419
+    a, b = P83_COFACTOR
     f = factorize(a * b)
     assert [(e.prime, e.exponent, e.certainty) for e in f.entries] == [
         (a, 1, Primality.PROVEN),
@@ -249,6 +256,95 @@ def test_factorize_ecm_splits_the_p83_cofactor():
     assert f.steps_used > RHO_STAGE_STEPS and not f.budget_exhausted
     # the same rho stage and the same curves as with the 10^6 trial bound
     assert f.steps_used == 472400
+
+
+def _order(p, k):
+    from cuspidal.cartan import CartanContext
+    from cuspidal.classgroup import order
+
+    return order(CartanContext.create(p, k))
+
+
+# (the number, its budget, steps_used and budget_exhausted as one process
+# gave them before ECM ran on several)
+ECM_CASES = {
+    # rho, then 6 curves at B1 = 2000 split the cofactor of the table's row
+    "p = 83 order": (lambda: _order(83, 1), DEFAULT_RHO_BUDGET, 232570, False),
+    "p = 83 cofactor": (lambda: math.prod(P83_COFACTOR), DEFAULT_RHO_BUDGET, 472400, False),
+    # the 62-digit cofactor, with a budget spent after 13 of the 25 curves
+    "11^2 order, budget out in ECM": (lambda: _order(11, 2), 400000, 396113, True),
+    # (a b)(c e): three ECM phases, each drawing its sigmas where the one
+    # before left the generator
+    "two semiprimes": (
+        lambda: math.prod(P83_COFACTOR) * 1000000000039 * 1000000000061,
+        DEFAULT_RHO_BUDGET, 501756, False,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(ECM_CASES))
+def test_factorize_is_the_same_on_any_cpu_count(monkeypatch, case):
+    number, budget, steps, exhausted = ECM_CASES[case]
+    n = number()
+    results = []
+    for cpus in (1, 2, 3):
+        with_cpus(monkeypatch, cpus)
+        results.append(factorize(n, rho_budget=budget))
+        assert_no_child_left()
+    assert results[0] == results[1] == results[2]
+    f = results[0]
+    assert (f.steps_used, f.budget_exhausted) == (steps, exhausted)
+    assert f.value() == n and f.is_complete != exhausted
+
+
+def test_a_dead_ecm_helper_fails_loudly_naming_its_curve(monkeypatch):
+    from cuspidal import arith
+
+    real = arith._ecm_curve
+    sigmas = []
+
+    def record(n, plan, sigma):
+        sigmas.append(sigma)
+        return real(n, plan, sigma)
+
+    n = math.prod(P83_COFACTOR)
+    with_cpus(monkeypatch, 1)
+    monkeypatch.setattr(arith, "_ecm_curve", record)
+    factorize(n)
+    parent = os.getpid()
+
+    def die_at_curve_2(n, plan, sigma):
+        if sigma == sigmas[2] and os.getpid() != parent:
+            os._exit(9)
+        return real(n, plan, sigma)
+
+    with_cpus(monkeypatch, 2)
+    monkeypatch.setattr(arith, "_ecm_curve", die_at_curve_2)
+    # curve 15 splits n, but curve 2 never reported
+    with pytest.raises(RuntimeError, match="ECM curve 2 of 25 at B1 = 2000 .* without reporting"):
+        factorize(n)
+    assert_no_child_left()
+
+
+def test_ecm_forks_nothing_while_another_thread_runs(monkeypatch):
+    import threading
+
+    def refuse():
+        raise AssertionError("forked while another thread ran")
+
+    with_cpus(monkeypatch, 2)
+    monkeypatch.setattr(os, "fork", refuse)
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait, args=(60,))
+    thread.start()
+    try:
+        f = factorize(math.prod(P83_COFACTOR))
+    finally:
+        stop.set()
+        thread.join(60)
+    assert not thread.is_alive()
+    assert [e.prime for e in f.entries] == list(P83_COFACTOR) and f.steps_used == 472400
+    assert_no_child_left()
 
 
 def test_ecm_plan_costs_are_pinned():
@@ -423,7 +519,7 @@ def test_order_and_verify_never_request_the_trial_bound_sieve(argv, monkeypatch,
 def test_table_sieves_nothing_above_the_first_stage_2_bound(monkeypatch, capsys):
     # trial division stays within TRIAL_BOUND, and only the p = 83 row
     # reaches ECM, at its first level: the one sieve beyond 2^16 is B2 = 100 B1
-    from cuspidal import arith, cli
+    from cuspidal import arith
     from cuspidal.cli import main
 
     requested = []
@@ -440,8 +536,8 @@ def test_table_sieves_nothing_above_the_first_stage_2_bound(monkeypatch, capsys)
     monkeypatch.setattr(arith, "_chunk_products", spy(arith._chunk_products, requested))
     monkeypatch.setattr(arith, "_odd_flags", spy(arith._odd_flags, sieved))
     _ecm_plan.cache_clear()
-    # the spies see only this process: one worker runs every row
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
+    # the spies see only this process: it runs every row and every curve
+    with_cpus(monkeypatch, 1)
     assert main(["table", "--pmax", "101"]) == 0
     capsys.readouterr()
     b2 = 100 * arith.ECM_SCHEDULE[0][0]

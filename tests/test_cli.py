@@ -9,7 +9,7 @@ from cuspidal.arith import DEFAULT_RHO_BUDGET
 from cuspidal.classgroup import ClassGroupResult
 from cuspidal.cli import main, table_row
 from cuspidal.errors import InvariantViolation
-from oracles import reference_order, reference_table
+from oracles import assert_no_child_left, reference_order, reference_table, with_cpus
 
 
 def run(capsys, *argv):
@@ -192,17 +192,6 @@ def table_goldens():
 
 def rows_below_83():
     return [line for line in table_goldens() if int(line.split("\t")[0]) < 83]
-
-
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-def with_cpus(monkeypatch, cpus):
-    from cuspidal import cli
-
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
 
 
 def without_timings(json_lines):

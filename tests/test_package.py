@@ -2,8 +2,9 @@
 module of the package reads another's private names, and no function
 imports a package module: the package registers each one as a lazy module
 (``cuspidal/__init__``), so the modules import each other at their tops.
-Those imports form no cycle, and the Smith-form kernels (``components``)
-import only ``arith`` and ``errors``."""
+Those imports form no cycle, the Smith-form kernels (``components``)
+import only ``arith`` and ``errors``, and the fork helper (``workers``)
+imports no module of the package."""
 
 import ast
 import graphlib
@@ -117,10 +118,8 @@ def test_no_function_imports_a_package_module():
     assert not found, sorted(found)
 
 
-def test_module_imports_form_no_cycle_and_components_knows_no_level():
-    # each module's top-level relative imports; components takes integer
-    # rows, polynomials and moduli, so it imports no cartan, stickelberger
-    # or classgroup
+def _import_graph():
+    """Each module's top-level relative imports."""
     src = Path(cuspidal.__file__).parent
     graph = {}
     for path in sorted(src.glob("*.py")):
@@ -129,8 +128,19 @@ def test_module_imports_form_no_cycle_and_components_knows_no_level():
             if isinstance(node, ast.ImportFrom) and node.level:
                 names = [node.module] if node.module else [a.name for a in node.names]
                 graph[path.stem].update(names)
+    return graph
+
+
+def test_module_imports_form_no_cycle_and_components_knows_no_level():
+    # components takes integer rows, polynomials and moduli, so it imports
+    # no cartan, stickelberger or classgroup
+    graph = _import_graph()
     assert graph["components"] <= {"arith", "errors"}, graph["components"]
     try:
         graphlib.TopologicalSorter(graph).prepare()
     except graphlib.CycleError as exc:
         pytest.fail(f"import cycle {exc.args[1]}")
+
+
+def test_the_fork_helper_imports_no_package_module():
+    assert _import_graph()["workers"] == set()

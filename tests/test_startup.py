@@ -12,8 +12,10 @@ components, and import no ``fractions``; ``verify``
 executes the components only with ``--structure``; ``verify`` and
 ``crosscheck`` do not execute each other; ``table`` forks its workers
 only after ``cuspidal.classgroup`` has executed, so that no worker
-compiles it again.  No command imports ``dataclasses`` (which pulls in
-``inspect``, ``ast``, ``dis`` and ``tokenize``)."""
+compiles it again.  Only ``table`` and ``order --factor`` (whose factoring
+reaches ECM) execute the fork helper ``cuspidal.workers``.  No command
+imports ``dataclasses`` (which pulls in ``inspect``, ``ast``, ``dis`` and
+``tokenize``)."""
 
 import ast
 import os
@@ -44,7 +46,7 @@ def fork():
 os.fork = fork
 import cuspidal.cli
 if {cpus}:
-    cuspidal.cli._usable_cpus = lambda: {cpus}
+    cuspidal.workers._usable_cpus = lambda: {cpus}
 rc = cuspidal.cli.main(sys.argv[1:])
 print(repr([rc, sorted(filter(executed, list(sys.modules))), forks]))
 """
@@ -138,6 +140,20 @@ def test_verify_and_crosscheck_do_not_execute_each_other():
 def test_table_forks_after_its_module_has_executed():
     _, forks = run_probe("table", "--pmax", "31", cpus=2)
     assert forks == [True]
+
+
+@pytest.mark.parametrize(
+    "argv, executes",
+    [
+        (("--version",), False),
+        (("order", "-p", "13", "-k", "2"), False),
+        (("verify", "-p", "13", "--structure"), False),
+        (("table", "--pmax", "101"), True),
+        (("order", "-p", "13", "-k", "2", "--factor"), True),
+    ],
+)
+def test_only_the_table_and_ecm_execute_the_fork_helper(argv, executes):
+    assert ("cuspidal.workers" in loaded_modules(*argv)) is executes
 
 
 def test_analytic_suite_loads_siegel():
